@@ -15,6 +15,9 @@ Three related quadratic minimizations, kept strictly separate:
   insulating (no-flux) obstacle cells.  On a hole-free cube its minimizer is
   the affine profile itself, exactly, so the tensor reduces to h^n times the
   identity.
+
+Each is the solver's face kernel with its own cell roles and data, so every
+reported value is the energy of the computed minimizer.
 """
 
 import math
@@ -24,11 +27,10 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidArgumentError, UnsupportedDimensionError
-from .geometry import (EXTERIOR, HOLE, MATERIAL, Box, PerforatedMask,
-                       rasterize, sample_family)
+from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, rasterize,
+                       sample_family)
 from .rng import substream_seed
-from .solver import (SolveReport, cg_solve, make_operator, operator_diagonal,
-                     shifted)
+from .solver import _INSULATING, SolveReport, _FaceKernel, cg_solve
 
 
 @dataclass(frozen=True)
@@ -95,37 +97,12 @@ def newton_capacity(obstacles, outer_radius, dx, tol=1e-7, max_iter=None):
             sl[axis] = side
             if electrode[tuple(sl)].any():
                 raise InvalidArgumentError("obstacle must be strictly inside the outer box")
-    work = PerforatedMask(flags=np.where(electrode, HOLE, MATERIAL).astype(np.uint8),
-                          dx=dx, domain=box)
-    apply_op = make_operator(work, 0.0)
-    diag = operator_diagonal(work, 0.0)
-    rhs = np.zeros(electrode.shape)
-    e_float = electrode.astype(float)
-    for axis in range(3):
-        for step in (1, -1):
-            rhs += shifted(e_float, axis, step)
-    rhs = np.where(electrode, 0.0, rhs) / dx ** 2
+    kernel = _FaceKernel(emask.flags, dx, data=np.pad(electrode.astype(float), 1))
     if max_iter is None:
-        max_iter = 40 * max(work.shape)
-    u, report = cg_solve(apply_op, rhs, tol=tol, max_iter=max_iter, diag=diag)
-    v = np.where(electrode, 1.0, u)
-    return _drop_energy(v, dx), report
-
-
-def _drop_energy(v, dx):
-    """Dirichlet energy of a full-grid potential with value 0 at the outer faces."""
-    n = v.ndim
-    w = dx ** n
-    energy = 0.0
-    for axis in range(n):
-        diff = np.diff(v, axis=axis)
-        energy += np.sum(diff * diff) / dx ** 2 * w
-        for side in (0, -1):
-            sl = [slice(None)] * n
-            sl[axis] = side
-            vb = v[tuple(sl)]
-            energy += np.sum((2.0 * vb / dx) ** 2) * w / 2.0
-    return float(energy)
+        max_iter = 40 * max(emask.shape)
+    u, report = cg_solve(kernel.apply, kernel.rhs(), tol=tol, max_iter=max_iter,
+                         diag=kernel.diag)
+    return kernel.energy(u), report
 
 
 # ---------------------------------------------------------------------------
@@ -194,50 +171,17 @@ def capacity_minimizer_on_window(mask, slices, boundary_value=1.0, tol=1e-8,
                                epsilon=mask.epsilon,
                                report=SolveReport(0, 0.0, 0.0))
         return est, vals
-    subdomain = Box(tuple(c - eff_h / 2 for c in eff_center),
-                    tuple(c + eff_h / 2 for c in eff_center))
-    submask = PerforatedMask(flags=sub, dx=dx, domain=subdomain,
-                             epsilon=mask.epsilon)
-    apply_op = make_operator(submask, 0.0)
-    diag = operator_diagonal(submask, 0.0)
-    border = _border_face_count(sub.shape)
-    rhs = np.where(submask.material, 2.0 * g * border / dx ** 2, 0.0)
+    # data g on the window faces; exterior cells are half-cell boundary at 0
+    kernel = _FaceKernel(sub, dx, data=np.pad(np.zeros(sub.shape), 1, constant_values=g))
     if max_iter is None:
         max_iter = 40 * max(sub.shape)
-    u, report = cg_solve(apply_op, rhs, tol=tol, max_iter=max_iter, diag=diag)
-    vals = np.where(sub == MATERIAL, u, 0.0)
-    value = _window_energy(vals, sub, dx, g)
+    u, report = cg_solve(kernel.apply, kernel.rhs(), tol=tol, max_iter=max_iter,
+                         diag=kernel.diag)
+    vals = np.where(kernel.unknown, u, 0.0)
+    value = kernel.energy(vals)
     est = CapacityEstimate(value=value, dx=dx, center=eff_center, h=eff_h,
                            epsilon=mask.epsilon, report=report)
     return est, vals
-
-
-def _border_face_count(shape):
-    count = np.zeros(shape)
-    for axis in range(len(shape)):
-        for side in (0, -1):
-            sl = [slice(None)] * len(shape)
-            sl[axis] = side
-            count[tuple(sl)] += 1.0
-    return count
-
-
-def _window_energy(v, flags, dx, g):
-    """Face energy on a window with Dirichlet data g at the window border."""
-    n = v.ndim
-    w = dx ** n
-    energy = 0.0
-    for axis in range(n):
-        diff = np.diff(v, axis=axis)
-        energy += np.sum(diff * diff) / dx ** 2 * w
-        for side in (0, -1):
-            sl = [slice(None)] * n
-            sl[axis] = side
-            vb = v[tuple(sl)]
-            fb = flags[tuple(sl)]
-            interior = fb != EXTERIOR
-            energy += np.sum((2.0 * (g - vb[interior]) / dx) ** 2) * w / 2.0
-    return float(energy)
 
 
 def local_capacity_refined(mask_builder, center, h, dx_list, **kwargs):
@@ -265,8 +209,8 @@ def _affine_cell_problem(mask, center, h, xi, penalty, tol=1e-10, max_iter=None)
     the cube window, with v = l := (x - z, xi) on the window boundary and
     no-flux (insulating) obstacle cells.
 
-    Returns (value, window slices, minimizer values, context) where context
-    carries what the cross-energy needs.
+    Returns (value, window slices, minimizer values, kernel); the kernel's
+    `energy` gives the cross energies of the tensor.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (mask.dim,):
@@ -278,99 +222,31 @@ def _affine_cell_problem(mask, center, h, xi, penalty, tol=1e-10, max_iter=None)
     mat = sub == MATERIAL
     dx = mask.dx
     n = mask.dim
-    # absolute cell centers of the window
-    axes = [mask.domain.lower[d] + (np.arange(slices[d].start, slices[d].stop) + 0.5) * dx
-            for d in range(n)]
+    # absolute cell centers of the window, padded with the window faces,
+    # where the boundary data l sits
+    axes = []
+    for d in range(n):
+        c = mask.domain.lower[d] + (np.arange(slices[d].start, slices[d].stop) + 0.5) * dx
+        axes.append(np.concatenate(([c[0] - 0.5 * dx], c, [c[-1] + 0.5 * dx])))
     grids = np.meshgrid(*axes, indexing="ij")
     ell = sum((grids[d] - eff_center[d]) * xi[d] for d in range(n))
 
-    mat_f = mat.astype(float)
-    mm_faces = np.zeros(sub.shape)
-    for axis in range(n):
-        for step in (1, -1):
-            mm_faces += shifted(mat_f, axis, step)
-    mm_faces *= mat_f
-    border = _border_face_count(sub.shape) * mat_f
-    diag_arr = mm_faces / dx ** 2 + 2.0 * border / dx ** 2 + penalty
     # material pockets sealed off from the border have nothing anchoring them
     # when penalty == 0; they contribute zero energy with any constant value
-    free = mat.copy()
+    free = mat
     if penalty == 0.0:
-        structure = ndimage.generate_binary_structure(n, 1)
-        labels, n_lab = ndimage.label(mat, structure=structure)
-        touching = set()
-        for axis in range(n):
-            for side in (0, -1):
-                sl = [slice(None)] * n
-                sl[axis] = side
-                touching.update(np.unique(labels[tuple(sl)]))
-        touching.discard(0)
-        keep = np.isin(labels, sorted(touching))
-        free = mat & keep
+        border = np.ones(mat.shape, dtype=bool)
+        border[(slice(1, -1),) * n] = False
+        free = ndimage.binary_propagation(mat & border, mask=mat)
 
-    free_f = free.astype(float)
-
-    def apply_op(u):
-        out = diag_arr * u
-        for axis in range(n):
-            for step in (1, -1):
-                out -= shifted(u, axis, step) * shifted(free_f, axis, step) / dx ** 2
-        return np.where(free, out, 0.0)
-
-    rhs = penalty * ell * mat_f
-    for axis in range(n):
-        for step in (1, -1):
-            sl = [slice(None)] * n
-            sl[axis] = -1 if step == 1 else 0
-            face_ell = np.zeros(sub.shape)
-            face_ell[tuple(sl)] = (ell[tuple(sl)]
-                                   + 0.5 * dx * step * xi[axis])
-            rhs += 2.0 * face_ell / dx ** 2
-    rhs = np.where(free, rhs, 0.0)
+    kernel = _FaceKernel(np.where(free, MATERIAL, _INSULATING), dx,
+                         penalty, data=ell, target=ell[(slice(1, -1),) * n])
     if max_iter is None:
         max_iter = 40 * max(sub.shape)
-    diag_sys = np.where(free, diag_arr, 1.0)
-    u, report = cg_solve(apply_op, rhs, tol=tol, max_iter=max_iter, diag=diag_sys)
+    u, report = cg_solve(kernel.apply, kernel.rhs(), tol=tol, max_iter=max_iter,
+                         diag=kernel.diag)
     u = np.where(free, u, 0.0)
-    ctx = {"slices": slices, "center": eff_center, "h": eff_h, "dx": dx,
-           "mat": mat, "free": free, "penalty": penalty, "xi": xi, "ell": ell,
-           "report": report}
-    value = _affine_cross_energy(u, ctx, u, ctx)
-    return value, slices, u, ctx
-
-
-def _affine_cross_energy(u1, ctx1, u2, ctx2):
-    """Symmetric bilinear form shared by P(xi) and the tensor entries."""
-    dx = ctx1["dx"]
-    n = u1.ndim
-    w = dx ** n
-    mat = ctx1["mat"]
-    free_f = ctx1["free"].astype(float)
-    energy = 0.0
-    for axis in range(n):
-        fa = [slice(None)] * n
-        fb = [slice(None)] * n
-        fa[axis] = slice(None, -1)
-        fb[axis] = slice(1, None)
-        mm = ctx1["free"][tuple(fa)] & ctx1["free"][tuple(fb)]
-        d1 = (u1[tuple(fb)] - u1[tuple(fa)])[mm]
-        d2 = (u2[tuple(fb)] - u2[tuple(fa)])[mm]
-        energy += np.sum(d1 * d2) / dx ** 2 * w
-        for side, step in ((0, -1), (-1, 1)):
-            sl = [slice(None)] * n
-            sl[axis] = side
-            m_here = ctx1["free"][tuple(sl)]
-            f1 = (ctx1["ell"][tuple(sl)] + 0.5 * dx * step * ctx1["xi"][axis])[m_here]
-            f2 = (ctx2["ell"][tuple(sl)] + 0.5 * dx * step * ctx2["xi"][axis])[m_here]
-            v1 = u1[tuple(sl)][m_here]
-            v2 = u2[tuple(sl)][m_here]
-            energy += np.sum(2.0 * (f1 - v1) * (f2 - v2)) * dx ** (n - 2)
-    p = ctx1["penalty"]
-    if p > 0.0:
-        r1 = (u1 - ctx1["ell"])[mat]
-        r2 = (u2 - ctx2["ell"])[mat]
-        energy += p * np.sum(r1 * r2) * w
-    return float(energy)
+    return kernel.energy(u), slices, u, kernel
 
 
 def penalized_functional(mask, z, h, gamma, xi, tol=1e-10):
@@ -379,7 +255,7 @@ def penalized_functional(mask, z, h, gamma, xi, tol=1e-10):
         raise InvalidArgumentError(f"penalty exponent must be in (0, 2), got {gamma}")
     slices, eff_center, eff_h = _window(mask, z, h)
     penalty = eff_h ** (-2.0 - gamma)
-    value, slices, u, ctx = _affine_cell_problem(mask, z, h, xi, penalty, tol=tol)
+    value, slices, u, _ = _affine_cell_problem(mask, z, h, xi, penalty, tol=tol)
     sub = mask.flags[slices]
     subdomain = Box(tuple(c - eff_h / 2 for c in eff_center),
                     tuple(c + eff_h / 2 for c in eff_center))
@@ -402,13 +278,12 @@ def conductivity_tensor(mask, z, h, gamma, tol=1e-10):
     for i in range(n):
         xi = np.zeros(n)
         xi[i] = 1.0
-        _, _, u, ctx = _affine_cell_problem(mask, z, h, xi, penalty, tol=tol)
-        sols.append((u, ctx))
+        _, _, u, kernel = _affine_cell_problem(mask, z, h, xi, penalty, tol=tol)
+        sols.append((u, kernel))
     a = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            a[i, j] = a[j, i] = _affine_cross_energy(sols[i][0], sols[i][1],
-                                                     sols[j][0], sols[j][1])
+            a[i, j] = a[j, i] = sols[i][1].energy(sols[i][0], sols[j][1], sols[j][0])
     return ConductivityTensor(entries=0.5 * (a + a.T), gamma=float(gamma),
                               center=eff_center, h=eff_h, epsilon=mask.epsilon)
 

@@ -443,33 +443,20 @@ def _flag_capsule(flags, lo, dx, a, b, rho):
     sub[inside.reshape(sub.shape)] = HOLE
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def connected_components(config, edges):
-    """Partition of point indices into maximal connected sets."""
-    uf = _UnionFind(config.count)
-    for i, j in edges.edges:
-        uf.union(int(i), int(j))
-    groups = {}
-    for i in range(config.count):
-        groups.setdefault(uf.find(i), []).append(i)
-    return [sorted(v) for _, v in sorted(groups.items())]
+    """Partition of point indices into maximal connected sets, ordered by
+    their smallest member, members sorted."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components as label_components
+    n = config.count
+    if n == 0:
+        return []
+    i, j = edges.edges.T
+    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    _, labels = label_components(graph, directed=False)
+    members = np.argsort(labels, kind="stable")
+    groups = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    return sorted(g.tolist() for g in groups)
 
 
 def volume_fraction(mask):

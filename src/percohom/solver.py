@@ -1,26 +1,39 @@
 """Finite differences on perforated masks.
 
-Discretization, fixed once and used consistently everywhere:
+One discretization serves every problem of the library, the Dirichlet solves
+here and the capacity functionals in `capacity`: a cell-centered uniform
+grid, the 5-point (2D) / 7-point (3D) stencil, and one weight per face.
 
-* cell-centered uniform grid, 5-point (2D) / 7-point (3D) stencil;
-* hole cells are eliminated with value 0: a face between a material cell and
-  a hole contributes the one-sided difference (0 - u)/dx;
-* the domain boundary carries Dirichlet data at the face itself, i.e. at half
-  a cell distance, which keeps the scheme second order in L2; cells flagged
-  exterior behave like the domain boundary;
-* the sign convention is  lap(u) - reaction*u = f  with reaction >= 0; the
-  assembled SPD system is  (-lap_h + reaction) u = -f.
+* A face between two cells of the domain has weight 1: the difference of
+  the two cell values over a full cell.
+* A face against the boundary has weight 2: the boundary data sits at the
+  face itself, half a cell from the cell center, which keeps the scheme
+  second order in L2.  The grid edge is such a boundary, and so is every
+  cell flagged exterior: an exterior cell is a half-cell boundary with value
+  0, inside a capacity window as on a whole mask.
+* A face against an insulating (no-flux) cell has weight 0.
 
-The discrete energy functional
-    gamma(u) = sum_faces (du/dx)^2 w + reaction*||u||^2 + 2<f, u>
-uses exactly the face terms whose Euler-Lagrange equations are the stencil
-above (boundary faces enter with weight dx^n/2 and gradient over dx/2), so
-the computed solution is the exact minimizer of gamma over fields vanishing
-on holes, up to the CG tolerance.
+Material cells are the unknowns.  Absorbing hole cells are eliminated with a
+fixed value (0 in the Dirichlet problem, so a material-hole face is the
+one-sided difference (0 - u)/dx).  With the fixed values and boundary data,
+the weights give one discrete energy
+
+    E(u) = sum_faces w (jump/dx)^2 dx^n + reaction * sum_cells (u - target)^2 dx^n,
+
+and the operator, its Jacobi diagonal and the right-hand side are exactly
+its Euler-Lagrange system, so every computed solution is the minimizer of E
+over the unknown cells, up to the CG tolerance.  `_FaceKernel` holds this
+form; every apply, diagonal, right-hand side and energy goes through it.
+
+The sign convention is  lap(u) - reaction*u = f  with reaction >= 0; the
+assembled SPD system is  (-lap_h + reaction) u = -f, and the Dirichlet
+energy is  gamma(u) = E(u) + 2<f, u>.
 """
 
+import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,53 +85,113 @@ class GridField:
         return GridField(mask, evaluate_on_mask(expr_text, mask))
 
 
-def shifted(a, axis, step, fill=0.0):
-    """Neighbor values in the +step direction along `axis`, fill at the edge."""
-    out = np.full_like(a, fill)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if step == 1:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-    else:
-        src[axis] = slice(None, -1)
-        dst[axis] = slice(1, None)
-    out[tuple(dst)] = a[tuple(src)]
+_INSULATING = 3  # a cell role beside MATERIAL, HOLE and EXTERIOR: no flux
+
+# Weight of a face by the roles of its two cells: 1 between cells of the
+# domain, 2 (half a cell) between a boundary cell and a domain cell, 0 across
+# an insulating cell or between two boundary cells.
+_FACE_WEIGHT = np.array([[1, 1, 2, 0],    # MATERIAL
+                         [1, 1, 2, 0],    # HOLE
+                         [2, 2, 0, 0],    # EXTERIOR
+                         [0, 0, 0, 0]],   # _INSULATING
+                        dtype=np.uint8)
+
+
+def _neighbour_sum(v, roles=None):
+    """Sum over the faces of every cell of w * (the value across the face),
+    nothing past the array edge; w = 1, or the face weight of `roles`."""
+    out = np.zeros_like(v)
+    for axis in range(v.ndim):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        if roles is None:
+            out[lo] += v[hi]
+            out[hi] += v[lo]
+        else:
+            w = np.take(_FACE_WEIGHT, 4 * roles[lo] + roles[hi])
+            out[lo] += w * v[hi]
+            out[hi] += w * v[lo]
     return out
 
 
-def exterior_face_count(mask):
-    """Per-cell count of faces whose far side is exterior or off-grid."""
-    extra = np.zeros(mask.shape)
-    for axis in range(mask.dim):
-        for step in (1, -1):
-            nb = shifted(mask.flags, axis, step, fill=EXTERIOR)
-            extra += nb == EXTERIOR
-    return extra
+class _FaceKernel:
+    """The energy of one problem (module docstring) and its linear system.
+
+    `roles` gives each cell its part: MATERIAL (unknown), HOLE (fixed
+    value), EXTERIOR (boundary) or _INSULATING.  The grid is padded with one
+    EXTERIOR cell per side, so its edge is boundary too.  `data`, on the
+    padded grid or None for zeros, holds the fixed values and the boundary
+    data.  `reaction` (a reaction or a penalty) pulls the unknowns toward
+    `target`, or toward 0 when it is None.  Face weights are derived from
+    the roles where they are needed; `apply` uses only `diag` and `unknown`.
+    """
+
+    def __init__(self, roles, dx, reaction=0.0, data=None, target=None):
+        if reaction < 0:
+            raise InvalidArgumentError("reaction coefficient must be >= 0")
+        self.roles = np.pad(roles, 1, constant_values=EXTERIOR)
+        self.inner = (slice(1, -1),) * roles.ndim
+        self.unknown = roles == MATERIAL
+        self.dx, self.reaction, self.target = dx, reaction, target
+        self.data = None if data is None else np.where(self.roles == MATERIAL, 0.0, data)
+
+    @cached_property
+    def diag(self):
+        """Jacobi diagonal: the face weights of each unknown cell / dx^2 plus
+        the reaction; 1 off the unknown cells."""
+        faces = _neighbour_sum(np.ones(self.roles.shape), self.roles)[self.inner]
+        return np.where(self.unknown, faces / self.dx ** 2 + self.reaction, 1.0)
+
+    def apply(self, u):
+        """diag*u - (sum of the neighbours)/dx^2 on the unknown cells.  Every
+        face between two unknown cells has weight 1, and u vanishes off the
+        unknown cells (as every CG iterate does), so zero-filled neighbours
+        serve absorbing and insulating holes alike."""
+        out = _neighbour_sum(u)
+        out *= -1.0 / self.dx ** 2
+        out += self.diag * u
+        out *= self.unknown
+        return out
+
+    def rhs(self):
+        """The data and target terms of the right-hand side."""
+        b = self.reaction * self.target if self.target is not None else 0.0
+        if self.data is not None:
+            b = b + _neighbour_sum(self.data, self.roles)[self.inner] / self.dx ** 2
+        return np.where(self.unknown, b, 0.0)
+
+    def energy(self, u, other=None, v=None):
+        """Symmetric bilinear energy of u, with this kernel's data, against v,
+        with the data of `other` (same roles and reaction); energy(u) is the
+        form the solve minimizes.  Uses sum_faces w da db = <a, L b>, with
+        L b = (sum of w) b - (neighbour sum of w b) on the padded grid."""
+        if other is None:
+            other, v = self, u
+        a, b = self._values(u), other._values(v)
+        lb = _neighbour_sum(np.ones(b.shape), self.roles) * b - _neighbour_sum(b, self.roles)
+        energy = np.sum(a * lb) * self.dx ** (u.ndim - 2)
+        if self.reaction:
+            ra = u if self.target is None else u - self.target
+            rb = v if other.target is None else v - other.target
+            energy += self.reaction * np.sum(np.where(self.unknown, ra * rb, 0.0)) \
+                * self.dx ** u.ndim
+        return float(energy)
+
+    def _values(self, u):
+        """The padded field: u on the unknown cells, the data elsewhere."""
+        values = np.pad(np.where(self.unknown, u, 0.0), 1)
+        if self.data is not None:
+            values += self.data
+        return values
 
 
 def make_operator(mask, reaction):
     """Matrix-free application of (-lap_h + reaction) on material cells."""
-    if reaction < 0:
-        raise InvalidArgumentError("reaction coefficient must be >= 0")
-    mat = mask.material
-    inv_dx2 = 1.0 / mask.dx ** 2
-    diag_faces = 2 * mask.dim + exterior_face_count(mask)
-
-    def apply(u):
-        out = diag_faces * u
-        for axis in range(mask.dim):
-            out -= shifted(u, axis, 1) + shifted(u, axis, -1)
-        out *= inv_dx2
-        out += reaction * u
-        return np.where(mat, out, 0.0)
-
-    return apply
+    return _FaceKernel(mask.flags, mask.dx, reaction).apply
 
 
 def operator_diagonal(mask, reaction):
-    diag = (2 * mask.dim + exterior_face_count(mask)) / mask.dx ** 2 + reaction
-    return np.where(mask.material, diag, 1.0)
+    return _FaceKernel(mask.flags, mask.dx, reaction).diag
 
 
 def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, x0=None):
@@ -188,13 +261,11 @@ def solve_dirichlet_perforated(mask, reaction, f, tol=1e-8, max_iter=None):
         raise InvalidArgumentError("mask has no material cells")
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
-    source = as_source(f, mask)
-    b = np.where(mask.material, -source, 0.0)
-    apply_op = make_operator(mask, reaction)
-    diag = operator_diagonal(mask, reaction)
+    kernel = _FaceKernel(mask.flags, mask.dx, reaction)
+    b = np.where(kernel.unknown, -as_source(f, mask), 0.0)
     if max_iter is None:
         max_iter = 20 * max(mask.shape)
-    x, report = cg_solve(apply_op, b, tol=tol, max_iter=max_iter, diag=diag)
+    x, report = cg_solve(kernel.apply, b, tol=tol, max_iter=max_iter, diag=kernel.diag)
     return GridField(mask, x), report
 
 
@@ -230,43 +301,10 @@ def l2_distance(u, v):
 
 
 def gradient_energy(u):
-    """sum over faces of (du/dx)^2 with the scheme's face weights.
-
-    Interior faces (including faces into holes, whose stored value is an
-    exact zero) carry weight dx^n; faces against the domain boundary or an
-    exterior cell carry the half-cell weight with gradient over dx/2.
-    """
-    mask = u.mask
-    v = u.values
-    flags = mask.flags
-    dx = mask.dx
-    n = mask.dim
-    w_full = dx ** n
-    energy = 0.0
-    for axis in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        a, bvals = v[tuple(lo)], v[tuple(hi)]
-        fa, fb = flags[tuple(lo)], flags[tuple(hi)]
-        both_interior = (fa != EXTERIOR) & (fb != EXTERIOR)
-        diff = bvals - a
-        energy += np.sum(diff[both_interior] ** 2) / dx ** 2 * w_full
-        # material against an exterior-flagged cell: boundary at the face
-        mx = ((fa == MATERIAL) & (fb == EXTERIOR)) | ((fa == EXTERIOR) & (fb == MATERIAL))
-        if np.any(mx):
-            um = np.where(fa == MATERIAL, a, bvals)
-            energy += np.sum((2.0 * um[mx] / dx) ** 2) * w_full / 2.0
-        # grid-edge faces
-        for side in (0, -1):
-            edge = [slice(None)] * n
-            edge[axis] = side
-            fe = flags[tuple(edge)]
-            ve = v[tuple(edge)]
-            m = fe == MATERIAL
-            energy += np.sum((2.0 * ve[m] / dx) ** 2) * w_full / 2.0
-    return float(energy)
+    """sum over faces of (du/dx)^2 with the scheme's face weights: weight 1
+    between interior cells (holes hold an exact zero), 2 (half a cell, data
+    0) against the domain boundary or an exterior cell."""
+    return _FaceKernel(u.mask.flags, u.mask.dx).energy(u.values)
 
 
 def energy_gamma(u, reaction, f):
@@ -274,34 +312,22 @@ def energy_gamma(u, reaction, f):
     mask = u.mask
     source = as_source(f, mask)
     vol = mask.dx ** mask.dim
-    interior = _interior_volume(mask)
-    uu = float(np.sum(np.where(interior, u.values * u.values, 0.0)) * vol)
-    fu = float(np.sum(np.where(interior, source * u.values, 0.0)) * vol)
-    return gradient_energy(u) + reaction * uu + 2.0 * fu
+    fu = float(np.sum(np.where(_interior_volume(mask), source * u.values, 0.0)) * vol)
+    return _FaceKernel(mask.flags, mask.dx, reaction).energy(u.values) + 2.0 * fu
 
 
 def h1_norm(u):
     return float(np.sqrt(l2_norm(u) ** 2 + gradient_energy(u)))
 
 
-def friedrichs_constant(domain, dx, tol=1e-10, max_iter=200):
+def friedrichs_constant(domain, dx):
     """C such that ||u||_L2 <= C ||grad u||_L2 for fields vanishing on the
-    boundary, from the smallest eigenvalue of the discrete Laplacian on the
-    hole-free grid (inverse power iteration; deterministic start)."""
-    mask = hole_free_mask(domain, dx)
-    apply_op = make_operator(mask, 0.0)
-    diag = operator_diagonal(mask, 0.0)
-    v = np.ones(mask.shape)
-    v /= np.sqrt(np.sum(v * v))
-    lam_old = 0.0
-    for _ in range(max_iter):
-        w, _ = cg_solve(apply_op, v, tol=1e-10, max_iter=20 * max(mask.shape), diag=diag)
-        v = w / np.sqrt(np.sum(w * w))
-        lam = float(np.sum(v * apply_op(v)))
-        if abs(lam - lam_old) <= tol * abs(lam):
-            break
-        lam_old = lam
-    return 1.0 / np.sqrt(lam)
+    boundary: 1/sqrt of the smallest eigenvalue of the operator on the
+    hole-free grid, sum_d 4/dx^2 sin^2(pi/(2 n_d)) for n_d cells along axis d
+    (the eigenvector is a product of sines vanishing at the boundary faces)."""
+    shape = hole_free_mask(domain, dx).shape
+    lam = sum(4.0 / dx ** 2 * math.sin(math.pi / (2 * n)) ** 2 for n in shape)
+    return 1.0 / math.sqrt(lam)
 
 
 FIELD_FORMAT_VERSION = 1

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import percohom as ph
+from percohom import capacity
 from percohom.errors import InvalidArgumentError, SolverFailureError
 from percohom.expressions import parse_expression
-from percohom.geometry import HOLE
+from percohom.geometry import EXTERIOR, HOLE, MATERIAL
 from percohom.rng import substream, substream_seed
 from percohom.solver import as_source, cg_solve, operator_diagonal
 
@@ -115,21 +117,105 @@ def test_gamma_trivia_and_minimizer_inequalities():
     assert lhs <= 2.0 * ph.l2_norm(u) * f_norm * (1 + 1e-8)
 
 
-def test_solution_minimizes_discrete_energy():
-    # finite-difference gradient of gamma at the solution is ~ 0: the
-    # operator and the energy are two views of one quadratic form
+def _capture_kernel_solves(monkeypatch):
+    """Record (kernel, solution) of every CG solve made by the capacity code."""
+    solves = []
+
+    def recording_cg(apply_op, b, **kwargs):
+        x, report = cg_solve(apply_op, b, **kwargs)
+        solves.append((apply_op.__self__, x))
+        return x, report
+
+    monkeypatch.setattr(capacity, "cg_solve", recording_cg)
+    return solves
+
+
+def _dirichlet_with_exterior(monkeypatch):
     mask = _random_mask(13, cells=16)
+    flags = mask.flags.copy()
+    flags[:3, :5] = EXTERIOR
+    flags[8:10, 8:10] = EXTERIOR
+    mask = ph.PerforatedMask(flags=flags, dx=mask.dx, domain=mask.domain)
     u, _ = ph.solve_dirichlet_perforated(mask, 1.0, "-1", tol=1e-12)
-    base = ph.energy_gamma(u, 1.0, "-1")
-    rng = substream(14, "energy-probe")
-    mat_cells = np.argwhere(mask.material)
+    return (ph.energy_gamma(u, 1.0, "-1"), u.values, mask.material,
+            lambda v: ph.energy_gamma(ph.GridField(mask, v), 1.0, "-1"))
+
+
+def _window_with_exterior(monkeypatch):
+    solves = _capture_kernel_solves(monkeypatch)
+    mask = ph.hole_free_mask(ph.Box.unit(3), 1.0 / 12)
+    flags = mask.flags.copy()
+    flags[:3, :4, :4] = EXTERIOR
+    flags[6:8, 6:8, 6:8] = HOLE
+    mask = ph.PerforatedMask(flags=flags, dx=mask.dx, domain=mask.domain)
+    est, _ = capacity.capacity_minimizer_on_window(mask, (slice(0, 12),) * 3, tol=1e-12)
+    kernel, x = solves[-1]
+    return est.value, x, mask.material, kernel.energy
+
+
+def _newton_condenser(monkeypatch):
+    solves = _capture_kernel_solves(monkeypatch)
+    box = ph.Box.cube(1.0, 3, origin=(-0.5,) * 3)
+    cfg = ph.PointConfiguration(points=np.zeros((1, 3)), box=box, intensity=0.0, seed=0)
+    obs = ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.1))
+    cap, _ = ph.newton_capacity(obs, 0.5, 1.0 / 16, tol=1e-12)
+    kernel, x = solves[-1]
+    return cap, x, kernel.unknown, kernel.energy
+
+
+def _affine_mask(seed):
+    box = ph.Box.unit(3)
+    rng = substream(seed, "affine-mask")
+    cfg = ph.PointConfiguration(points=0.3 + 0.4 * rng.random((3, 3)), box=box,
+                                intensity=0.0, seed=0)
+    return ph.rasterize(ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.08)), box, 1.0 / 16)
+
+
+def _affine_with_penalty(monkeypatch):
+    solves = _capture_kernel_solves(monkeypatch)
+    mask = _affine_mask(31)
+    value, _ = ph.penalized_functional(mask, (0.5,) * 3, 0.75, 1.0, (1.0, -0.5, 0.25),
+                                       tol=1e-12)
+    kernel, x = solves[-1]
+    return value, x, kernel.unknown, kernel.energy
+
+
+def _affine_sealed_pocket(monkeypatch):
+    solves = _capture_kernel_solves(monkeypatch)
+    mask = ph.hole_free_mask(ph.Box.unit(3), 1.0 / 12)
+    flags = mask.flags.copy()
+    flags[3:8, 3:8, 3:8] = HOLE
+    flags[4:7, 4:7, 4:7] = MATERIAL
+    mask = ph.PerforatedMask(flags=flags, dx=mask.dx, domain=mask.domain)
+    value = ph.affine_dirichlet_energy(mask, (0.5,) * 3, 1.0, (0.3, 1.0, -0.7), tol=1e-12)
+    kernel, x = solves[-1]
+    assert not kernel.unknown[5, 5, 5]  # the pocket is no unknown
+    return value, x, mask.material, kernel.energy
+
+
+@pytest.mark.parametrize("problem", [_dirichlet_with_exterior, _window_with_exterior,
+                                     _newton_condenser, _affine_with_penalty,
+                                     _affine_sealed_pocket],
+                         ids=["dirichlet-exterior", "window-exterior", "newton",
+                              "affine-penalty", "affine-sealed-pocket"])
+def test_solution_minimizes_discrete_energy(problem, monkeypatch):
+    # moving the solution on a material cell never lowers the energy below
+    # the reported value: the operator, right-hand side and energy are three
+    # views of one quadratic form, data terms included
+    base, x, material, energy = problem(monkeypatch)
     scale = max(abs(base), 1e-10)
-    for idx in mat_cells[rng.integers(0, len(mat_cells), size=5)]:
+    # random material cells, and cells next to a hole or an exterior cell,
+    # where the face weights differ
+    cells = np.argwhere(material)
+    near = np.argwhere(ndimage.binary_dilation(~material) & material)
+    rng = substream(14, "energy-probe")
+    probes = [*cells[rng.integers(0, len(cells), size=5)],
+              *near[rng.integers(0, len(near), size=5)]]
+    for idx in probes:
         for delta in (1e-6, -1e-6):
-            vals = u.values.copy()
+            vals = x.copy()
             vals[tuple(idx)] += delta
-            perturbed = ph.energy_gamma(ph.GridField(mask, vals), 1.0, "-1")
-            assert perturbed >= base - 1e-9 * scale
+            assert energy(vals) >= base - 1e-9 * scale
 
 
 def test_nested_masks_energy_comparison():
