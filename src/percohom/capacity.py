@@ -403,13 +403,7 @@ def boolean_capacity_constant(obstacles, domain):
         raise InvalidArgumentError("capacity constant is defined for ball obstacles")
     if obstacles.dim != 3:
         raise UnsupportedDimensionError("capacity constant requires dimension 3")
-    total = 0.0
-    counted = 0
-    lo = np.asarray(domain.lower)
-    hi = np.asarray(domain.upper)
-    for c, r in zip(obstacles.points.points, obstacles.ball_radii):
-        dist = float(min(np.min(c - lo), np.min(hi - c)))
-        if dist >= 2.0 * r:
-            total += 4.0 * math.pi * r
-            counted += 1
-    return total / domain.volume, counted
+    c, r = obstacles.points.points, obstacles.ball_radii
+    dist = np.minimum(np.min(c - domain.lower, axis=1), np.min(domain.upper - c, axis=1))
+    kept = r[dist >= 2.0 * r]
+    return 4.0 * math.pi * float(np.sum(kept)) / domain.volume, int(kept.size)

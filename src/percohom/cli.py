@@ -471,6 +471,10 @@ def main(argv=None):
         record.start()
         code = _DISPATCH[command](config, outdir, record, max(1, args.threads))
         record.finish()
+        # file names relative to the run directory, so the record does not
+        # depend on where --out put it
+        record.outputs = {key: os.path.relpath(value, outdir) if isinstance(value, str)
+                          else value for key, value in record.outputs.items()}
         write_json(os.path.join(outdir, "run_record.json"), record.to_dict())
         print(outdir)
         return code

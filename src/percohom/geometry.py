@@ -3,9 +3,14 @@
 Two obstacle families are supported: unions of tubes around the edges of a
 random geometric graph (points joined when their distance falls in a
 prescribed band, or by a general distance-to-probability rule), and unions of
-balls centered on the points.  Obstacles scale homothetically, rasterize to a
-cell-flag mask by cell-center membership, and carry enough provenance to
-reproduce themselves from a seed.
+balls centered on the points.  Both are unions of capsules, the points
+within a radius of a segment; a ball is the capsule of a zero-length
+segment.  One point-to-segment distance decides membership, both in
+`ObstacleSet.contains` and in `rasterize`, which flags a cell as a hole
+exactly when its center lies inside.  Obstacles scale homothetically and
+carry enough provenance to reproduce themselves from a seed.  The number of
+overlapping tube pairs, a diagnostic, is always reported; a k-d tree on the
+segment midpoints picks the candidate pairs.
 """
 
 import warnings
@@ -144,35 +149,39 @@ class ObstacleSet:
     def dim(self):
         return self.points.dim
 
+    def capsules(self):
+        """Segment ends a, b, (K, dim) each, and radii r, (K,): obstacle k is
+        the set of points within r[k] of the segment [a[k], b[k]].  A ball
+        is the zero-length capsule a = b."""
+        P = self.points.points
+        if self.kind == "balls":
+            return P, P, self.ball_radii
+        i, j = self.edges.edges.T
+        return P[i], P[j], np.full(i.shape, self.tube_radius)
+
     def min_feature(self):
         """Smallest cross-section radius present in the set (None if empty)."""
-        if self.kind == "tubes":
-            return self.tube_radius if self.edges.count else None
-        return float(self.ball_radii.min()) if self.ball_radii.size else None
+        r = self.capsules()[2]
+        return float(r.min()) if r.size else None
 
     def contains(self, pts):
         """Membership test for an (M, dim) array of probe points."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        inside = np.zeros(pts.shape[0], dtype=bool)
-        if self.kind == "balls":
-            for c, r in zip(self.points.points, self.ball_radii):
-                inside |= np.sum((pts - c) ** 2, axis=1) <= r * r
-            return inside
-        rho2 = self.tube_radius ** 2
-        P = self.points.points
-        for i, j in self.edges.edges:
-            inside |= _segment_dist2(pts, P[i], P[j]) <= rho2
+        x = list(np.atleast_2d(np.asarray(pts, dtype=float)).T)
+        inside = np.zeros(x[0].shape, dtype=bool)
+        for a, b, r in zip(*self.capsules()):
+            inside |= _capsule_dist2(x, a, b) <= r * r
         return inside
 
 
-def _segment_dist2(pts, a, b):
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        return np.sum((pts - a) ** 2, axis=1)
-    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.sum((pts - proj) ** 2, axis=1)
+def _capsule_dist2(x, a, b):
+    """Squared distance from the points with coordinate arrays x[d]
+    (broadcast against each other) to the segment [a, b]."""
+    ab = [bd - ad for ad, bd in zip(a, b)]
+    denom = sum(v * v for v in ab)
+    t = 0.0
+    if denom != 0.0:
+        t = np.clip(sum((xd - ad) * v for xd, ad, v in zip(x, a, ab)) / denom, 0.0, 1.0)
+    return sum((xd - (ad + t * v)) ** 2 for xd, ad, v in zip(x, a, ab))
 
 
 def build_rcm_edges(config, g, seed=0):
@@ -378,69 +387,31 @@ def rasterize(obstacles, domain, dx, extra_provenance=""):
     if obstacles.dim != domain.dim:
         raise InvalidArgumentError("obstacle and domain dimensions differ")
     flags = np.zeros(shape, dtype=np.uint8)
-    lo = np.asarray(domain.lower)
     notes = []
     feature = obstacles.min_feature()
     if feature is not None and dx > feature:
         notes.append(f"resolution-loss: dx={dx:.6g} exceeds smallest obstacle "
                      f"feature {feature:.6g}")
-    if obstacles.kind == "balls":
-        for c, r in zip(obstacles.points.points, obstacles.ball_radii):
-            _flag_ball(flags, lo, dx, c, r)
-    else:
-        P = obstacles.points.points
-        rho = obstacles.tube_radius
-        for i, j in obstacles.edges.edges:
-            _flag_capsule(flags, lo, dx, P[i], P[j], rho)
+    # the window of each capsule: the cells whose centers lo + (i + 0.5) dx
+    # lie in its bounding box, clipped to the grid (empty when first > last)
+    a, b, r = obstacles.capsules()
+    lo = np.asarray(domain.lower, dtype=float)
+    n = np.asarray(shape)
+    first = np.clip(np.ceil((np.minimum(a, b) - r[:, None] - lo) / dx - 0.5), 0, n)
+    last = np.clip(np.floor((np.maximum(a, b) + r[:, None] - lo) / dx - 0.5), -1, n - 1)
+    hit = np.all(first <= last, axis=1)
+    for ak, bk, rk, i0, i1 in zip(a[hit], b[hit], r[hit],
+                                  first[hit].astype(int), last[hit].astype(int) + 1):
+        x = [(lo[d] + (np.arange(i0[d], i1[d]) + 0.5) * dx).reshape(
+            (-1,) + (1,) * (len(shape) - 1 - d)) for d in range(len(shape))]
+        window = tuple(map(slice, i0, i1))
+        flags[window][_capsule_dist2(x, ak, bk) <= rk * rk] = HOLE
     prov = f"kind={obstacles.kind} scale={obstacles.scale_applied:.17g}"
     if extra_provenance:
         prov += " " + extra_provenance
     return PerforatedMask(flags=flags, dx=dx, domain=domain,
                           epsilon=obstacles.scale_applied,
                           provenance=prov, warnings=tuple(notes))
-
-
-def _cell_range(lo, dx, n, a, b):
-    """Index range of cells whose centers may lie in [a, b]."""
-    i0 = int(np.ceil((a - lo) / dx - 0.5))
-    i1 = int(np.floor((b - lo) / dx - 0.5))
-    return max(i0, 0), min(i1, n - 1)
-
-
-def _flag_ball(flags, lo, dx, center, r):
-    dim = flags.ndim
-    ranges = []
-    for d in range(dim):
-        i0, i1 = _cell_range(lo[d], dx, flags.shape[d], center[d] - r, center[d] + r)
-        if i1 < i0:
-            return
-        ranges.append((i0, i1))
-    axes = [lo[d] + (np.arange(r0, r1 + 1) + 0.5) * dx - center[d]
-            for d, (r0, r1) in enumerate(ranges)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    d2 = sum(g * g for g in grids)
-    window = tuple(slice(r0, r1 + 1) for r0, r1 in ranges)
-    flags[window][d2 <= r * r] = HOLE
-
-
-def _flag_capsule(flags, lo, dx, a, b, rho):
-    dim = flags.ndim
-    ranges = []
-    for d in range(dim):
-        lo_d = min(a[d], b[d]) - rho
-        hi_d = max(a[d], b[d]) + rho
-        i0, i1 = _cell_range(lo[d], dx, flags.shape[d], lo_d, hi_d)
-        if i1 < i0:
-            return
-        ranges.append((i0, i1))
-    axes = [lo[d] + (np.arange(r0, r1 + 1) + 0.5) * dx
-            for d, (r0, r1) in enumerate(ranges)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    inside = _segment_dist2(pts, np.asarray(a, float), np.asarray(b, float)) <= rho * rho
-    window = tuple(slice(r0, r1 + 1) for r0, r1 in ranges)
-    sub = flags[window]
-    sub[inside.reshape(sub.shape)] = HOLE
 
 
 def connected_components(config, edges):
@@ -467,61 +438,50 @@ def volume_fraction(mask):
     return mask.hole_count / interior
 
 
-def _segment_segment_dist2(p1, q1, p2, q2):
-    # closest distance between two segments; Ericson's clamped parameters
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    if a == 0.0 and e == 0.0:
-        return float(r @ r)
-    if a == 0.0:
-        t = np.clip(f / e, 0.0, 1.0)
-        s = 0.0
-    else:
-        c = float(d1 @ r)
-        if e == 0.0:
-            t = 0.0
-            s = np.clip(-c / a, 0.0, 1.0)
-        else:
-            b = float(d1 @ d2)
-            denom = a * e - b * b
-            s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom != 0.0 else 0.0
-            t = (b * s + f) / e
-            if t < 0.0:
-                t = 0.0
-                s = np.clip(-c / a, 0.0, 1.0)
-            elif t > 1.0:
-                t = 1.0
-                s = np.clip((b - c) / a, 0.0, 1.0)
-    closest = (p1 + s * d1) - (p2 + t * d2)
-    return float(closest @ closest)
+def _segment_pair_dist2(p1, q1, p2, q2):
+    """Squared distance between the segments [p1[k], q1[k]] and [p2[k], q2[k]]
+    for every row k: Ericson's clamped closest points (Real-Time Collision
+    Detection, 2005, sec. 5.1.9), with a zero-length segment as a point."""
+    def dot(u, v):
+        return np.sum(u * v, axis=1)
+
+    def ratio(num, den):
+        return np.clip(np.divide(num, den, out=np.zeros_like(num), where=den != 0.0),
+                       0.0, 1.0)
+
+    d1, d2, r = q1 - p1, q2 - p2, p1 - p2
+    a, b, e = dot(d1, d1), dot(d1, d2), dot(d2, d2)
+    c, f = dot(d1, r), dot(d2, r)
+    # s on the first segment from the lines' closest points (0 if parallel);
+    # t on the second follows from s, and clamping t re-solves s
+    s = ratio(b * f - c * e, a * e - b * b)
+    t = np.divide(b * s + f, e, out=np.zeros_like(f), where=e != 0.0)
+    s = np.where((t < 0.0) | (e == 0.0), ratio(-c, a), np.where(t > 1.0, ratio(b - c, a), s))
+    t = np.clip(t, 0.0, 1.0)
+    closest = (p1 + s[:, None] * d1) - (p2 + t[:, None] * d2)
+    return dot(closest, closest)
 
 
-def tube_overlap_count(obstacles, max_edges=1500):
-    """Number of distinct tube pairs that intersect (None above `max_edges`).
+def tube_overlap_count(obstacles):
+    """Number of distinct tube pairs that intersect, i.e. whose segments
+    lie within twice the tube radius of each other.
 
     Purely diagnostic: the overlap set plays no quantitative role, but its
-    size is reported with the geometry stats.
+    size is reported with the geometry stats.  Two such segments have
+    midpoints within 2 (largest half-length) + 2 rho, so a k-d tree on the
+    midpoints yields every candidate pair.
     """
     if obstacles.kind != "tubes":
         raise InvalidArgumentError("tube overlaps are defined for tube obstacles")
-    edges = obstacles.edges.edges
-    if edges.shape[0] > max_edges:
-        return None
-    P = obstacles.points.points
+    a, b, _ = obstacles.capsules()
+    if a.shape[0] < 2:
+        return 0
     reach = 2.0 * obstacles.tube_radius
-    count = 0
-    for a in range(edges.shape[0]):
-        i, j = edges[a]
-        for b in range(a + 1, edges.shape[0]):
-            k, l = edges[b]
-            d2 = _segment_segment_dist2(P[i], P[j], P[k], P[l])
-            if d2 <= reach * reach:
-                count += 1
-    return count
+    half = 0.5 * np.sqrt(np.sum((b - a) ** 2, axis=1))
+    # widened by a rounding margin: the exact test below decides
+    radius = (2.0 * half.max() + reach) * (1.0 + 1e-9)
+    i, j = cKDTree(0.5 * (a + b)).query_pairs(radius, output_type="ndarray").T
+    return int(np.count_nonzero(_segment_pair_dist2(a[i], b[i], a[j], b[j]) <= reach * reach))
 
 
 @dataclass(frozen=True)
@@ -588,9 +548,7 @@ def mask_stats_with_overlaps(mask, obstacles, config=None):
     stats = mask_stats(mask, config,
                        obstacles.edges if obstacles.kind == "tubes" else None)
     if obstacles.kind == "tubes":
-        overlaps = tube_overlap_count(obstacles)
-        if overlaps is not None:
-            stats["tube_overlap_pairs"] = overlaps
+        stats["tube_overlap_pairs"] = tube_overlap_count(obstacles)
     return stats
 
 

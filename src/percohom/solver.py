@@ -97,20 +97,24 @@ _FACE_WEIGHT = np.array([[1, 1, 2, 0],    # MATERIAL
                         dtype=np.uint8)
 
 
-def _neighbour_sum(v, roles=None):
+def _faces(ndim):
+    """Per axis, the index pair (lo, hi) selecting the two cells of every face
+    along that axis."""
+    return [((slice(None),) * axis + (slice(None, -1),),
+             (slice(None),) * axis + (slice(1, None),)) for axis in range(ndim)]
+
+
+def _neighbour_sum(v, weights=None):
     """Sum over the faces of every cell of w * (the value across the face),
-    nothing past the array edge; w = 1, or the face weight of `roles`."""
+    nothing past the array edge; w = 1, or weights[axis] along each axis."""
     out = np.zeros_like(v)
-    for axis in range(v.ndim):
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        hi = (slice(None),) * axis + (slice(1, None),)
-        if roles is None:
+    for axis, (lo, hi) in enumerate(_faces(v.ndim)):
+        if weights is None:
             out[lo] += v[hi]
             out[hi] += v[lo]
         else:
-            w = np.take(_FACE_WEIGHT, 4 * roles[lo] + roles[hi])
-            out[lo] += w * v[hi]
-            out[hi] += w * v[lo]
+            out[lo] += weights[axis] * v[hi]
+            out[hi] += weights[axis] * v[lo]
     return out
 
 
@@ -122,8 +126,9 @@ class _FaceKernel:
     EXTERIOR cell per side, so its edge is boundary too.  `data`, on the
     padded grid or None for zeros, holds the fixed values and the boundary
     data.  `reaction` (a reaction or a penalty) pulls the unknowns toward
-    `target`, or toward 0 when it is None.  Face weights are derived from
-    the roles where they are needed; `apply` uses only `diag` and `unknown`.
+    `target`, or toward 0 when it is None.  The face weights are derived
+    from the roles once, on first use; `apply` uses only `diag` and
+    `unknown`.
     """
 
     def __init__(self, roles, dx, reaction=0.0, data=None, target=None):
@@ -136,10 +141,16 @@ class _FaceKernel:
         self.data = None if data is None else np.where(self.roles == MATERIAL, 0.0, data)
 
     @cached_property
+    def weights(self):
+        """Per axis, the weight of every face between two padded cells."""
+        return [np.take(_FACE_WEIGHT, 4 * self.roles[lo] + self.roles[hi])
+                for lo, hi in _faces(self.roles.ndim)]
+
+    @cached_property
     def diag(self):
         """Jacobi diagonal: the face weights of each unknown cell / dx^2 plus
         the reaction; 1 off the unknown cells."""
-        faces = _neighbour_sum(np.ones(self.roles.shape), self.roles)[self.inner]
+        faces = _neighbour_sum(np.ones(self.roles.shape), self.weights)[self.inner]
         return np.where(self.unknown, faces / self.dx ** 2 + self.reaction, 1.0)
 
     def apply(self, u):
@@ -157,19 +168,20 @@ class _FaceKernel:
         """The data and target terms of the right-hand side."""
         b = self.reaction * self.target if self.target is not None else 0.0
         if self.data is not None:
-            b = b + _neighbour_sum(self.data, self.roles)[self.inner] / self.dx ** 2
+            b = b + _neighbour_sum(self.data, self.weights)[self.inner] / self.dx ** 2
         return np.where(self.unknown, b, 0.0)
 
     def energy(self, u, other=None, v=None):
         """Symmetric bilinear energy of u, with this kernel's data, against v,
         with the data of `other` (same roles and reaction); energy(u) is the
-        form the solve minimizes.  Uses sum_faces w da db = <a, L b>, with
-        L b = (sum of w) b - (neighbour sum of w b) on the padded grid."""
+        form the solve minimizes: sum_faces w da db dx^(n-2) plus the
+        reaction term."""
         if other is None:
             other, v = self, u
         a, b = self._values(u), other._values(v)
-        lb = _neighbour_sum(np.ones(b.shape), self.roles) * b - _neighbour_sum(b, self.roles)
-        energy = np.sum(a * lb) * self.dx ** (u.ndim - 2)
+        energy = sum(np.sum(w * (a[hi] - a[lo]) * (b[hi] - b[lo]))
+                     for w, (lo, hi) in zip(self.weights, _faces(a.ndim)))
+        energy *= self.dx ** (u.ndim - 2)
         if self.reaction:
             ra = u if self.target is None else u - self.target
             rb = v if other.target is None else v - other.target

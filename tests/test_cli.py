@@ -2,6 +2,8 @@ import glob
 import json
 import os
 
+import pytest
+
 import percohom as ph
 from percohom.cli import main, validate_config
 
@@ -178,3 +180,22 @@ def test_run_record_config_revalidates(tmp_path):
     d = only_dir(out, "geometry")
     record = json.load(open(os.path.join(d, "run_record.json")))
     assert validate_config("geometry", record["config"]) == []
+
+
+@pytest.mark.parametrize("command, preset", [("geometry", "rcm-2d-demo"),
+                                             ("solve", "mms-2d")])
+def test_run_record_outputs_are_relative_to_the_record(tmp_path, command, preset):
+    # the same run under two --out directories records the same file names,
+    # each naming a file next to the record
+    recorded = []
+    for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
+        assert run_cli(command, "--preset", preset, "--out", str(out)) == 0
+        d = only_dir(str(out), command)
+        record = json.load(open(os.path.join(d, "run_record.json")))
+        names = {k: v for k, v in record["outputs"].items() if isinstance(v, str)}
+        assert names
+        for name in names.values():
+            assert not os.path.isabs(name)
+            assert os.path.isfile(os.path.join(d, name))
+        recorded.append(names)
+    assert recorded[0] == recorded[1]

@@ -353,27 +353,125 @@ def test_mask_round_trip(seed):
     assert back.warnings == mask.warnings
 
 
+def _segment_segment_dist2(p1, q1, p2, q2):
+    # scalar reference: closest distance between two segments by Ericson's
+    # clamped parameters, one pair at a time
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p1 - p2
+    a = float(d1 @ d1)
+    e = float(d2 @ d2)
+    f = float(d2 @ r)
+    if a == 0.0 and e == 0.0:
+        return float(r @ r)
+    if a == 0.0:
+        t = np.clip(f / e, 0.0, 1.0)
+        s = 0.0
+    else:
+        c = float(d1 @ r)
+        if e == 0.0:
+            t = 0.0
+            s = np.clip(-c / a, 0.0, 1.0)
+        else:
+            b = float(d1 @ d2)
+            denom = a * e - b * b
+            s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom != 0.0 else 0.0
+            t = (b * s + f) / e
+            if t < 0.0:
+                t = 0.0
+                s = np.clip(-c / a, 0.0, 1.0)
+            elif t > 1.0:
+                t = 1.0
+                s = np.clip((b - c) / a, 0.0, 1.0)
+    closest = (p1 + s * d1) - (p2 + t * d2)
+    return float(closest @ closest)
+
+
+def _brute_force_overlaps(obstacles):
+    P, edges = obstacles.points.points, obstacles.edges.edges
+    reach = 2.0 * obstacles.tube_radius
+    count = 0
+    for a in range(edges.shape[0]):
+        i, j = edges[a]
+        for b in range(a + 1, edges.shape[0]):
+            k, l = edges[b]
+            if _segment_segment_dist2(P[i], P[j], P[k], P[l]) <= reach * reach:
+                count += 1
+    return count
+
+
+# two segments each, tube radius 0.02, so they overlap when within 0.04
+_OVERLAP_CASES = {
+    "crossing": ([[0.2, 0.5], [0.8, 0.5]], [[0.5, 0.2], [0.5, 0.8]], 1),
+    "disjoint": ([[0.2, 0.5], [0.8, 0.5]], [[0.1, 0.05], [0.3, 0.05]], 0),
+    "shared-endpoint": ([[0.2, 0.5], [0.8, 0.5]], [[0.2, 0.5], [0.5, 0.2]], 1),
+    "parallel-near": ([[0.2, 0.5], [0.8, 0.5]], [[0.2, 0.53], [0.8, 0.53]], 1),
+    "parallel-far": ([[0.2, 0.5], [0.8, 0.5]], [[0.2, 0.55], [0.8, 0.55]], 0),
+    "parallel-staggered": ([[0.1, 0.1], [0.3, 0.1]], [[0.35, 0.12], [0.6, 0.12]], 0),
+    "collinear-overlapping": ([[0.2, 0.5], [0.6, 0.5]], [[0.4, 0.5], [0.8, 0.5]], 1),
+    "collinear-gap-within-reach": ([[0.2, 0.5], [0.4, 0.5]], [[0.43, 0.5], [0.8, 0.5]], 1),
+    "collinear-gap-beyond-reach": ([[0.2, 0.5], [0.4, 0.5]], [[0.45, 0.5], [0.8, 0.5]], 0),
+    "zero-length-near-segment": ([[0.5, 0.53], [0.5, 0.53]], [[0.2, 0.5], [0.8, 0.5]], 1),
+    "zero-length-far-from-segment": ([[0.2, 0.5], [0.8, 0.5]], [[0.5, 0.55], [0.5, 0.55]], 0),
+    "zero-length-coincident": ([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], 1),
+    "zero-length-apart": ([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.55], [0.5, 0.55]], 0),
+}
+
+
 def test_tube_overlap_count():
     from percohom.geometry import tube_overlap_count
-    pts = _config([[0.2, 0.5], [0.8, 0.5], [0.5, 0.2], [0.5, 0.8],
-                   [0.1, 0.05], [0.3, 0.05]])
-    crossing = ph.EdgeSet(edges=np.array([[0, 1], [2, 3]]))
-    tubes = ph.build_tubes(pts, crossing, 0.02)
-    assert tube_overlap_count(tubes) == 1
-    disjoint = ph.EdgeSet(edges=np.array([[0, 1], [4, 5]]))
-    assert tube_overlap_count(ph.build_tubes(pts, disjoint, 0.02)) == 0
-    shared_endpoint = ph.EdgeSet(edges=np.array([[0, 1], [0, 2]]))
-    assert tube_overlap_count(ph.build_tubes(pts, shared_endpoint, 0.02)) == 1
-    assert tube_overlap_count(tubes, max_edges=1) is None
+    for name, (first, second, expected) in _OVERLAP_CASES.items():
+        # each segment has its own two points; a zero-length one joins two
+        # coincident points
+        pts = _config(first + second)
+        tubes = ph.build_tubes(pts, ph.EdgeSet(edges=np.array([[0, 1], [2, 3]])), 0.02)
+        with np.errstate(all="raise"):
+            assert tube_overlap_count(tubes) == expected, name
+        assert _brute_force_overlaps(tubes) == expected, name
 
 
-def test_indicator_consistency():
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tube_overlap_count_matches_brute_force(dim):
+    from percohom.geometry import tube_overlap_count
+    for k in range(50):
+        rng = substream(k, "overlap-sets", dim)
+        n = int(rng.integers(2, 25))
+        pts = rng.random((n, dim))
+        # some coincident points, so some tubes have zero length
+        dup = rng.random(n) < 0.15
+        pts[dup] = pts[rng.integers(0, n, size=int(dup.sum()))]
+        ii, jj = np.triu_indices(n, k=1)
+        keep = rng.random(ii.size) < 0.3
+        edges = ph.EdgeSet(edges=np.column_stack([ii[keep], jj[keep]]))
+        tubes = ph.build_tubes(_config(pts, dim=dim), edges, float(rng.uniform(0.005, 0.08)))
+        with np.errstate(all="raise"):
+            assert tube_overlap_count(tubes) == _brute_force_overlaps(tubes), k
+
+
+def _indicator_obstacles(case):
+    if case == "balls-2d":
+        cfg = ph.sample_poisson(UNIT2, 8.0, 31)
+        return ph.build_balls(cfg, ph.BallRadiusRule.min_distance_fraction(0.5)), UNIT2, 64
+    if case == "balls-2d-beyond-domain":
+        # centers in a box twice the domain's size: balls inside, straddling
+        # the boundary, and wholly outside the grid
+        cfg = ph.sample_poisson(ph.Box((-0.5, -0.5), (1.5, 1.5)), 10.0, 3)
+        return ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.12)), UNIT2, 64
+    if case == "balls-3d-iid":
+        cfg = ph.sample_poisson(UNIT3, 12.0, 5)
+        return ph.build_balls(cfg, ph.BallRadiusRule.iid_uniform(0.5), seed=5), UNIT3, 48
+    fam = ph.GeometryFamily(kind="rcm", dim=3, c1=0.5, c2=1.0)
+    obs, _ = ph.sample_family(fam, 0.25, 7, UNIT3)
+    return obs, UNIT3, 40
+
+
+@pytest.mark.parametrize("case", ["balls-2d", "balls-2d-beyond-domain", "balls-3d-iid",
+                                  "tubes-3d"])
+def test_indicator_consistency(case):
     # hole cells are exactly the cells whose center is inside the obstacle
-    cfg = ph.sample_poisson(UNIT2, 8.0, 31)
-    if cfg.count < 2:
-        pytest.skip("degenerate draw")
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.min_distance_fraction(0.5))
-    mask = ph.rasterize(obs, UNIT2, 1.0 / 64)
+    obs, domain, cells = _indicator_obstacles(case)
+    mask = ph.rasterize(obs, domain, 1.0 / cells)
+    assert 0 < mask.hole_count < mask.flags.size
     centers = mask.cell_centers()
     inside = ph.ObstacleSet.contains(obs, centers).reshape(mask.shape)
     assert np.array_equal(inside, mask.flags == HOLE)
