@@ -22,8 +22,7 @@ from .solver import (GridField, SolveReport, cg_solve, energy_gamma,
                      save_field, solve_dirichlet_perforated, solve_homogenized)
 from .capacity import (CapacityEstimate, ConductivityTensor,
                        affine_dirichlet_energy, boolean_capacity_constant,
-                       conductivity_tensor, local_capacity,
-                       local_capacity_minimizer, newton_capacity,
+                       conductivity_tensor, local_capacity, newton_capacity,
                        penalized_functional, strange_term)
 from .sweep import (AuditResult, ErgodicSpec, HomogenizationReport, SweepSpec,
                     build_corrector, build_partition_of_unity,

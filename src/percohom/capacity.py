@@ -8,7 +8,12 @@ Three related quadratic minimizations, kept strictly separate:
 * `local_capacity`: the Dirichlet energy of the cheapest field equal to 1 on
   the boundary of a cube and 0 on the obstacle cells inside it.  This is the
   absorption-type functional whose volume density estimates the effective
-  extra reaction coefficient.
+  extra reaction coefficient.  `capacity_minimizer_on_window` is its one
+  solve, on an index window of a mask; `local_capacity` snaps a cube to such
+  a window, and `strange_term` (the absorption-constant table) and the sweeps
+  call it on whole cube masks and partition windows.  The table runs on
+  given obstacle realizations, so a sweep measures the capacity of the very
+  realizations it solves on.
 * `penalized_functional` / `conductivity_tensor`: the conduction-type
   functional with affine data (x - z, xi) on the cube boundary, an
   h^(-2-gamma) penalty pinning the field to that affine profile, and
@@ -30,7 +35,8 @@ from .errors import InvalidArgumentError, UnsupportedDimensionError
 from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, rasterize,
                        sample_family)
 from .rng import substream_seed
-from .solver import _INSULATING, SolveReport, _FaceKernel, cg_solve
+from .solver import (_INSULATING, GridField, SolveReport, _FaceKernel,
+                     cg_solve)
 
 
 @dataclass(frozen=True)
@@ -40,9 +46,7 @@ class CapacityEstimate:
     center: tuple
     h: float
     epsilon: float = 1.0
-    seed: int = 0
     report: SolveReport = None
-    refinement_increments: tuple = ()
 
     def __post_init__(self):
         if self.value < 0:
@@ -126,36 +130,20 @@ def _window(mask, center, h):
     return tuple(slices), tuple(eff_center), m * dx
 
 
-def local_capacity(mask, center, h, boundary_value=1.0, tol=1e-8, max_iter=None):
-    """Capacity-type energy of the cube window; zero iff no obstacle cells
-    intersect the cube.  See `local_capacity_minimizer` for the field."""
-    est, _, _ = local_capacity_minimizer(mask, center, h,
-                                         boundary_value=boundary_value,
-                                         tol=tol, max_iter=max_iter)
-    return est
-
-
-def local_capacity_minimizer(mask, center, h, boundary_value=1.0, tol=1e-8,
-                             max_iter=None):
-    """Returns (CapacityEstimate, window slices, minimizer on the window).
-
-    The minimizer equals `boundary_value` at the cube faces (data imposed at
-    half-cell distance), 0 on hole cells, and is discrete harmonic on the
-    material cells in between.
-    """
+def local_capacity(mask, center, h, tol=1e-8, max_iter=None):
+    """Capacity-type energy of the cube of side h at `center`, snapped to
+    whole cells; zero iff no obstacle cells intersect the cube."""
     slices, _, _ = _window(mask, center, h)
-    est, vals = capacity_minimizer_on_window(mask, slices,
-                                             boundary_value=boundary_value,
-                                             tol=tol, max_iter=max_iter)
-    return est, slices, vals
+    return capacity_minimizer_on_window(mask, slices, tol=tol, max_iter=max_iter)[0]
 
 
-def capacity_minimizer_on_window(mask, slices, boundary_value=1.0, tol=1e-8,
-                                 max_iter=None):
+def capacity_minimizer_on_window(mask, slices, tol=1e-8, max_iter=None):
     """Local capacity on an explicit index window of the mask.
 
     The window must be a cube in cell counts; returns (CapacityEstimate,
-    minimizer values on the window).
+    minimizer values on the window).  The minimizer equals 1 at the window
+    faces (data imposed at half-cell distance), 0 on hole cells, and is
+    discrete harmonic on the material cells in between.
     """
     sub = mask.flags[slices]
     dx = mask.dx
@@ -164,15 +152,13 @@ def capacity_minimizer_on_window(mask, slices, boundary_value=1.0, tol=1e-8,
     eff_h = float(np.prod([s * dx for s in sub.shape])) ** (1.0 / mask.dim)
     eff_center = tuple(mask.domain.lower[d] + (slices[d].start + sub.shape[d] / 2.0) * dx
                        for d in range(mask.dim))
-    g = float(boundary_value)
     if not np.any(sub != MATERIAL):
-        vals = np.full(sub.shape, g)
         est = CapacityEstimate(value=0.0, dx=dx, center=eff_center, h=eff_h,
                                epsilon=mask.epsilon,
                                report=SolveReport(0, 0.0, 0.0))
-        return est, vals
-    # data g on the window faces; exterior cells are half-cell boundary at 0
-    kernel = _FaceKernel(sub, dx, data=np.pad(np.zeros(sub.shape), 1, constant_values=g))
+        return est, np.ones(sub.shape)
+    # data 1 on the window faces; exterior cells are half-cell boundary at 0
+    kernel = _FaceKernel(sub, dx, data=np.pad(np.zeros(sub.shape), 1, constant_values=1.0))
     if max_iter is None:
         max_iter = 40 * max(sub.shape)
     u, report = cg_solve(kernel.apply, kernel.rhs(), tol=tol, max_iter=max_iter,
@@ -184,40 +170,24 @@ def capacity_minimizer_on_window(mask, slices, boundary_value=1.0, tol=1e-8,
     return est, vals
 
 
-def local_capacity_refined(mask_builder, center, h, dx_list, **kwargs):
-    """Capacity at successively finer grids; records the value increments.
-
-    `mask_builder(dx)` must return the mask of the same geometry at grid
-    spacing dx.  Used to exhibit the shrinking refinement increments.
-    """
-    values = []
-    for dx in dx_list:
-        est = local_capacity(mask_builder(dx), center, h, **kwargs)
-        values.append(est.value)
-    increments = tuple(abs(b - a) for a, b in zip(values, values[1:]))
-    final = local_capacity(mask_builder(dx_list[-1]), center, h, **kwargs)
-    return CapacityEstimate(value=final.value, dx=dx_list[-1], center=final.center,
-                            h=final.h, epsilon=final.epsilon, report=final.report,
-                            refinement_increments=increments)
-
-
 # ---------------------------------------------------------------------------
 # Conduction-type functional with affine data and penalty
 
-def _affine_cell_problem(mask, center, h, xi, penalty, tol=1e-10, max_iter=None):
+def _affine_cell_problem(mask, window, xi, penalty, tol=1e-10, max_iter=None):
     """Minimize sum_MM (dv/dx)^2 + penalty*|v - l|^2 on the material cells of
-    the cube window, with v = l := (x - z, xi) on the window boundary and
-    no-flux (insulating) obstacle cells.
+    the snapped cube `window` = (slices, center z, side), with
+    v = l := (x - z, xi) on the window boundary and no-flux (insulating)
+    obstacle cells.
 
-    Returns (value, window slices, minimizer values, kernel); the kernel's
-    `energy` gives the cross energies of the tensor.
+    Returns (value, minimizer values, kernel); the kernel's `energy` gives
+    the cross energies of the tensor.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (mask.dim,):
         raise InvalidArgumentError("direction must match the dimension")
     if not np.all(np.isfinite(xi)):
         raise InvalidArgumentError("direction must be finite")
-    slices, eff_center, eff_h = _window(mask, center, h)
+    slices, eff_center, _ = window
     sub = mask.flags[slices]
     mat = sub == MATERIAL
     dx = mask.dx
@@ -246,53 +216,48 @@ def _affine_cell_problem(mask, center, h, xi, penalty, tol=1e-10, max_iter=None)
     u, report = cg_solve(kernel.apply, kernel.rhs(), tol=tol, max_iter=max_iter,
                          diag=kernel.diag)
     u = np.where(free, u, 0.0)
-    return kernel.energy(u), slices, u, kernel
+    return kernel.energy(u), u, kernel
+
+
+def _penalized_window(mask, z, h, gamma):
+    """The snapped cube window and its penalty h^(-2-gamma), gamma in (0, 2)."""
+    if not (0.0 < gamma < 2.0):
+        raise InvalidArgumentError(f"penalty exponent must be in (0, 2), got {gamma}")
+    window = _window(mask, z, h)
+    return window, window[2] ** (-2.0 - gamma)
 
 
 def penalized_functional(mask, z, h, gamma, xi, tol=1e-10):
     """The conduction characteristic P(xi) and its minimizer field."""
-    if not (0.0 < gamma < 2.0):
-        raise InvalidArgumentError(f"penalty exponent must be in (0, 2), got {gamma}")
-    slices, eff_center, eff_h = _window(mask, z, h)
-    penalty = eff_h ** (-2.0 - gamma)
-    value, slices, u, _ = _affine_cell_problem(mask, z, h, xi, penalty, tol=tol)
-    sub = mask.flags[slices]
+    window, penalty = _penalized_window(mask, z, h, gamma)
+    value, u, _ = _affine_cell_problem(mask, window, xi, penalty, tol=tol)
+    slices, eff_center, eff_h = window
     subdomain = Box(tuple(c - eff_h / 2 for c in eff_center),
                     tuple(c + eff_h / 2 for c in eff_center))
-    submask = PerforatedMask(flags=sub, dx=mask.dx, domain=subdomain,
+    submask = PerforatedMask(flags=mask.flags[slices], dx=mask.dx, domain=subdomain,
                              epsilon=mask.epsilon)
-    from .solver import GridField
-    minimizer = GridField(submask, np.where(submask.material, u, 0.0))
-    return value, minimizer
+    return value, GridField(submask, np.where(submask.material, u, 0.0))
 
 
 def conductivity_tensor(mask, z, h, gamma, tol=1e-10):
     """Solve the n coordinate-direction problems and assemble the tensor by
     cross energies; symmetric positive semidefinite by construction."""
-    if not (0.0 < gamma < 2.0):
-        raise InvalidArgumentError(f"penalty exponent must be in (0, 2), got {gamma}")
+    window, penalty = _penalized_window(mask, z, h, gamma)
     n = mask.dim
-    slices, eff_center, eff_h = _window(mask, z, h)
-    penalty = eff_h ** (-2.0 - gamma)
-    sols = []
-    for i in range(n):
-        xi = np.zeros(n)
-        xi[i] = 1.0
-        _, _, u, kernel = _affine_cell_problem(mask, z, h, xi, penalty, tol=tol)
-        sols.append((u, kernel))
+    sols = [_affine_cell_problem(mask, window, xi, penalty, tol=tol)[1:]
+            for xi in np.eye(n)]
     a = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
             a[i, j] = a[j, i] = sols[i][1].energy(sols[i][0], sols[j][1], sols[j][0])
     return ConductivityTensor(entries=0.5 * (a + a.T), gamma=float(gamma),
-                              center=eff_center, h=eff_h, epsilon=mask.epsilon)
+                              center=window[1], h=window[2], epsilon=mask.epsilon)
 
 
 def affine_dirichlet_energy(mask, z, h, xi, tol=1e-10):
     """Minimum Dirichlet energy with affine data (x - z, xi) on the cube
     boundary and insulating obstacles; the penalty-free conduction value."""
-    value, _, _, _ = _affine_cell_problem(mask, z, h, xi, 0.0, tol=tol)
-    return value
+    return _affine_cell_problem(mask, _window(mask, z, h), xi, 0.0, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +287,13 @@ class StrangeTermResult:
 
 
 def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
-                 cells_per_h=32, center=None, limsup_bound=None, tol=1e-8,
-                 precomputed=None):
+                 cells_per_h=32, center=None, limsup_bound=None, tol=1e-8):
     """Table of local capacity densities cap(x, h, eps) / h^n and the
     iterated-limit estimate of the effective absorption constant.
 
-    The geometry realization for a given (eps, replica) is shared across all
-    h (common random numbers).  `precomputed` may map (eps_index, replica) to
-    (ObstacleSet, seed) pairs to reuse realizations built elsewhere.  Scale
-    ordering is enforced: every eps must satisfy eps < h/4 for every h in use.
+    Samples one realization per (eps, replica) and shares it across all h
+    (common random numbers).  Scale ordering is enforced: every eps must
+    satisfy eps < h/4 for every h in use.
     """
     h_list = sorted(float(h) for h in h_list)[::-1]
     eps_list = sorted(float(e) for e in eps_list)[::-1]
@@ -353,26 +316,35 @@ def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
             if center[d] - half < domain.lower[d] - 1e-12 or \
                center[d] + half > domain.upper[d] + 1e-12:
                 raise InvalidArgumentError("capacity cube escapes the domain")
-    rows = []
-    n = domain.dim
+    realizations = []
     for ie, eps in enumerate(eps_list):
         for k in range(replicas):
-            if precomputed is not None and (ie, k) in precomputed:
-                obstacles, seed = precomputed[(ie, k)]
-            else:
-                seed = substream_seed(master_seed, "strange-term", ie, k)
-                obstacles, _ = sample_family(family, eps, seed, domain)
-            for h in h_list:
-                dx_local = h / cells_per_h
-                cube = Box(tuple(c - h / 2 for c in center),
-                           tuple(c + h / 2 for c in center))
-                cube_mask = rasterize(obstacles, cube, dx_local)
-                est = local_capacity(cube_mask, center, h, tol=tol)
-                rows.append(StrangeTermRow(
-                    h=est.h, eps=eps, replica=k, seed=seed, cap=est.value,
-                    cap_per_hn=est.value / est.h ** n,
-                    iterations=est.report.iterations if est.report else 0,
-                    dx=dx_local))
+            seed = substream_seed(master_seed, "strange-term", ie, k)
+            obstacles, _ = sample_family(family, eps, seed, domain)
+            realizations.append((eps, k, seed, obstacles))
+    return _strange_table(realizations, h_list, eps_list, center, cells_per_h,
+                          limsup_bound=limsup_bound, tol=tol)
+
+
+def _strange_table(realizations, h_list, eps_list, center, cells_per_h,
+                   limsup_bound=None, tol=1e-8):
+    """The capacity table of `strange_term` over given (eps, replica, seed,
+    obstacles) realizations, h_list and eps_list decreasing and already
+    checked for scale ordering and for cubes inside the domain."""
+    rows = []
+    n = len(center)
+    for eps, k, seed, obstacles in realizations:
+        for h in h_list:
+            dx_local = h / cells_per_h
+            cube = Box(tuple(c - h / 2 for c in center),
+                       tuple(c + h / 2 for c in center))
+            cube_mask = rasterize(obstacles, cube, dx_local)
+            est, _ = capacity_minimizer_on_window(
+                cube_mask, tuple(slice(0, m) for m in cube_mask.shape), tol=tol)
+            rows.append(StrangeTermRow(
+                h=est.h, eps=eps, replica=k, seed=seed, cap=est.value,
+                cap_per_hn=est.value / est.h ** n,
+                iterations=est.report.iterations, dx=dx_local))
     h_min = min(r.h for r in rows)
     eps_min = eps_list[-1]
     at_corner = [r.cap_per_hn for r in rows

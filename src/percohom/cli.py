@@ -73,6 +73,14 @@ _REQUIRED = {
     "density-check": ("family", "eps", "grid_cells", "radius", "probes"),
 }
 
+# keys a mode of a subcommand needs on top of the subcommand's own
+_MODE_REQUIRED = {
+    "solve": {"hole-free": (), "family": ("family", "eps")},
+    "capacity": {"newton-ladder": ("radius", "outer_radius", "dx_list"),
+                 "strange-term": ("family", "h_list", "eps_list"),
+                 "conductivity": ("family", "h", "grid_cells")},
+}
+
 
 def validate_config(command, config):
     """All schema and invariant violations at once, as diagnostics dicts."""
@@ -85,7 +93,13 @@ def validate_config(command, config):
             diags.append({"field": key,
                           "message": f"{key} must be {schema[key]}, got "
                                      f"{type(value).__name__}"})
-    for key in _REQUIRED[command]:
+    modes = _MODE_REQUIRED.get(command, {})
+    mode = config.get("mode")
+    if modes and "mode" in config and not (isinstance(mode, str) and mode in modes):
+        diags.append({"field": "mode",
+                      "message": f"mode must be one of {', '.join(modes)}"})
+        mode = None
+    for key in _REQUIRED[command] + modes.get(mode, ()):
         if key not in config:
             diags.append({"field": key, "message": f"missing required key {key!r}"})
     fam = config.get("family")
@@ -111,11 +125,6 @@ def validate_config(command, config):
         except Exception as exc:
             diags.append({"field": "sweep", "message": str(exc)})
     if command == "capacity":
-        mode = config.get("mode")
-        if mode not in ("newton-ladder", "strange-term", "conductivity"):
-            diags.append({"field": "mode",
-                          "message": "mode must be newton-ladder, strange-term, "
-                                     "or conductivity"})
         if mode == "strange-term":
             fam = config.get("family", {})
             if fam.get("dim") != 3:
@@ -152,6 +161,18 @@ def _family(config):
     return GeometryFamily(**fam)
 
 
+def _family_mask(config):
+    """Sample the config's family on its cube domain and rasterize it on the
+    config's grid; returns (obstacles, unscaled configuration, mask)."""
+    fam = _family(config)
+    side = float(config.get("domain_side", 1.0))
+    domain = Box.cube(side, fam.dim)
+    obstacles, unscaled = sample_family(fam, float(config.get("eps", 1.0)),
+                                        int(config.get("seed", 0)), domain)
+    return obstacles, unscaled, rasterize(obstacles, domain,
+                                          side / int(config["grid_cells"]))
+
+
 def _sweep_spec(config):
     side = float(config.get("domain_side", 1.0))
     fam = _family(config)
@@ -169,12 +190,7 @@ def _sweep_spec(config):
 
 
 def _cmd_geometry(config, outdir, record, threads):
-    fam = _family(config)
-    side = float(config.get("domain_side", 1.0))
-    domain = Box.cube(side, fam.dim)
-    seed = int(config.get("seed", 0))
-    obstacles, cfg_unscaled = sample_family(fam, float(config["eps"]), seed, domain)
-    mask = rasterize(obstacles, domain, side / int(config["grid_cells"]))
+    obstacles, cfg_unscaled, mask = _family_mask(config)
     mask_path = os.path.join(outdir, "mask.txt")
     save_mask(mask, mask_path)
     stats = mask_stats_with_overlaps(mask, obstacles, cfg_unscaled)
@@ -185,19 +201,12 @@ def _cmd_geometry(config, outdir, record, threads):
 
 
 def _cmd_solve(config, outdir, record, threads):
-    side = float(config.get("domain_side", 1.0))
-    seed = int(config.get("seed", 0))
-    if config["mode"] == "hole-free":
-        dim = int(config.get("dim", 2))
-        mask = hole_free_mask(Box.cube(side, dim), side / int(config["grid_cells"]))
-    elif config["mode"] == "family":
-        fam = _family(config)
-        domain = Box.cube(side, fam.dim)
-        obstacles, _ = sample_family(fam, float(config["eps"]), seed, domain)
-        mask = rasterize(obstacles, domain, side / int(config["grid_cells"]))
+    if config["mode"] == "family":
+        _, _, mask = _family_mask(config)
     else:
-        raise ConfigError([{"field": "mode",
-                            "message": "mode must be hole-free or family"}])
+        side = float(config.get("domain_side", 1.0))
+        mask = hole_free_mask(Box.cube(side, int(config.get("dim", 2))),
+                              side / int(config["grid_cells"]))
     reaction = float(config.get("reaction", 1.0))
     if "source_file" in config:
         from .solver import load_field
@@ -289,17 +298,14 @@ def _cmd_capacity(config, outdir, record, threads):
             "limsup_flagged": res.limsup_flagged,
         })
     else:  # conductivity
-        fam = _family(config)
-        side = float(config.get("domain_side", 1.0))
-        domain = Box.cube(side, fam.dim)
-        obstacles, _ = sample_family(fam, float(config.get("eps", 1.0)), seed, domain)
-        mask = rasterize(obstacles, domain, side / int(config["grid_cells"]))
-        center = tuple(0.5 * side for _ in range(fam.dim))
+        _, _, mask = _family_mask(config)
+        center = tuple(0.5 * (lo + hi) for lo, hi in zip(mask.domain.lower,
+                                                         mask.domain.upper))
         tensor = conductivity_tensor(mask, center, float(config["h"]),
                                      float(config.get("gamma", 1.0)))
         write_csv(csv_path, ["i", "j", "a_ij"],
                   [(i, j, float(tensor.entries[i, j]))
-                   for i in range(fam.dim) for j in range(fam.dim)])
+                   for i in range(mask.dim) for j in range(mask.dim)])
         write_json(summary_path, {
             "format_version": 1,
             "entries": [[float(v) for v in row] for row in tensor.entries],
@@ -363,14 +369,9 @@ def _cmd_ergodic(config, outdir, record, threads):
 
 
 def _cmd_density_check(config, outdir, record, threads):
-    fam = _family(config)
-    side = float(config.get("domain_side", 1.0))
-    domain = Box.cube(side, fam.dim)
-    seed = int(config.get("seed", 0))
-    obstacles, _ = sample_family(fam, float(config["eps"]), seed, domain)
-    mask = rasterize(obstacles, domain, side / int(config["grid_cells"]))
+    _, _, mask = _family_mask(config)
     check = density_ratio_check(mask, float(config["radius"]),
-                                int(config["probes"]), seed)
+                                int(config["probes"]), int(config.get("seed", 0)))
     path = os.path.join(outdir, "density.json")
     write_json(path, {
         "format_version": 1,

@@ -5,12 +5,11 @@ random geometric graph (points joined when their distance falls in a
 prescribed band, or by a general distance-to-probability rule), and unions of
 balls centered on the points.  Both are unions of capsules, the points
 within a radius of a segment; a ball is the capsule of a zero-length
-segment.  One point-to-segment distance decides membership, both in
-`ObstacleSet.contains` and in `rasterize`, which flags a cell as a hole
-exactly when its center lies inside.  Obstacles scale homothetically and
-carry enough provenance to reproduce themselves from a seed.  The number of
-overlapping tube pairs, a diagnostic, is always reported; a k-d tree on the
-segment midpoints picks the candidate pairs.
+segment.  One point-to-segment distance decides membership in `rasterize`,
+which flags a cell as a hole exactly when its center lies inside.  Obstacles
+scale homothetically and carry enough provenance to reproduce themselves from
+a seed.  The number of overlapping tube pairs, a diagnostic, is always
+reported; a k-d tree on the segment midpoints picks the candidate pairs.
 """
 
 import warnings
@@ -163,14 +162,6 @@ class ObstacleSet:
         """Smallest cross-section radius present in the set (None if empty)."""
         r = self.capsules()[2]
         return float(r.min()) if r.size else None
-
-    def contains(self, pts):
-        """Membership test for an (M, dim) array of probe points."""
-        x = list(np.atleast_2d(np.asarray(pts, dtype=float)).T)
-        inside = np.zeros(x[0].shape, dtype=bool)
-        for a, b, r in zip(*self.capsules()):
-            inside |= _capsule_dist2(x, a, b) <= r * r
-        return inside
 
 
 def _capsule_dist2(x, a, b):
@@ -378,7 +369,7 @@ def _grid_shape(domain, dx):
     return tuple(shape)
 
 
-def rasterize(obstacles, domain, dx, extra_provenance=""):
+def rasterize(obstacles, domain, dx):
     """Flag grid cells whose centers fall inside the obstacle set as holes."""
     dx = float(dx)
     if dx <= 0:
@@ -407,8 +398,6 @@ def rasterize(obstacles, domain, dx, extra_provenance=""):
         window = tuple(map(slice, i0, i1))
         flags[window][_capsule_dist2(x, ak, bk) <= rk * rk] = HOLE
     prov = f"kind={obstacles.kind} scale={obstacles.scale_applied:.17g}"
-    if extra_provenance:
-        prov += " " + extra_provenance
     return PerforatedMask(flags=flags, dx=dx, domain=domain,
                           epsilon=obstacles.scale_applied,
                           provenance=prov, warnings=tuple(notes))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .capacity import (boolean_capacity_constant, capacity_minimizer_on_window,
-                       strange_term)
+from .capacity import (StrangeTermResult, _strange_table,
+                       boolean_capacity_constant, capacity_minimizer_on_window)
 from .errors import InvalidArgumentError
 from .geometry import (Box, GeometryFamily, hole_free_mask, rasterize,
                        sample_family, volume_fraction)
@@ -56,6 +56,8 @@ class SweepSpec:
         if len(eps) < 3:
             diags.append({"field": "eps_list",
                           "message": "need at least 3 eps values"})
+        if any(e <= 0 for e in eps):
+            diags.append({"field": "eps_list", "message": "eps must be positive"})
         if any(b >= a for a, b in zip(eps, eps[1:])):
             diags.append({"field": "eps_list",
                           "message": "eps list must be strictly decreasing"})
@@ -129,11 +131,8 @@ class HomogenizationReport:
     summary: dict
 
 
-def _sweep_row_core(spec, ie, k):
-    """Geometry + solve + norms for one (eps, replica); the parallel unit."""
-    eps = float(spec.eps_list[ie])
-    seed = substream_seed(spec.master_seed, "geometry", ie, k)
-    obstacles, config = sample_family(spec.family, eps, seed, spec.domain)
+def _sweep_row(spec, eps, k, seed, obstacles, config):
+    """Rasterize + solve + norms for one sampled (eps, replica)."""
     dx = spec.dx()
     mask = rasterize(obstacles, spec.domain, dx)
     vf = volume_fraction(mask)
@@ -158,67 +157,65 @@ def _sweep_row_core(spec, ie, k):
                    iterations=report.iterations,
                    residual=report.final_rel_residual,
                    empty_cell_freq=ecf, boolean_constant=bc)
-    return row, obstacles, u
+    return row, u
 
 
 def _sweep_job(args):
+    """One (eps, replica), the parallel unit: (row, obstacles, field).  The
+    obstacles are returned whenever sampling succeeded, so the capacity
+    table covers the rows that failed later too; the field only on success."""
     spec, ie, k = args
+    eps = float(spec.eps_list[ie])
+    seed = substream_seed(spec.master_seed, "geometry", ie, k)
+    obstacles = None
     try:
-        row, obstacles, u = _sweep_row_core(spec, ie, k)
-        return row, (obstacles, row.seed), u
+        obstacles, config = sample_family(spec.family, eps, seed, spec.domain)
+        row, u = _sweep_row(spec, eps, k, seed, obstacles, config)
+        return row, obstacles, u
     except Exception as exc:  # recorded per row; the sweep continues
-        return _failure_row(spec, ie, k, exc), None, None
+        return SweepRow(eps=eps, replica=k, seed=seed, volume_fraction=math.nan,
+                        hole_cells=0, h1=math.nan, gamma=math.nan,
+                        energy_lhs=math.nan, energy_rhs=math.nan,
+                        failure=f"{type(exc).__name__}: {exc}"), obstacles, None
 
 
-def _failure_row(spec, ie, k, exc):
-    return SweepRow(eps=float(spec.eps_list[ie]), replica=k,
-                    seed=substream_seed(spec.master_seed, "geometry", ie, k),
-                    volume_fraction=math.nan, hole_cells=0, h1=math.nan,
-                    gamma=math.nan, energy_lhs=math.nan, energy_rhs=math.nan,
-                    failure=f"{type(exc).__name__}: {exc}")
+def _map(fn, args, threads):
+    """fn over args in order, in a pool of `threads` processes when > 1."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, args))
+    return [fn(a) for a in args]
 
 
 def run_sweep(spec, threads=1):
-    """Execute the sweep; failures are recorded per row and do not abort."""
+    """Execute the sweep; failures are recorded per row and do not abort.
+    The capacity table runs on the sweep's own realizations."""
     diags = spec.validate()
     if diags:
         raise InvalidArgumentError("; ".join(d["message"] for d in diags))
-    jobs = [(ie, k) for ie in range(len(spec.eps_list))
+    jobs = [(spec, ie, k) for ie in range(len(spec.eps_list))
             for k in range(spec.replicas)]
-    rows, fields, precomputed = {}, {}, {}
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_job, [(spec, ie, k) for ie, k in jobs]))
-    else:
-        results = [_sweep_job((spec, ie, k)) for ie, k in jobs]
-    for (ie, k), (row, pre, u) in zip(jobs, results):
-        rows[(ie, k)] = row
-        if pre is not None:
-            precomputed[(ie, k)] = pre
-            fields[(ie, k)] = u
+    results = _map(_sweep_job, jobs, threads)
     if spec.family.dim == 3:
-        st = strange_term(spec.family, spec.h_list, spec.eps_list, spec.replicas,
-                          spec.master_seed, spec.domain,
-                          cells_per_h=spec.capacity_cells_per_h,
-                          precomputed=precomputed or None)
+        center = tuple(0.5 * (lo + hi) for lo, hi in zip(spec.domain.lower,
+                                                         spec.domain.upper))
+        st = _strange_table([(row.eps, row.replica, row.seed, obstacles)
+                             for row, obstacles, _ in results if obstacles is not None],
+                            sorted((float(h) for h in spec.h_list), reverse=True),
+                            [float(e) for e in spec.eps_list], center,
+                            spec.capacity_cells_per_h)
     else:
         # the absorption-constant pipeline is a dimension-3 construction; 2D
         # sweeps exercise the solver and energies only
-        from .capacity import StrangeTermResult
         st = StrangeTermResult(rows=(), c=0.0, spread=0.0,
                                eps_then_h=(), h_then_eps=())
     u_hom, _ = solve_homogenized(spec.domain, spec.reaction, st.c, spec.source,
                                  spec.dx(), tol=spec.tol)
-    final_rows = []
-    for ie, k in jobs:
-        row = rows[(ie, k)]
-        if row.failure:
-            final_rows.append(row)
-            continue
-        err = l2_distance(fields[(ie, k)], u_hom)
-        final_rows.append(SweepRow(**{**asdict(row), "l2_error": err}))
-    summary = _summarize(spec, final_rows, st)
-    return HomogenizationReport(spec=spec, rows=tuple(final_rows),
+    rows = [row if u is None else
+            SweepRow(**{**asdict(row), "l2_error": l2_distance(u, u_hom)})
+            for row, _, u in results]
+    summary = _summarize(spec, rows, st)
+    return HomogenizationReport(spec=spec, rows=tuple(rows),
                                 cap_rows=st.rows, c=st.c, c_spread=st.spread,
                                 summary=summary)
 
@@ -289,14 +286,9 @@ def ergodic_average_experiment(spec, threads=1):
         raise InvalidArgumentError("spread needs at least two replicas")
     if spec.functional not in ("local_capacity", "affine_energy"):
         raise InvalidArgumentError(f"unknown functional {spec.functional!r}")
-    jobs = [(it, k) for it in range(len(spec.t_list)) for k in range(spec.replicas)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(_ergodic_job, [(spec, it, k) for it, k in jobs]))
-    else:
-        vals = [_ergodic_job((spec, it, k)) for it, k in jobs]
+    jobs = [(spec, it, k) for it in range(len(spec.t_list)) for k in range(spec.replicas)]
     values = {}
-    for (it, k), v in zip(jobs, vals):
+    for (_, it, _), v in zip(jobs, _map(_ergodic_job, jobs, threads)):
         values.setdefault(float(spec.t_list[it]), []).append(v)
     rows = []
     for t in sorted(values):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import percohom as ph
-from percohom.capacity import capacity_minimizer_on_window, local_capacity_refined
+from percohom.capacity import capacity_minimizer_on_window
 from percohom.errors import InvalidArgumentError, UnsupportedDimensionError
 from percohom.rng import substream, substream_seed
 
@@ -141,11 +141,10 @@ def test_local_capacity_deterministic():
 
 def test_local_capacity_refinement_increments():
     obs = balls_at([[0.5, 0.5, 0.5]], 0.1, UNIT3)
-    est = local_capacity_refined(lambda dx: ph.rasterize(obs, UNIT3, dx),
-                                 (0.5,) * 3, 0.5,
-                                 [1.0 / 24, 1.0 / 48, 1.0 / 96])
-    assert len(est.refinement_increments) == 2
-    assert est.refinement_increments[1] < est.refinement_increments[0]
+    values = [ph.local_capacity(ph.rasterize(obs, UNIT3, dx), (0.5,) * 3, 0.5).value
+              for dx in (1.0 / 24, 1.0 / 48, 1.0 / 96)]
+    increments = [abs(b - a) for a, b in zip(values, values[1:])]
+    assert increments[1] < increments[0]
 
 
 # ------------------------------------------- penalized functional and tensor

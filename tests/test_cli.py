@@ -50,6 +50,21 @@ def test_missing_config_is_validation_error():
     assert run_cli("geometry") == 2
 
 
+@pytest.mark.parametrize("command, preset, mode, missing", [
+    ("solve", "mms-2d", "family", "family"),
+    ("capacity", "ball-oracle", "conductivity", "family"),
+    ("capacity", "conductivity-2d", "newton-ladder", "radius"),
+])
+def test_missing_mode_key_is_validation_error(tmp_path, capsys, command, preset,
+                                              mode, missing):
+    args = ("--preset", preset, "--set", f'mode="{mode}"')
+    assert run_cli(command, *args, "--out", str(tmp_path / "runs")) == 2
+    capsys.readouterr()
+    assert run_cli("validate", "--command", command, *args) == 0
+    diags = json.loads(capsys.readouterr().out)
+    assert {"field": missing, "message": f"missing required key {missing!r}"} in diags
+
+
 def test_geometry_run_writes_mask_and_stats(tmp_path):
     out = str(tmp_path / "runs")
     assert run_cli("geometry", "--preset", "rcm-2d-demo", "--out", out) == 0

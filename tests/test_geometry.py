@@ -67,6 +67,25 @@ def test_general_connectivity_is_seeded_bernoulli():
 
 # --------------------------------------------------------------------- tubes
 
+def contains(obstacles, pts):
+    """Oracle membership test for an (M, dim) array of probe points: project
+    the stacked points onto each obstacle's segment (a ball's is one point)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    P = obstacles.points.points
+    if obstacles.kind == "balls":
+        segments = [(p, p, r) for p, r in zip(P, obstacles.ball_radii)]
+    else:
+        segments = [(P[i], P[j], obstacles.tube_radius) for i, j in obstacles.edges.edges]
+    inside = np.zeros(len(pts), dtype=bool)
+    for a, b, r in segments:
+        ab = b - a
+        t = np.zeros(len(pts))
+        if ab @ ab > 0:
+            t = np.clip((pts - a) @ ab / (ab @ ab), 0.0, 1.0)
+        inside |= np.sum((pts - (a + t[:, None] * ab)) ** 2, axis=1) <= r * r
+    return inside
+
+
 def capsule_volume(length, rho):
     return math.pi * rho**2 * length + 4.0 / 3.0 * math.pi * rho**3
 
@@ -79,7 +98,7 @@ def test_capsule_volume_monte_carlo_oracle():
     tubes = ph.build_tubes(cfg, edges, rho)
     rng = substream(123, "capsule-probes")
     probes = rng.random((10**5, 3))
-    frac = ph.ObstacleSet.contains(tubes, probes).mean()
+    frac = contains(tubes, probes).mean()
     exact = capsule_volume(0.4, rho)
     assert abs(frac - exact) <= 4 * math.sqrt(exact * (1 - exact) / 10**5)
 
@@ -90,7 +109,7 @@ def test_tube_membership_trivia():
     mask = ph.rasterize(none, UNIT2, 1.0 / 64)
     assert mask.hole_count == 0  # indicator is 1 everywhere
     one = ph.build_tubes(cfg, ph.EdgeSet(edges=np.array([[0, 1]])), 0.05)
-    assert ph.ObstacleSet.contains(one, np.array([[0.2, 0.2]]))[0]  # endpoint inside
+    assert contains(one, np.array([[0.2, 0.2]]))[0]  # endpoint inside
 
 
 def test_tube_radius_warning():
@@ -155,7 +174,7 @@ def test_scale_obstacles_identity_and_volume():
     assert abs(v1 - 0.5**3 * v0) < 1e-15
     rng = substream(5, "scaled-probes")
     probes = rng.random((4 * 10**4, 3)) * 0.5
-    frac = ph.ObstacleSet.contains(half, probes).mean()
+    frac = contains(half, probes).mean()
     mc = frac * 0.5**3
     assert abs(mc - v1) <= 4 * math.sqrt(v1 / 0.5**3 * (1 - v1 / 0.5**3) / (4 * 10**4)) * 0.5**3
     with pytest.raises(InvalidArgumentError):
@@ -473,5 +492,5 @@ def test_indicator_consistency(case):
     mask = ph.rasterize(obs, domain, 1.0 / cells)
     assert 0 < mask.hole_count < mask.flags.size
     centers = mask.cell_centers()
-    inside = ph.ObstacleSet.contains(obs, centers).reshape(mask.shape)
+    inside = contains(obs, centers).reshape(mask.shape)
     assert np.array_equal(inside, mask.flags == HOLE)

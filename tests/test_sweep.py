@@ -110,6 +110,8 @@ def test_sweep_records_row_failures_and_continues():
     rep = ph.run_sweep(spec)
     assert all(r.failure for r in rep.rows)
     assert rep.summary["partial"]
+    # the capacity table runs on the rows' own realizations, failed or not
+    assert {(r.eps, r.seed) for r in rep.cap_rows} == {(r.eps, r.seed) for r in rep.rows}
 
 
 # -------------------------------------------------------------- ergodic runs
