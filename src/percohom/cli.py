@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -20,177 +21,196 @@ from .capacity import (conductivity_tensor, newton_capacity, strange_term)
 from .errors import (ConfigError, DegenerateConfigurationError,
                      InvalidArgumentError, SolverFailureError,
                      UnsupportedDimensionError)
-from .geometry import (BallRadiusRule, Box, GeometryFamily, build_balls,
-                       density_ratio_check, hole_free_mask,
-                       mask_stats_with_overlaps, rasterize, sample_family,
-                       save_mask)
+from .geometry import (BallRadiusRule, Box, build_balls, density_ratio_check,
+                       hole_free_mask, mask_stats_with_overlaps, rasterize,
+                       sample_family, save_mask)
 from .reporting import (RunRecord, content_hash, output_directory, write_csv,
                         write_json, write_plot_data)
-from .solver import (energy_gamma, h1_norm, l2_norm, save_field,
+from .solver import (energy_gamma, h1_norm, l2_norm, load_field, save_field,
                      solve_dirichlet_perforated)
-from .sweep import ErgodicSpec, SweepSpec, ergodic_average_experiment, run_sweep
+from .sweep import (ErgodicSpec, SweepRow, SweepSpec, ergodic_average_experiment,
+                    run_sweep)
 
 SUBCOMMANDS = ("geometry", "solve", "capacity", "sweep", "ergodic", "density-check")
 
-_FAMILY_KEYS = {"kind": str, "dim": int, "intensity": (int, float),
-                "r0": (int, float), "radius_exponent": (int, float),
-                "c1": (int, float), "c2": (int, float),
-                "tube_radius": (int, float, type(None)),
-                "lattice_spacing": (int, float)}
+REQUIRED = MISSING  # the default of a key without one, as in dataclasses
+# the two keys not named after their dataclass field
+_RENAMED = {"master_seed": "seed", "domain": "domain_side"}
 
+
+def _schema_of(cls):
+    """{key: (type, default)} of a dataclass's fields; `domain_side`, the side
+    of a cube from the origin, stands for `domain`."""
+    return {_RENAMED.get(f.name, f.name):
+            (float, 1.0) if f.name == "domain" else (f.type, f.default)
+            for f in fields(cls)}
+
+
+_SWEEP = _schema_of(SweepSpec)
+
+
+def _shared(*keys):
+    """The sweep's entries for keys other subcommands take too."""
+    return {key: _SWEEP[key] for key in keys}
+
+
+# Every key a subcommand accepts: (type, default or REQUIRED).  A type is
+# int, float (a JSON number), str, tuple (a list of numbers) or a dataclass
+# (an object with that dataclass's keys); a None default also accepts null.
 _SCHEMAS = {
-    "geometry": {"family": dict, "eps": (int, float), "grid_cells": int,
-                 "domain_side": (int, float), "seed": int},
-    "solve": {"mode": str, "family": dict, "eps": (int, float), "dim": int,
-              "grid_cells": int, "domain_side": (int, float),
-              "reaction": (int, float), "source": str, "source_file": str,
-              "tol": (int, float), "max_iter": int, "seed": int},
-    "capacity": {"mode": str, "family": dict, "radius": (int, float),
-                 "outer_radius": (int, float), "dx_list": list,
-                 "tol": (int, float), "domain_side": (int, float),
-                 "h_list": list, "eps_list": list, "replicas": int,
-                 "cells_per_h": int, "limsup_bound": (int, float, type(None)),
-                 "eps": (int, float), "h": (int, float),
-                 "gamma": (int, float), "grid_cells": int, "seed": int},
-    "sweep": {"family": dict, "domain_side": (int, float), "eps_list": list,
-              "h_list": list, "reaction": (int, float), "source": str,
-              "grid_cells": int, "capacity_cells_per_h": int,
-              "replicas": int, "tol": (int, float), "seed": int},
-    "ergodic": {"functional": str, "family": dict, "t_list": list,
-                "replicas": int, "dx": (int, float), "xi": (list, type(None)),
-                "seed": int},
-    "density-check": {"family": dict, "eps": (int, float), "grid_cells": int,
-                      "domain_side": (int, float), "radius": (int, float),
-                      "probes": int, "seed": int},
+    "geometry": {**_shared("family", "grid_cells", "domain_side", "seed"),
+                 "eps": (float, REQUIRED)},
+    "solve": {**_shared("family", "grid_cells", "domain_side", "reaction",
+                        "source", "tol", "seed"),
+              "mode": (str, REQUIRED), "eps": (float, REQUIRED), "dim": (int, 2),
+              "source_file": (str, None), "max_iter": (int, None)},
+    "capacity": {**_shared("family", "grid_cells", "domain_side", "h_list",
+                           "eps_list", "replicas", "seed"),
+                 "mode": (str, REQUIRED), "radius": (float, REQUIRED),
+                 "outer_radius": (float, REQUIRED), "dx_list": (tuple, REQUIRED),
+                 "tol": (float, 1e-7),
+                 "cells_per_h": _SWEEP["capacity_cells_per_h"],
+                 "limsup_bound": (float, None), "eps": (float, 1.0),
+                 "h": (float, REQUIRED), "gamma": (float, 1.0)},
+    "sweep": _SWEEP,
+    "ergodic": _schema_of(ErgodicSpec),
+    "density-check": {**_shared("family", "grid_cells", "domain_side", "seed"),
+                      "eps": (float, REQUIRED), "radius": (float, REQUIRED),
+                      "probes": (int, REQUIRED)},
 }
 
-_REQUIRED = {
-    "geometry": ("family", "eps", "grid_cells"),
-    "solve": ("mode", "grid_cells"),
-    "capacity": ("mode",),
-    "sweep": ("family", "eps_list", "h_list", "grid_cells"),
-    "ergodic": ("functional", "family", "t_list", "replicas", "dx"),
-    "density-check": ("family", "eps", "grid_cells", "radius", "probes"),
-}
-
-# keys a mode of a subcommand needs on top of the subcommand's own
+# the REQUIRED keys each mode of a subcommand needs; the others go unused
 _MODE_REQUIRED = {
-    "solve": {"hole-free": (), "family": ("family", "eps")},
+    "solve": {"hole-free": ("grid_cells",),
+              "family": ("grid_cells", "family", "eps")},
     "capacity": {"newton-ladder": ("radius", "outer_radius", "dx_list"),
                  "strange-term": ("family", "h_list", "eps_list"),
                  "conductivity": ("family", "h", "grid_cells")},
 }
 
 
+def _accepts(kind, value):
+    """Whether a JSON value fits a key of this type."""
+    if kind is tuple:
+        return isinstance(value, list) and all(_accepts(float, v) for v in value)
+    json_type = {float: (int, float), int: int, str: str}.get(kind, dict)
+    return isinstance(value, json_type) and not isinstance(value, bool)
+
+
+def _schema_diags(schema, config, required=None, prefix=""):
+    """Unknown keys, wrong types and missing required keys (by default every
+    REQUIRED one) of a JSON object and the objects nested in it."""
+    if required is None:
+        required = [key for key, (_, default) in schema.items() if default is REQUIRED]
+    diags = []
+    for key, value in config.items():
+        field = prefix + key
+        if key not in schema:
+            diags.append({"field": field, "message": f"unknown key {key!r}"})
+            continue
+        kind, default = schema[key]
+        if value is None and default is None:
+            continue
+        if not _accepts(kind, value):
+            diags.append({"field": field,
+                          "message": f"{field} has the wrong type: {value!r}"})
+        elif is_dataclass(kind):
+            diags.extend(_schema_diags(_schema_of(kind), value, prefix=field + "."))
+    diags.extend({"field": prefix + key,
+                  "message": f"missing required key {prefix + key!r}"}
+                 for key in required if key not in config)
+    return diags
+
+
+def _resolve(schema, config):
+    """The config's values in their keys' types, defaults filled in; a
+    REQUIRED key the config lacks stays absent."""
+    return {key: _convert(kind, config.get(key, default))
+            for key, (kind, default) in schema.items()
+            if key in config or default is not REQUIRED}
+
+
+def _convert(kind, value):
+    """A JSON value the schema accepted, as the key's type."""
+    if value is None:
+        return None
+    if is_dataclass(kind):
+        return kind(**_resolve(_schema_of(kind), value))
+    return tuple(float(v) for v in value) if kind is tuple else kind(value)
+
+
+def _spec(cls, values):
+    """The SweepSpec or ErgodicSpec of resolved values."""
+    kwargs = {f.name: values[_RENAMED.get(f.name, f.name)] for f in fields(cls)}
+    if "domain" in kwargs:
+        kwargs["domain"] = Box.cube(kwargs["domain"], values["family"].dim)
+    return cls(**kwargs)
+
+
 def validate_config(command, config):
     """All schema and invariant violations at once, as diagnostics dicts."""
-    diags = []
     schema = _SCHEMAS[command]
-    for key, value in config.items():
-        if key not in schema:
-            diags.append({"field": key, "message": f"unknown key {key!r}"})
-        elif not isinstance(value, schema[key]) or isinstance(value, bool):
-            diags.append({"field": key,
-                          "message": f"{key} must be {schema[key]}, got "
-                                     f"{type(value).__name__}"})
-    modes = _MODE_REQUIRED.get(command, {})
+    modes = _MODE_REQUIRED.get(command)
     mode = config.get("mode")
+    diags = []
     if modes and "mode" in config and not (isinstance(mode, str) and mode in modes):
         diags.append({"field": "mode",
                       "message": f"mode must be one of {', '.join(modes)}"})
         mode = None
-    for key in _REQUIRED[command] + modes.get(mode, ()):
-        if key not in config:
-            diags.append({"field": key, "message": f"missing required key {key!r}"})
-    fam = config.get("family")
-    if isinstance(fam, dict):
-        for key, value in fam.items():
-            if key not in _FAMILY_KEYS:
-                diags.append({"field": f"family.{key}",
-                              "message": f"unknown family key {key!r}"})
-            elif not isinstance(value, _FAMILY_KEYS[key]) or isinstance(value, bool):
-                diags.append({"field": f"family.{key}",
-                              "message": f"family.{key} has the wrong type"})
-        if fam.get("kind") not in ("boolean", "rcm", "lattice", None):
-            diags.append({"field": "family.kind",
-                          "message": "family.kind must be boolean, rcm, or lattice"})
-        if fam.get("dim") not in (2, 3, None):
-            diags.append({"field": "family.dim", "message": "dimension must be 2 or 3"})
+    required = None if modes is None else ["mode", *modes.get(mode, ())]
+    diags.extend(_schema_diags(schema, config, required))
     if diags:
         return diags
     # cross-field invariants
-    if command == "sweep":
+    try:
+        values = _resolve(schema, config)
+    except InvalidArgumentError as exc:  # a family kind or dimension out of range
+        return [{"field": "family", "message": str(exc)}]
+    spec_class = {"sweep": SweepSpec, "ergodic": ErgodicSpec}.get(command)
+    if spec_class is not None:
         try:
-            diags.extend(_sweep_spec(config).validate())
-        except Exception as exc:
-            diags.append({"field": "sweep", "message": str(exc)})
-    if command == "capacity":
-        if mode == "strange-term":
-            fam = config.get("family", {})
-            if fam.get("dim") != 3:
-                diags.append({"field": "family.dim",
-                              "message": "the absorption-constant pipeline requires "
-                                         "dimension 3"})
-            h_list = config.get("h_list", [])
-            eps_list = config.get("eps_list", [])
-            for e in eps_list:
-                for h in h_list:
-                    if not float(e) < float(h) / 4.0:
-                        diags.append({"field": "eps_list",
-                                      "message": f"scale ordering requires eps << h: "
-                                                 f"eps={e} is not < h/4 = {float(h)/4}"})
-        if mode == "conductivity":
-            gamma = config.get("gamma", 1.0)
-            if not (0.0 < float(gamma) < 2.0):
-                diags.append({"field": "gamma",
-                              "message": f"penalty exponent must be in (0, 2), "
-                                         f"got {gamma}"})
-    if command == "ergodic":
-        if config.get("functional") not in ("local_capacity", "affine_energy"):
-            diags.append({"field": "functional",
-                          "message": "functional must be local_capacity or "
-                                     "affine_energy"})
-        if config.get("replicas", 2) < 2:
-            diags.append({"field": "replicas",
-                          "message": "spread needs at least two replicas"})
+            diags.extend(_spec(spec_class, values).validate())
+        except InvalidArgumentError as exc:  # a degenerate domain
+            return [{"field": command, "message": str(exc)}]
+    if "grid_cells" in values and values["grid_cells"] < 1:
+        diags.append({"field": "grid_cells", "message": "grid_cells must be positive"})
+    if mode == "strange-term":
+        if values["family"].dim != 3:
+            diags.append({"field": "family.dim",
+                          "message": "the absorption-constant pipeline requires "
+                                     "dimension 3"})
+        diags.extend({"field": "eps_list",
+                      "message": f"scale ordering requires eps << h: "
+                                 f"eps={e} is not < h/4 = {h / 4}"}
+                     for e in values["eps_list"] for h in values["h_list"]
+                     if not e < h / 4.0)
+    if mode == "conductivity" and not 0.0 < values["gamma"] < 2.0:
+        diags.append({"field": "gamma",
+                      "message": f"penalty exponent must be in (0, 2), "
+                                 f"got {values['gamma']}"})
     return diags
 
 
-def _family(config):
-    fam = dict(config["family"])
-    return GeometryFamily(**fam)
+_CAP_COLUMNS = ("h", "eps", "seed", "cap", "cap_per_hn", "iterations", "dx")
 
 
-def _family_mask(config):
-    """Sample the config's family on its cube domain and rasterize it on the
-    config's grid; returns (obstacles, unscaled configuration, mask)."""
-    fam = _family(config)
-    side = float(config.get("domain_side", 1.0))
+def _write_rows(path, columns, rows):
+    """A CSV table with one line per row object, one column per attribute."""
+    write_csv(path, columns, [[getattr(r, c) for c in columns] for r in rows])
+
+
+def _family_mask(values):
+    """Sample the family on its cube domain and rasterize it on the grid;
+    returns (obstacles, unscaled configuration, mask)."""
+    fam = values["family"]
+    side = values["domain_side"]
     domain = Box.cube(side, fam.dim)
-    obstacles, unscaled = sample_family(fam, float(config.get("eps", 1.0)),
-                                        int(config.get("seed", 0)), domain)
-    return obstacles, unscaled, rasterize(obstacles, domain,
-                                          side / int(config["grid_cells"]))
+    obstacles, unscaled = sample_family(fam, values["eps"], values["seed"], domain)
+    return obstacles, unscaled, rasterize(obstacles, domain, side / values["grid_cells"])
 
 
-def _sweep_spec(config):
-    side = float(config.get("domain_side", 1.0))
-    fam = _family(config)
-    return SweepSpec(family=fam,
-                     domain=Box.cube(side, fam.dim),
-                     eps_list=tuple(float(e) for e in config["eps_list"]),
-                     h_list=tuple(float(h) for h in config["h_list"]),
-                     reaction=float(config.get("reaction", 1.0)),
-                     source=config.get("source", "-1"),
-                     grid_cells=int(config["grid_cells"]),
-                     capacity_cells_per_h=int(config.get("capacity_cells_per_h", 32)),
-                     replicas=int(config.get("replicas", 1)),
-                     master_seed=int(config.get("seed", 0)),
-                     tol=float(config.get("tol", 1e-8)))
-
-
-def _cmd_geometry(config, outdir, record, threads):
-    obstacles, cfg_unscaled, mask = _family_mask(config)
+def _cmd_geometry(values, outdir, record, threads):
+    obstacles, cfg_unscaled, mask = _family_mask(values)
     mask_path = os.path.join(outdir, "mask.txt")
     save_mask(mask, mask_path)
     stats = mask_stats_with_overlaps(mask, obstacles, cfg_unscaled)
@@ -200,27 +220,24 @@ def _cmd_geometry(config, outdir, record, threads):
     return 0
 
 
-def _cmd_solve(config, outdir, record, threads):
-    if config["mode"] == "family":
-        _, _, mask = _family_mask(config)
+def _cmd_solve(values, outdir, record, threads):
+    if values["mode"] == "family":
+        _, _, mask = _family_mask(values)
     else:
-        side = float(config.get("domain_side", 1.0))
-        mask = hole_free_mask(Box.cube(side, int(config.get("dim", 2))),
-                              side / int(config["grid_cells"]))
-    reaction = float(config.get("reaction", 1.0))
-    if "source_file" in config:
-        from .solver import load_field
-        loaded = load_field(config["source_file"])
+        side = values["domain_side"]
+        mask = hole_free_mask(Box.cube(side, values["dim"]), side / values["grid_cells"])
+    reaction = values["reaction"]
+    if values["source_file"] is not None:
+        loaded = load_field(values["source_file"])
         if not loaded.mask.same_grid(mask):
             raise ConfigError([{"field": "source_file",
                                 "message": "source field grid does not match "
                                            "the solve grid"}])
         source = loaded.values
     else:
-        source = config.get("source", "-1")
-    u, rep = solve_dirichlet_perforated(mask, reaction, source,
-                                        tol=float(config.get("tol", 1e-8)),
-                                        max_iter=config.get("max_iter"))
+        source = values["source"]
+    u, rep = solve_dirichlet_perforated(mask, reaction, source, tol=values["tol"],
+                                        max_iter=values["max_iter"])
     field_path = os.path.join(outdir, "field.txt")
     save_field(u, field_path)
     report = {
@@ -239,55 +256,48 @@ def _cmd_solve(config, outdir, record, threads):
     return 0
 
 
-def _cmd_capacity(config, outdir, record, threads):
-    mode = config["mode"]
-    seed = int(config.get("seed", 0))
+def _cmd_capacity(values, outdir, record, threads):
+    mode = values["mode"]
+    seed = values["seed"]
     csv_path = os.path.join(outdir, "capacity.csv")
     summary_path = os.path.join(outdir, "summary.json")
     if mode == "newton-ladder":
-        r = float(config["radius"])
-        R = float(config["outer_radius"])
+        r = values["radius"]
+        R = values["outer_radius"]
         center = np.zeros(3)
         pts_box = Box.cube(2 * R, 3, origin=(-R, -R, -R))
         from .points import PointConfiguration
         cfg = PointConfiguration(points=center.reshape(1, 3), box=pts_box,
                                  intensity=0.0, seed=seed)
         ball = build_balls(cfg, BallRadiusRule.fixed(r))
-        values = []
+        caps = []
         rows = []
-        for dx in config["dx_list"]:
-            ncells = 2 * R / float(dx)
+        for dx in values["dx_list"]:
+            ncells = 2 * R / dx
             if abs(ncells - round(ncells)) > 1e-9:
                 raise ConfigError([{"field": "dx_list",
                                     "message": f"dx {dx} does not divide the box"}])
-            cap, rep = newton_capacity(ball, R, float(dx),
-                                       tol=float(config.get("tol", 1e-7)))
-            values.append(cap)
-            change = abs(values[-1] - values[-2]) if len(values) > 1 else float("nan")
-            rows.append((float(dx), cap, rep.iterations, change))
+            cap, rep = newton_capacity(ball, R, dx, tol=values["tol"])
+            caps.append(cap)
+            change = abs(caps[-1] - caps[-2]) if len(caps) > 1 else float("nan")
+            rows.append((dx, cap, rep.iterations, change))
         write_csv(csv_path, ["dx", "value", "iterations", "abs_change"], rows)
-        extrapolated = (2 * values[-1] - values[-2]) if len(values) > 1 else values[-1]
+        extrapolated = (2 * caps[-1] - caps[-2]) if len(caps) > 1 else caps[-1]
         write_json(summary_path, {
             "format_version": 1,
-            "values": values,
+            "values": caps,
             "extrapolated": extrapolated,
             "radius": r,
             "outer_radius": R,
         })
     elif mode == "strange-term":
-        fam = _family(config)
-        side = float(config.get("domain_side", 1.0))
-        res = strange_term(fam,
-                           [float(h) for h in config["h_list"]],
-                           [float(e) for e in config["eps_list"]],
-                           int(config.get("replicas", 1)), seed,
-                           Box.cube(side, fam.dim),
-                           cells_per_h=int(config.get("cells_per_h", 32)),
-                           limsup_bound=config.get("limsup_bound"))
-        write_csv(csv_path,
-                  ["h", "eps", "seed", "cap", "cap_per_hn", "iterations", "dx"],
-                  [(r.h, r.eps, r.seed, r.cap, r.cap_per_hn, r.iterations, r.dx)
-                   for r in res.rows])
+        fam = values["family"]
+        res = strange_term(fam, values["h_list"], values["eps_list"],
+                           values["replicas"], seed,
+                           Box.cube(values["domain_side"], fam.dim),
+                           cells_per_h=values["cells_per_h"],
+                           limsup_bound=values["limsup_bound"])
+        _write_rows(csv_path, _CAP_COLUMNS, res.rows)
         write_json(summary_path, {
             "format_version": 1,
             "c": res.c,
@@ -298,11 +308,10 @@ def _cmd_capacity(config, outdir, record, threads):
             "limsup_flagged": res.limsup_flagged,
         })
     else:  # conductivity
-        _, _, mask = _family_mask(config)
+        _, _, mask = _family_mask(values)
         center = tuple(0.5 * (lo + hi) for lo, hi in zip(mask.domain.lower,
                                                          mask.domain.upper))
-        tensor = conductivity_tensor(mask, center, float(config["h"]),
-                                     float(config.get("gamma", 1.0)))
+        tensor = conductivity_tensor(mask, center, values["h"], values["gamma"])
         write_csv(csv_path, ["i", "j", "a_ij"],
                   [(i, j, float(tensor.entries[i, j]))
                    for i in range(mask.dim) for j in range(mask.dim)])
@@ -316,23 +325,13 @@ def _cmd_capacity(config, outdir, record, threads):
     return 0
 
 
-def _cmd_sweep(config, outdir, record, threads):
-    spec = _sweep_spec(config)
+def _cmd_sweep(values, outdir, record, threads):
+    spec = _spec(SweepSpec, values)
     report = run_sweep(spec, threads=threads)
     csv_path = os.path.join(outdir, "report.csv")
-    write_csv(csv_path,
-              ["eps", "replica", "seed", "volume_fraction", "hole_cells", "h1",
-               "gamma", "energy_lhs", "energy_rhs", "l2_error", "iterations",
-               "residual", "empty_cell_freq", "boolean_constant", "failure"],
-              [(r.eps, r.replica, r.seed, r.volume_fraction, r.hole_cells, r.h1,
-                r.gamma, r.energy_lhs, r.energy_rhs, r.l2_error, r.iterations,
-                r.residual, r.empty_cell_freq, r.boolean_constant, r.failure)
-               for r in report.rows])
+    _write_rows(csv_path, [f.name for f in fields(SweepRow)], report.rows)
     cap_path = os.path.join(outdir, "cap_table.csv")
-    write_csv(cap_path,
-              ["h", "eps", "seed", "cap", "cap_per_hn", "iterations", "dx"],
-              [(r.h, r.eps, r.seed, r.cap, r.cap_per_hn, r.iterations, r.dx)
-               for r in report.cap_rows])
+    _write_rows(cap_path, _CAP_COLUMNS, report.cap_rows)
     summary_path = os.path.join(outdir, "summary.json")
     write_json(summary_path, report.summary)
     plot_path = os.path.join(outdir, "plot_eps_l2.txt")
@@ -344,14 +343,8 @@ def _cmd_sweep(config, outdir, record, threads):
     return 0
 
 
-def _cmd_ergodic(config, outdir, record, threads):
-    fam = _family(config)
-    spec = ErgodicSpec(functional=config["functional"], family=fam,
-                       t_list=tuple(float(t) for t in config["t_list"]),
-                       replicas=int(config["replicas"]),
-                       dx=float(config["dx"]),
-                       master_seed=int(config.get("seed", 0)),
-                       xi=tuple(config["xi"]) if config.get("xi") else None)
+def _cmd_ergodic(values, outdir, record, threads):
+    spec = _spec(ErgodicSpec, values)
     res = ergodic_average_experiment(spec, threads=threads)
     csv_path = os.path.join(outdir, "decay.csv")
     write_csv(csv_path, ["t", "mean", "rel_std"], res.rows)
@@ -368,19 +361,12 @@ def _cmd_ergodic(config, outdir, record, threads):
     return 0
 
 
-def _cmd_density_check(config, outdir, record, threads):
-    _, _, mask = _family_mask(config)
-    check = density_ratio_check(mask, float(config["radius"]),
-                                int(config["probes"]), int(config.get("seed", 0)))
+def _cmd_density_check(values, outdir, record, threads):
+    _, _, mask = _family_mask(values)
+    check = density_ratio_check(mask, values["radius"], values["probes"],
+                                values["seed"])
     path = os.path.join(outdir, "density.json")
-    write_json(path, {
-        "format_version": 1,
-        "min_ratio": check.min_ratio,
-        "max_ratio": check.max_ratio,
-        "failed": check.failed,
-        "radius": check.radius,
-        "probes": check.probes,
-    })
+    write_json(path, {"format_version": 1, **asdict(check)})
     record.outputs = {"density": path}
     return 0
 
@@ -456,21 +442,21 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     command = args.command
     try:
+        target = args.target_command if command == "validate" else command
+        config = resolve_config(target, args)
+        diags = validate_config(target, config)
         if command == "validate":
-            config = resolve_config(args.target_command, args)
-            diags = validate_config(args.target_command, config)
             print(json.dumps(diags, indent=1, sort_keys=True))
             return 0
-        config = resolve_config(command, args)
-        diags = validate_config(command, config)
         if diags:
             raise ConfigError(diags)
-        seed = int(config.get("seed", 0))
+        values = _resolve(_SCHEMAS[command], config)
+        seed = values["seed"]
         outdir = output_directory(args.out, command, config, seed)
         record = RunRecord(command=command, config=config, master_seed=seed,
                            input_hash=content_hash(config, seed))
         record.start()
-        code = _DISPATCH[command](config, outdir, record, max(1, args.threads))
+        code = _DISPATCH[command](values, outdir, record, max(1, args.threads))
         record.finish()
         # file names relative to the run directory, so the record does not
         # depend on where --out put it

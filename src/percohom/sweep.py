@@ -30,6 +30,12 @@ DEFAULT_SOURCE = "-1"
 DEFAULT_REACTION = 1.0
 
 
+def _diagnostics(checks):
+    """The diagnostics dicts of the (violated, field, message) checks."""
+    return [{"field": field, "message": message}
+            for violated, field, message in checks if violated]
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Everything needed to reproduce a sweep from its master seed."""
@@ -38,9 +44,9 @@ class SweepSpec:
     domain: Box
     eps_list: tuple
     h_list: tuple
+    grid_cells: int               # cells per domain side for the PDE grid
     reaction: float = DEFAULT_REACTION
     source: str = DEFAULT_SOURCE
-    grid_cells: int = 64          # cells per domain side for the PDE grid
     capacity_cells_per_h: int = 32
     replicas: int = 1
     master_seed: int = 0
@@ -51,38 +57,26 @@ class SweepSpec:
 
     def validate(self):
         """All violated invariants at once, as diagnostics dicts."""
-        diags = []
         eps = [float(e) for e in self.eps_list]
-        if len(eps) < 3:
-            diags.append({"field": "eps_list",
-                          "message": "need at least 3 eps values"})
-        if any(e <= 0 for e in eps):
-            diags.append({"field": "eps_list", "message": "eps must be positive"})
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            diags.append({"field": "eps_list",
-                          "message": "eps list must be strictly decreasing"})
-        if len(self.h_list) < 2:
-            diags.append({"field": "h_list",
-                          "message": "need at least 2 cube sizes h"})
-        hmin = min(self.h_list) if self.h_list else math.inf
-        for e in eps:
-            if not e < hmin / 4.0:
-                diags.append({"field": "eps_list",
-                              "message": f"scale ordering requires eps << h: eps={e} "
-                                         f"is not < min(h)/4 = {hmin / 4.0}"})
+        hmin = min(self.h_list, default=math.inf)
         sides = self.domain.sides
-        if any(abs(s - sides[0]) > 1e-12 for s in sides):
-            diags.append({"field": "domain", "message": "domain must be a cube"})
-        if max(self.h_list, default=0.0) >= min(sides):
-            diags.append({"field": "h_list",
-                          "message": "cube sizes must fit inside the domain"})
-        if self.reaction < 0:
-            diags.append({"field": "reaction", "message": "reaction must be >= 0"})
-        if self.replicas < 1:
-            diags.append({"field": "replicas", "message": "need at least one replica"})
-        if self.grid_cells < 4:
-            diags.append({"field": "grid_cells", "message": "grid too coarse"})
-        return diags
+        return _diagnostics([
+            (len(eps) < 3, "eps_list", "need at least 3 eps values"),
+            (any(e <= 0 for e in eps), "eps_list", "eps must be positive"),
+            (any(b >= a for a, b in zip(eps, eps[1:])), "eps_list",
+             "eps list must be strictly decreasing"),
+            (len(self.h_list) < 2, "h_list", "need at least 2 cube sizes h"),
+            *((not e < hmin / 4.0, "eps_list",
+               f"scale ordering requires eps << h: eps={e} is not < min(h)/4 = "
+               f"{hmin / 4.0}") for e in eps),
+            (any(abs(s - sides[0]) > 1e-12 for s in sides), "domain",
+             "domain must be a cube"),
+            (max(self.h_list, default=0.0) >= min(sides), "h_list",
+             "cube sizes must fit inside the domain"),
+            (self.reaction < 0, "reaction", "reaction must be >= 0"),
+            (self.replicas < 1, "replicas", "need at least one replica"),
+            (self.grid_cells < 4, "grid_cells", "grid too coarse"),
+        ])
 
     def resolution_warnings(self):
         warns = []
@@ -268,6 +262,16 @@ class ErgodicSpec:
     master_seed: int = 0
     xi: tuple = None           # direction for affine_energy
 
+    def validate(self):
+        """All violated invariants at once, as diagnostics dicts."""
+        return _diagnostics([
+            (self.functional not in ("local_capacity", "affine_energy"), "functional",
+             "functional must be local_capacity or affine_energy"),
+            (len(self.t_list) < 1, "t_list", "need at least one cube size"),
+            (self.replicas < 2, "replicas", "spread needs at least two replicas"),
+            (not self.dx > 0, "dx", "dx must be positive"),
+        ])
+
 
 @dataclass(frozen=True)
 class ErgodicResult:
@@ -280,12 +284,9 @@ def ergodic_average_experiment(spec, threads=1):
     """Per-volume functional on growing cubes: mean and relative spread
     across replicas, and whether the spread decays from the smallest to the
     largest cube."""
-    if len(spec.t_list) < 1:
-        raise InvalidArgumentError("need at least one cube size")
-    if spec.replicas < 2:
-        raise InvalidArgumentError("spread needs at least two replicas")
-    if spec.functional not in ("local_capacity", "affine_energy"):
-        raise InvalidArgumentError(f"unknown functional {spec.functional!r}")
+    diags = spec.validate()
+    if diags:
+        raise InvalidArgumentError("; ".join(d["message"] for d in diags))
     jobs = [(spec, it, k) for it in range(len(spec.t_list)) for k in range(spec.replicas)]
     values = {}
     for (_, it, _), v in zip(jobs, _map(_ergodic_job, jobs, threads)):

@@ -6,6 +6,7 @@ import pytest
 
 import percohom as ph
 from percohom.cli import main, validate_config
+from percohom.presets import PRESETS
 
 
 def run_cli(*args):
@@ -63,6 +64,60 @@ def test_missing_mode_key_is_validation_error(tmp_path, capsys, command, preset,
     assert run_cli("validate", "--command", command, *args) == 0
     diags = json.loads(capsys.readouterr().out)
     assert {"field": missing, "message": f"missing required key {missing!r}"} in diags
+
+
+@pytest.mark.parametrize("command, preset, family, missing", [
+    ("geometry", "rcm-2d-demo", {"dim": 2, "c1": 0.5}, "family.kind"),
+    ("sweep", "rcm-2d", {"kind": "rcm"}, "family.dim"),
+    ("ergodic", "periodic-2d", {"dim": 2}, "family.kind"),
+    ("density-check", "tubes-2d", {"kind": "rcm", "c1": 0.5}, "family.dim"),
+])
+def test_missing_family_key_is_validation_error(tmp_path, capsys, command, preset,
+                                                family, missing):
+    # GeometryFamily has no default for kind and dim, so neither may the config
+    args = ("--preset", preset, "--set", f"family={json.dumps(family)}")
+    assert run_cli(command, *args, "--out", str(tmp_path / "runs")) == 2
+    capsys.readouterr()
+    assert run_cli("validate", "--command", command, *args) == 0
+    diags = json.loads(capsys.readouterr().out)
+    assert {"field": missing, "message": f"missing required key {missing!r}"} in diags
+
+
+@pytest.mark.parametrize("command, preset, key, value", [
+    ("capacity", "strange-3d", "eps_list", '["a",0.1,0.05]'),
+    ("capacity", "strange-3d", "h_list", '[0.75,null]'),
+    ("capacity", "ball-oracle", "dx_list", '[0.1,true]'),
+    ("sweep", "rcm-2d", "eps_list", '[0.125,[0.0625],0.03125]'),
+    ("ergodic", "periodic-2d", "t_list", '["x"]'),
+    ("ergodic", "periodic-2d", "xi", '["1",0]'),
+])
+def test_list_elements_must_be_numbers(tmp_path, capsys, command, preset, key, value):
+    args = ("--preset", preset, "--set", f"{key}={value}")
+    assert run_cli("validate", "--command", command, *args) == 0
+    diags = json.loads(capsys.readouterr().out)
+    assert [d["field"] for d in diags] == [key]
+    assert "wrong type" in diags[0]["message"]
+    assert run_cli(command, *args, "--out", str(tmp_path / "runs")) == 2
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("geometry", "rcm-2d-demo"), ("solve", "mms-2d"),
+    ("capacity", "conductivity-2d"), ("density-check", "tubes-2d"),
+])
+@pytest.mark.parametrize("grid_cells", [0, -4])
+def test_nonpositive_grid_cells_is_validation_error(tmp_path, capsys, command,
+                                                    preset, grid_cells):
+    args = ("--preset", preset, "--set", f"grid_cells={grid_cells}")
+    assert run_cli(command, *args, "--out", str(tmp_path / "runs")) == 2
+    capsys.readouterr()
+    assert run_cli("validate", "--command", command, *args) == 0
+    assert "grid_cells" in {d["field"] for d in json.loads(capsys.readouterr().out)}
+
+
+@pytest.mark.parametrize("command, preset", [
+    (command, preset) for command, table in PRESETS.items() for preset in table])
+def test_every_preset_validates_clean(command, preset):
+    assert validate_config(command, PRESETS[command][preset]) == []
 
 
 def test_geometry_run_writes_mask_and_stats(tmp_path):

@@ -40,6 +40,18 @@ def test_resolution_warnings_attached():
     assert any("fewer than 2 cells" in w for w in warns)
 
 
+def test_ergodic_spec_validation_collects_all_diagnostics():
+    fam = ph.GeometryFamily(kind="lattice", dim=2)
+    spec = ErgodicSpec(functional="volume", family=fam, t_list=(), replicas=1, dx=0.0)
+    fields = [d["field"] for d in spec.validate()]
+    assert fields == ["functional", "t_list", "replicas", "dx"]
+    with pytest.raises(InvalidArgumentError, match="spread needs at least two replicas"):
+        ph.ergodic_average_experiment(spec)
+    good = ErgodicSpec(functional="affine_energy", family=fam, t_list=(2.0,),
+                       replicas=2, dx=0.25)
+    assert good.validate() == []
+
+
 # ----------------------------------------------------------------- run_sweep
 
 def test_sweep_zero_intensity_matches_homogenized_exactly():
