@@ -6,15 +6,14 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DegenerateConfigurationError,
                      InvalidArgumentError, SolverFailureError,
                      UnsupportedDimensionError)
-from .points import (Box, PointConfiguration, count_in, empty_cell_frequency,
-                     load_points, sample_poisson, save_points, scale, translate)
+from .points import (Box, PointConfiguration, empty_cell_frequency, load_points,
+                     sample_poisson, save_points, scale)
 from .geometry import (BallRadiusRule, ConnectivityFunction, EdgeSet,
                        GeometryFamily, ObstacleSet, PerforatedMask,
                        build_balls, build_rcm_edges, build_tubes,
                        connected_components, density_ratio_check,
-                       hole_free_mask, load_mask, mask_stats,
-                       min_pairwise_distance, rasterize, rcm_obstacles,
-                       sample_family, save_mask, scale_obstacles,
+                       hole_free_mask, load_mask, min_pairwise_distance,
+                       rasterize, sample_family, save_mask, scale_obstacles,
                        volume_fraction)
 from .solver import (GridField, SolveReport, cg_solve, energy_gamma,
                      friedrichs_constant, gradient_energy, h1_norm,
@@ -27,5 +26,5 @@ from .capacity import (CapacityEstimate, ConductivityTensor,
 from .sweep import (AuditResult, ErgodicSpec, HomogenizationReport, SweepSpec,
                     build_corrector, build_partition_of_unity,
                     ergodic_average_experiment, local_minimizers_for_partition,
-                    partition_sum, run_sweep, uniform_bound_audit)
+                    run_sweep, uniform_bound_audit)
 from .rng import substream, substream_seed

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidArgumentError, UnsupportedDimensionError
+from .errors import (InvalidArgumentError, UnsupportedDimensionError,
+                     diagnostics_of)
 from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, rasterize,
                        sample_family)
 from .rng import substream_seed
@@ -42,10 +43,7 @@ from .solver import (_INSULATING, GridField, SolveReport, _FaceKernel,
 @dataclass(frozen=True)
 class CapacityEstimate:
     value: float
-    dx: float
-    center: tuple
     h: float
-    epsilon: float = 1.0
     report: SolveReport = None
 
     def __post_init__(self):
@@ -57,9 +55,7 @@ class CapacityEstimate:
 class ConductivityTensor:
     entries: np.ndarray
     gamma: float
-    center: tuple
     h: float
-    epsilon: float = 1.0
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -150,12 +146,8 @@ def capacity_minimizer_on_window(mask, slices, tol=1e-8, max_iter=None):
     # windows snapped from partitions may be off-cubic by a cell; use the
     # volume-equivalent side for the h bookkeeping
     eff_h = float(np.prod([s * dx for s in sub.shape])) ** (1.0 / mask.dim)
-    eff_center = tuple(mask.domain.lower[d] + (slices[d].start + sub.shape[d] / 2.0) * dx
-                       for d in range(mask.dim))
     if not np.any(sub != MATERIAL):
-        est = CapacityEstimate(value=0.0, dx=dx, center=eff_center, h=eff_h,
-                               epsilon=mask.epsilon,
-                               report=SolveReport(0, 0.0, 0.0))
+        est = CapacityEstimate(value=0.0, h=eff_h, report=SolveReport(0, 0.0, 0.0))
         return est, np.ones(sub.shape)
     # data 1 on the window faces; exterior cells are half-cell boundary at 0
     kernel = _FaceKernel(sub, dx, data=np.pad(np.zeros(sub.shape), 1, constant_values=1.0))
@@ -165,9 +157,7 @@ def capacity_minimizer_on_window(mask, slices, tol=1e-8, max_iter=None):
                          diag=kernel.diag)
     vals = np.where(kernel.unknown, u, 0.0)
     value = kernel.energy(vals)
-    est = CapacityEstimate(value=value, dx=dx, center=eff_center, h=eff_h,
-                           epsilon=mask.epsilon, report=report)
-    return est, vals
+    return CapacityEstimate(value=value, h=eff_h, report=report), vals
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +240,7 @@ def conductivity_tensor(mask, z, h, gamma, tol=1e-10):
     for i in range(n):
         for j in range(i, n):
             a[i, j] = a[j, i] = sols[i][1].energy(sols[i][0], sols[j][1], sols[j][0])
-    return ConductivityTensor(entries=0.5 * (a + a.T), gamma=float(gamma),
-                              center=window[1], h=window[2], epsilon=mask.epsilon)
+    return ConductivityTensor(entries=0.5 * (a + a.T), gamma=float(gamma), h=window[2])
 
 
 def affine_dirichlet_energy(mask, z, h, xi, tol=1e-10):
@@ -286,6 +275,21 @@ class StrangeTermResult:
     limsup_flagged: bool = False
 
 
+def _scale_diagnostics(eps_list, h_list, replicas):
+    """What an absorption-constant table needs of its scales, as diagnostics
+    dicts: at least 3 eps, 2 cube sizes h and 1 replica, and eps << h, that
+    is eps < min(h)/4 for every eps."""
+    hmin = min(h_list, default=math.inf)
+    return diagnostics_of([
+        (len(eps_list) < 3, "eps_list", "need at least 3 eps values"),
+        (len(h_list) < 2, "h_list", "need at least 2 cube sizes h"),
+        (replicas < 1, "replicas", "need at least one replica"),
+        *((not e < hmin / 4.0, "eps_list",
+           f"scale ordering requires eps << h: eps={e} is not < min(h)/4 = "
+           f"{hmin / 4.0}") for e in eps_list),
+    ])
+
+
 def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
                  cells_per_h=32, center=None, limsup_bound=None, tol=1e-8):
     """Table of local capacity densities cap(x, h, eps) / h^n and the
@@ -297,17 +301,9 @@ def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
     """
     h_list = sorted(float(h) for h in h_list)[::-1]
     eps_list = sorted(float(e) for e in eps_list)[::-1]
-    if len(h_list) < 2:
-        raise InvalidArgumentError("need at least 2 cube sizes h")
-    if len(eps_list) < 3:
-        raise InvalidArgumentError("need at least 3 scales eps")
-    if replicas < 1:
-        raise InvalidArgumentError("need at least 1 replica")
-    for h in h_list:
-        for eps in eps_list:
-            if not eps < h / 4.0:
-                raise InvalidArgumentError(
-                    f"scale ordering violated: eps={eps} is not < h/4 = {h / 4.0}")
+    diags = _scale_diagnostics(eps_list, h_list, replicas)
+    if diags:
+        raise InvalidArgumentError("; ".join(d["message"] for d in diags))
     if center is None:
         center = tuple(0.5 * (lo + hi) for lo, hi in zip(domain.lower, domain.upper))
     for h in h_list:

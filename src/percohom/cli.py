@@ -10,6 +10,7 @@ by the content hash of (config, seed, version).  Exit codes: 0 success,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, asdict, fields, is_dataclass
@@ -17,13 +18,14 @@ from dataclasses import MISSING, asdict, fields, is_dataclass
 import numpy as np
 
 from . import presets
-from .capacity import (conductivity_tensor, newton_capacity, strange_term)
+from .capacity import (_scale_diagnostics, conductivity_tensor, newton_capacity,
+                       strange_term)
 from .errors import (ConfigError, DegenerateConfigurationError,
                      InvalidArgumentError, SolverFailureError,
-                     UnsupportedDimensionError)
+                     UnsupportedDimensionError, diagnostics_of)
 from .geometry import (BallRadiusRule, Box, build_balls, density_ratio_check,
-                       hole_free_mask, mask_stats_with_overlaps, rasterize,
-                       sample_family, save_mask)
+                       hole_free_mask, mask_stats, rasterize, sample_family,
+                       save_mask)
 from .reporting import (RunRecord, content_hash, output_directory, write_csv,
                         write_json, write_plot_data)
 from .solver import (energy_gamma, h1_norm, l2_norm, load_field, save_field,
@@ -147,6 +149,12 @@ def _spec(cls, values):
     return cls(**kwargs)
 
 
+def _divides(dx, side):
+    """Whether a grid spacing dx > 0 cuts `side` into a whole number of cells."""
+    cells = side / dx if dx > 0 else math.nan
+    return math.isfinite(cells) and abs(cells - round(cells)) <= 1e-9
+
+
 def validate_config(command, config):
     """All schema and invariant violations at once, as diagnostics dicts."""
     schema = _SCHEMAS[command]
@@ -172,23 +180,26 @@ def validate_config(command, config):
             diags.extend(_spec(spec_class, values).validate())
         except InvalidArgumentError as exc:  # a degenerate domain
             return [{"field": command, "message": str(exc)}]
-    if "grid_cells" in values and values["grid_cells"] < 1:
-        diags.append({"field": "grid_cells", "message": "grid_cells must be positive"})
-    if mode == "strange-term":
-        if values["family"].dim != 3:
-            diags.append({"field": "family.dim",
-                          "message": "the absorption-constant pipeline requires "
-                                     "dimension 3"})
-        diags.extend({"field": "eps_list",
-                      "message": f"scale ordering requires eps << h: "
-                                 f"eps={e} is not < h/4 = {h / 4}"}
-                     for e in values["eps_list"] for h in values["h_list"]
-                     if not e < h / 4.0)
-    if mode == "conductivity" and not 0.0 < values["gamma"] < 2.0:
-        diags.append({"field": "gamma",
-                      "message": f"penalty exponent must be in (0, 2), "
-                                 f"got {values['gamma']}"})
-    return diags
+    checks = [("grid_cells" in values and values["grid_cells"] < 1, "grid_cells",
+               "grid_cells must be positive")]
+    if mode == "newton-ladder":
+        side = 2 * values["outer_radius"]
+        checks.append((not values["dx_list"], "dx_list", "dx_list must not be empty"))
+        checks.extend((not _divides(dx, side), "dx_list",
+                       f"dx {dx} must be positive and divide the box")
+                      for dx in values["dx_list"])
+    elif mode == "strange-term":
+        checks.append((values["family"].dim != 3, "family.dim",
+                       "the absorption-constant pipeline requires dimension 3"))
+        diags.extend(_scale_diagnostics(values["eps_list"], values["h_list"],
+                                        values["replicas"]))
+    elif mode == "conductivity":
+        checks.append((not 0.0 < values["gamma"] < 2.0, "gamma",
+                       f"penalty exponent must be in (0, 2), got {values['gamma']}"))
+    if command == "density-check":
+        checks.append((not values["radius"] > 0, "radius", "radius must be positive"))
+        checks.append((values["probes"] < 1, "probes", "need at least one probe"))
+    return diags + diagnostics_of(checks)
 
 
 _CAP_COLUMNS = ("h", "eps", "seed", "cap", "cap_per_hn", "iterations", "dx")
@@ -213,7 +224,7 @@ def _cmd_geometry(values, outdir, record, threads):
     obstacles, cfg_unscaled, mask = _family_mask(values)
     mask_path = os.path.join(outdir, "mask.txt")
     save_mask(mask, mask_path)
-    stats = mask_stats_with_overlaps(mask, obstacles, cfg_unscaled)
+    stats = mask_stats(mask, obstacles, cfg_unscaled)
     stats_path = os.path.join(outdir, "stats.json")
     write_json(stats_path, stats)
     record.outputs = {"mask": mask_path, "stats": stats_path}
@@ -273,10 +284,6 @@ def _cmd_capacity(values, outdir, record, threads):
         caps = []
         rows = []
         for dx in values["dx_list"]:
-            ncells = 2 * R / dx
-            if abs(ncells - round(ncells)) > 1e-9:
-                raise ConfigError([{"field": "dx_list",
-                                    "message": f"dx {dx} does not divide the box"}])
             cap, rep = newton_capacity(ball, R, dx, tol=values["tol"])
             caps.append(cap)
             change = abs(caps[-1] - caps[-2]) if len(caps) > 1 else float("nan")
@@ -390,6 +397,9 @@ def _set_override(config, dotted, raw):
     node = config
     for k in keys[:-1]:
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError([{"field": dotted,
+                                "message": f"cannot set {dotted!r}: {k!r} is not an object"}])
     node[keys[-1]] = value
 
 
@@ -402,8 +412,15 @@ def resolve_config(command, args):
                                            f"known: {sorted(table)}"}])
         config = json.loads(json.dumps(table[args.preset]))
     elif args.config is not None:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError([{"field": "config",
+                                "message": f"cannot read {args.config}: {exc}"}])
+        if not isinstance(config, dict):
+            raise ConfigError([{"field": "config",
+                                "message": "the config file must hold a JSON object"}])
     else:
         raise ConfigError([{"field": "config",
                             "message": "either --config or --preset is required"}])

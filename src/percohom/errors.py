@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the diagnostics dicts
+that validation reports."""
 
 
 class InvalidArgumentError(ValueError):
@@ -31,3 +32,9 @@ class ConfigError(ValueError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(d.get("message", str(d)) for d in self.diagnostics))
+
+
+def diagnostics_of(checks):
+    """The diagnostics dicts of the (violated, field, message) checks."""
+    return [{"field": field, "message": message}
+            for violated, field, message in checks if violated]

@@ -1,14 +1,15 @@
 """Random obstacle sets and their rasterization.
 
 Two obstacle families are supported: unions of tubes around the edges of a
-random geometric graph (points joined when their distance falls in a
-prescribed band, or by a general distance-to-probability rule), and unions of
-balls centered on the points.  Both are unions of capsules, the points
-within a radius of a segment; a ball is the capsule of a zero-length
-segment.  One point-to-segment distance decides membership in `rasterize`,
-which flags a cell as a hole exactly when its center lies inside.  Obstacles
-scale homothetically and carry enough provenance to reproduce themselves from
-a seed.  The number of overlapping tube pairs, a diagnostic, is always
+random connection graph (points joined with a probability g of their
+distance, g a piecewise-constant table; the annulus joins exactly the pairs
+whose distance falls in a band), and unions of balls centered on the
+points.  Both are unions of capsules, the points within a radius of a
+segment; a ball is the capsule of a zero-length segment.  One
+point-to-segment distance decides membership in `rasterize`, which flags a
+cell as a hole exactly when its center lies inside.  Obstacles scale
+homothetically and carry enough provenance to reproduce themselves from a
+seed.  The number of overlapping tube pairs, a diagnostic, is always
 reported; a k-d tree on the segment midpoints picks the candidate pairs.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfigurationError, InvalidArgumentError
-from .points import Box, PointConfiguration, scale as scale_points
+from .points import Box, PointConfiguration, sample_poisson, scale as scale_points
 from .rng import substream
 
 MATERIAL, HOLE, EXTERIOR = 0, 1, 2
@@ -30,51 +31,36 @@ MASK_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class ConnectivityFunction:
-    """Distance-to-probability rule for joining point pairs.
-
-    kind "annulus": probability exactly 1 for c1 <= d <= c2 and 0 elsewhere.
-    kind "general": piecewise-constant nonincreasing table of
-    (distance, probability) breakpoints; left of the first breakpoint the
-    first value applies, right of the last the last value applies.
+    """Distance-to-probability rule g for joining point pairs, as a
+    piecewise-constant table of (distance, probability) breakpoints: a pair
+    at distance d takes the probability of the last breakpoint at or below
+    d; left of the first breakpoint the first value applies.
     """
 
-    kind: str
-    c1: float = 0.0
-    c2: float = 0.0
-    table: tuple = ()
+    table: tuple
 
     def __post_init__(self):
-        if self.kind == "annulus":
-            if not (0 < self.c1 <= self.c2):
-                raise InvalidArgumentError(f"annulus needs 0 < c1 <= c2, got {self.c1}, {self.c2}")
-        elif self.kind == "general":
-            tab = tuple((float(d), float(p)) for d, p in self.table)
-            if not tab:
-                raise InvalidArgumentError("general connectivity needs a non-empty table")
-            ds = [d for d, _ in tab]
-            ps = [p for _, p in tab]
-            if any(d2 <= d1 for d1, d2 in zip(ds, ds[1:])):
-                raise InvalidArgumentError("table distances must be strictly increasing")
-            if any(p < 0 or p > 1 for p in ps):
-                raise InvalidArgumentError("table probabilities must be in [0, 1]")
-            if any(p2 > p1 for p1, p2 in zip(ps, ps[1:])):
-                raise InvalidArgumentError("table probabilities must be nonincreasing")
-            object.__setattr__(self, "table", tab)
-        else:
-            raise InvalidArgumentError(f"unknown connectivity kind {self.kind!r}")
+        tab = tuple((float(d), float(p)) for d, p in self.table)
+        if not tab:
+            raise InvalidArgumentError("connectivity needs a non-empty table")
+        ds = [d for d, _ in tab]
+        if any(d2 <= d1 for d1, d2 in zip(ds, ds[1:])):
+            raise InvalidArgumentError("table distances must be strictly increasing")
+        if any(p < 0 or p > 1 for _, p in tab):
+            raise InvalidArgumentError("table probabilities must be in [0, 1]")
+        object.__setattr__(self, "table", tab)
 
     @staticmethod
     def annulus(c1, c2):
-        return ConnectivityFunction(kind="annulus", c1=float(c1), c2=float(c2))
-
-    @staticmethod
-    def from_table(pairs):
-        return ConnectivityFunction(kind="general", table=tuple(pairs))
+        """Probability exactly 1 for c1 <= d <= c2 and 0 elsewhere; the last
+        breakpoint is the float after c2, so d == c2 stays joined."""
+        c1, c2 = float(c1), float(c2)
+        if not (0 < c1 <= c2):
+            raise InvalidArgumentError(f"annulus needs 0 < c1 <= c2, got {c1}, {c2}")
+        return ConnectivityFunction(((0.0, 0.0), (c1, 1.0), (np.nextafter(c2, np.inf), 0.0)))
 
     def probability(self, d):
         d = np.asarray(d, dtype=float)
-        if self.kind == "annulus":
-            return ((d >= self.c1) & (d <= self.c2)).astype(float)
         ds = np.asarray([x for x, _ in self.table])
         ps = np.asarray([p for _, p in self.table])
         idx = np.clip(np.searchsorted(ds, d, side="right") - 1, 0, len(ds) - 1)
@@ -82,8 +68,6 @@ class ConnectivityFunction:
 
     def support_radius(self):
         """Largest distance at which the probability can be positive (inf if unbounded)."""
-        if self.kind == "annulus":
-            return self.c2
         ds = [x for x, _ in self.table]
         ps = [p for _, p in self.table]
         if ps[-1] > 0:
@@ -99,7 +83,6 @@ class EdgeSet:
     """Index pairs (i, j), i < j, into a PointConfiguration."""
 
     edges: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -176,15 +159,14 @@ def _capsule_dist2(x, a, b):
 
 
 def build_rcm_edges(config, g, seed=0):
-    """Edge set of the random connection model under connectivity rule `g`.
-
-    The annulus kind is deterministic (an edge iff c1 <= d <= c2); the general
-    kind draws an independent Bernoulli(g(d)) per pair from `seed`, in sorted
-    pair order.
+    """Edge set of the random connection model under connectivity rule `g`:
+    an independent Bernoulli(g(d)) per pair, drawn from `seed` in sorted pair
+    order.  A pair with g(d) = 1 is always joined and one with g(d) = 0
+    never, so the annulus rule gives exactly the pairs with c1 <= d <= c2.
     """
     n = config.count
     if n < 2:
-        return EdgeSet(edges=np.empty((0, 2), dtype=np.int64), seed=int(seed))
+        return EdgeSet(edges=np.empty((0, 2), dtype=np.int64))
     cutoff = g.support_radius()
     if np.isfinite(cutoff):
         tree = cKDTree(config.points)
@@ -194,15 +176,10 @@ def build_rcm_edges(config, g, seed=0):
         ii, jj = np.triu_indices(n, k=1)
         pairs = np.column_stack([ii, jj])
     if pairs.size == 0:
-        return EdgeSet(edges=np.empty((0, 2), dtype=np.int64), seed=int(seed))
+        return EdgeSet(edges=np.empty((0, 2), dtype=np.int64))
     d = np.linalg.norm(config.points[pairs[:, 0]] - config.points[pairs[:, 1]], axis=1)
-    p = g.probability(d)
-    if g.kind == "annulus":
-        keep = p >= 1.0
-    else:
-        rng = substream(seed, "rcm-edges")
-        keep = rng.random(pairs.shape[0]) < p
-    return EdgeSet(edges=pairs[keep], seed=int(seed))
+    keep = substream(seed, "rcm-edges").random(pairs.shape[0]) < g.probability(d)
+    return EdgeSet(edges=pairs[keep])
 
 
 def build_tubes(config, edges, tube_radius, max_allowed=None):
@@ -276,17 +253,6 @@ def build_balls(config, rule, seed=0):
     else:
         raise InvalidArgumentError(f"unknown radius rule {rule.kind!r}")
     return ObstacleSet(kind="balls", points=config, ball_radii=radii)
-
-
-def rcm_obstacles(config, g, seed=0, tube_radius=None):
-    """Edges plus tubes in one step; the default radius is c1/2 for annulus rules."""
-    edges = build_rcm_edges(config, g, seed)
-    if tube_radius is None:
-        if g.kind != "annulus":
-            raise InvalidArgumentError("tube_radius is required for general connectivity")
-        tube_radius = g.c1 / 2.0
-    max_allowed = g.c1 / 2.0 if g.kind == "annulus" else None
-    return build_tubes(config, edges, tube_radius, max_allowed=max_allowed)
 
 
 def scale_obstacles(obstacles, eps):
@@ -491,6 +457,8 @@ def density_ratio_check(mask, radius, probes, seed):
     """
     if probes < 1:
         raise InvalidArgumentError("need at least one probe")
+    if not radius > 0:
+        raise InvalidArgumentError(f"probe radius must be positive, got {radius}")
     hole_idx = np.argwhere(mask.flags == HOLE)
     n = mask.dim
     cell_vol = mask.dx ** n
@@ -510,8 +478,10 @@ def density_ratio_check(mask, radius, probes, seed):
                         radius=float(radius))
 
 
-def mask_stats(mask, config=None, edges=None):
-    """Summary record used by the geometry CLI output."""
+def mask_stats(mask, obstacles, config):
+    """Summary record used by the geometry CLI output: the mask's cells, the
+    unscaled configuration's points and, for tubes, the graph's edges and
+    components and the overlapping tube pairs."""
     stats = {
         "format_version": MASK_FORMAT_VERSION,
         "dim": mask.dim,
@@ -522,21 +492,13 @@ def mask_stats(mask, config=None, edges=None):
         "hole_cells": mask.hole_count,
         "material_cells": mask.material_count,
         "warnings": list(mask.warnings),
+        "point_count": config.count,
     }
-    if config is not None:
-        stats["point_count"] = config.count
-        if config.count >= 2:
-            stats["min_pairwise_distance"] = min_pairwise_distance(config)
-        if edges is not None:
-            stats["edge_count"] = edges.count
-            stats["component_count"] = len(connected_components(config, edges))
-    return stats
-
-
-def mask_stats_with_overlaps(mask, obstacles, config=None):
-    stats = mask_stats(mask, config,
-                       obstacles.edges if obstacles.kind == "tubes" else None)
+    if config.count >= 2:
+        stats["min_pairwise_distance"] = min_pairwise_distance(config)
     if obstacles.kind == "tubes":
+        stats["edge_count"] = obstacles.edges.count
+        stats["component_count"] = len(connected_components(config, obstacles.edges))
         stats["tube_overlap_pairs"] = tube_overlap_count(obstacles)
     return stats
 
@@ -628,8 +590,8 @@ class GeometryFamily:
     carrying a ball of final radius r0 * eps**radius_exponent.
 
     kind "rcm": same points; pairs at unscaled distance in [c1, c2] are
-    joined and thickened into tubes of radius tube_radius (default c1/2),
-    then the whole set is scaled by eps.
+    joined (the annulus connectivity table) and thickened into tubes of
+    radius `rcm_tube_radius`, then the whole set is scaled by eps.
 
     kind "lattice": deterministic cell-centered lattice of balls at spacing
     lattice_spacing * eps with radius r0 * eps**radius_exponent; replicas
@@ -652,6 +614,11 @@ class GeometryFamily:
         if self.dim not in (2, 3):
             raise InvalidArgumentError("dimension must be 2 or 3")
 
+    @property
+    def rcm_tube_radius(self):
+        """The unscaled tube radius of the rcm kind: `tube_radius`, by default c1/2."""
+        return self.c1 / 2.0 if self.tube_radius is None else self.tube_radius
+
 
 def sample_family(family, eps, seed, domain):
     """One realization of the family at scale eps inside `domain`.
@@ -673,19 +640,14 @@ def sample_family(family, eps, seed, domain):
         pts = np.stack([g.ravel() for g in grids], axis=1)
         config = PointConfiguration(points=pts, box=big_box,
                                     intensity=1.0 / spacing ** family.dim, seed=0)
+    else:
+        config = sample_poisson(big_box, family.intensity, seed)
+    if family.kind == "rcm":
+        edges = build_rcm_edges(config, ConnectivityFunction.annulus(family.c1, family.c2),
+                                seed)
+        obstacles = build_tubes(config, edges, family.rcm_tube_radius,
+                                max_allowed=family.c1 / 2.0)
+    else:
         unscaled_r = family.r0 * eps ** (family.radius_exponent - 1.0)
         obstacles = build_balls(config, BallRadiusRule.fixed(unscaled_r))
-        return scale_obstacles(obstacles, eps), config
-    from .points import sample_poisson
-    config = sample_poisson(big_box, family.intensity, seed)
-    if family.kind == "boolean":
-        if config.count == 0:
-            obstacles = ObstacleSet(kind="balls", points=config,
-                                    ball_radii=np.empty(0))
-        else:
-            unscaled_r = family.r0 * eps ** (family.radius_exponent - 1.0)
-            obstacles = build_balls(config, BallRadiusRule.fixed(unscaled_r))
-        return scale_obstacles(obstacles, eps), config
-    g = ConnectivityFunction.annulus(family.c1, family.c2)
-    obstacles = rcm_obstacles(config, g, seed=seed, tube_radius=family.tube_radius)
     return scale_obstacles(obstacles, eps), config

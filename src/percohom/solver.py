@@ -47,7 +47,6 @@ class SolveReport:
     iterations: int
     final_rel_residual: float
     wall_time: float
-    converged: bool = True
 
 
 @dataclass(frozen=True)

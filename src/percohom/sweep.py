@@ -15,9 +15,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .capacity import (StrangeTermResult, _strange_table,
+from .capacity import (StrangeTermResult, _scale_diagnostics, _strange_table,
                        boolean_capacity_constant, capacity_minimizer_on_window)
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, diagnostics_of
 from .geometry import (Box, GeometryFamily, hole_free_mask, rasterize,
                        sample_family, volume_fraction)
 from .points import empty_cell_frequency
@@ -28,12 +28,6 @@ from .solver import (GridField, as_source, energy_gamma, gradient_energy,
 
 DEFAULT_SOURCE = "-1"
 DEFAULT_REACTION = 1.0
-
-
-def _diagnostics(checks):
-    """The diagnostics dicts of the (violated, field, message) checks."""
-    return [{"field": field, "message": message}
-            for violated, field, message in checks if violated]
 
 
 @dataclass(frozen=True)
@@ -58,23 +52,16 @@ class SweepSpec:
     def validate(self):
         """All violated invariants at once, as diagnostics dicts."""
         eps = [float(e) for e in self.eps_list]
-        hmin = min(self.h_list, default=math.inf)
         sides = self.domain.sides
-        return _diagnostics([
-            (len(eps) < 3, "eps_list", "need at least 3 eps values"),
+        return _scale_diagnostics(eps, self.h_list, self.replicas) + diagnostics_of([
             (any(e <= 0 for e in eps), "eps_list", "eps must be positive"),
             (any(b >= a for a, b in zip(eps, eps[1:])), "eps_list",
              "eps list must be strictly decreasing"),
-            (len(self.h_list) < 2, "h_list", "need at least 2 cube sizes h"),
-            *((not e < hmin / 4.0, "eps_list",
-               f"scale ordering requires eps << h: eps={e} is not < min(h)/4 = "
-               f"{hmin / 4.0}") for e in eps),
             (any(abs(s - sides[0]) > 1e-12 for s in sides), "domain",
              "domain must be a cube"),
             (max(self.h_list, default=0.0) >= min(sides), "h_list",
              "cube sizes must fit inside the domain"),
             (self.reaction < 0, "reaction", "reaction must be >= 0"),
-            (self.replicas < 1, "replicas", "need at least one replica"),
             (self.grid_cells < 4, "grid_cells", "grid too coarse"),
         ])
 
@@ -85,8 +72,7 @@ class SweepSpec:
             if self.family.kind in ("boolean", "lattice"):
                 feature = self.family.r0 * float(e) ** self.family.radius_exponent
             else:
-                tube = self.family.tube_radius or self.family.c1 / 2.0
-                feature = tube * float(e)
+                feature = self.family.rcm_tube_radius * float(e)
             if feature < 2 * dx:
                 warns.append(f"eps={e}: obstacle feature {feature:.3g} spans fewer "
                              f"than 2 cells at dx={dx:.3g}")
@@ -264,7 +250,7 @@ class ErgodicSpec:
 
     def validate(self):
         """All violated invariants at once, as diagnostics dicts."""
-        return _diagnostics([
+        return diagnostics_of([
             (self.functional not in ("local_capacity", "affine_energy"), "functional",
              "functional must be local_capacity or affine_energy"),
             (len(self.t_list) < 1, "t_list", "need at least one cube size"),

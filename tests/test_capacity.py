@@ -339,4 +339,4 @@ def test_boolean_capacity_constant():
 
 def test_capacity_estimate_rejects_negative():
     with pytest.raises(InvalidArgumentError):
-        ph.CapacityEstimate(value=-1.0, dx=0.1, center=(0.5,) * 3, h=0.5)
+        ph.CapacityEstimate(value=-1.0, h=0.5)

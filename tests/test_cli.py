@@ -114,6 +114,41 @@ def test_nonpositive_grid_cells_is_validation_error(tmp_path, capsys, command,
     assert "grid_cells" in {d["field"] for d in json.loads(capsys.readouterr().out)}
 
 
+@pytest.mark.parametrize("command, preset, key, value", [
+    ("density-check", "tubes-2d", "radius", "0"),
+    ("density-check", "tubes-2d", "radius", "-0.1"),
+    ("density-check", "tubes-2d", "probes", "0"),
+    ("capacity", "ball-oracle", "dx_list", "[]"),
+    ("capacity", "ball-oracle", "dx_list", "[0.3]"),
+    ("capacity", "ball-oracle", "dx_list", "[0.1,0]"),
+    ("capacity", "strange-3d", "eps_list", "[0.125,0.0625]"),
+    ("capacity", "strange-3d", "h_list", "[0.75]"),
+    ("capacity", "strange-3d", "replicas", "0"),
+])
+def test_degenerate_values_are_validation_errors(tmp_path, capsys, command, preset,
+                                                 key, value):
+    # a config that validate accepts must not fail in the run
+    args = ("--preset", preset, "--set", f"{key}={value}")
+    assert run_cli("validate", "--command", command, *args) == 0
+    assert key in {d["field"] for d in json.loads(capsys.readouterr().out)}
+    assert run_cli(command, *args, "--out", str(tmp_path / "runs")) == 2
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("source", ["--set", "list", "not-json", "missing"])
+def test_config_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, source):
+    path = tmp_path / "config.json"
+    if source == "--set":
+        args = ("--preset", "rcm-2d-demo", "--set", "family.kind.x=1")
+    else:
+        args = ("--config", str(path))
+        if source != "missing":
+            path.write_text({"list": "[1, 2]", "not-json": '{"family": '}[source])
+    assert run_cli("geometry", *args, "--out", str(tmp_path / "runs")) == 2
+    assert run_cli("validate", "--command", "geometry", *args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, preset", [
     (command, preset) for command, table in PRESETS.items() for preset in table])
 def test_every_preset_validates_clean(command, preset):

@@ -22,12 +22,31 @@ def _config(points, box=None, dim=2):
 # --------------------------------------------------------------- connectivity
 
 def test_annulus_band_membership():
-    g = ph.ConnectivityFunction.annulus(0.2, 0.6)
-    cfg = _config([[0.1, 0.5], [0.1 + 0.4, 0.5]])  # distance (c1+c2)/2
-    edges = ph.build_rcm_edges(cfg, g, seed=0)
-    assert edges.count == 1
+    c1, c2 = 0.2, 0.6
+    g = ph.ConnectivityFunction.annulus(c1, c2)
+    assert g.table == ((0.0, 0.0), (c1, 1.0), (np.nextafter(c2, np.inf), 0.0))
+    # pairs on an axis from the origin: the distance is exactly d, so the
+    # band's ends are joined and one ulp outside either end is not
+    for d, joined in [(0.4, True), (c1, True), (c2, True), (np.nextafter(c1, 0.0), False),
+                      (np.nextafter(c2, np.inf), False), (0.9, False)]:
+        cfg = _config([[0.0, 0.5], [d, 0.5]])
+        assert ph.build_rcm_edges(cfg, g, seed=0).count == int(joined), d
     far = _config([[0.05, 0.05], [0.95, 0.95]])  # distance > c2
     assert ph.build_rcm_edges(far, g, seed=0).count == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_annulus_edges_match_brute_force(dim):
+    c1, c2 = 0.3, 0.8
+    g = ph.ConnectivityFunction.annulus(c1, c2)
+    for seed in range(4):
+        cfg = ph.sample_poisson(ph.Box.cube(3.0, dim), 5.0, substream_seed(17, seed))
+        ii, jj = np.triu_indices(cfg.count, k=1)
+        d = np.linalg.norm(cfg.points[ii] - cfg.points[jj], axis=1)
+        keep = (c1 <= d) & (d <= c2)
+        edges = ph.build_rcm_edges(cfg, g, seed=seed)
+        assert edges.count > 0
+        assert np.array_equal(edges.edges, np.column_stack([ii[keep], jj[keep]]))
 
 
 def test_annulus_edges_seed_independent():
@@ -39,7 +58,7 @@ def test_annulus_edges_seed_independent():
 
 
 def test_general_connectivity_certain_connection():
-    g = ph.ConnectivityFunction.from_table([(10.0, 1.0)])  # g == 1 everywhere near
+    g = ph.ConnectivityFunction(((10.0, 1.0),))  # g == 1 everywhere near
     cfg = ph.sample_poisson(UNIT2, 12.0, 8)
     edges = ph.build_rcm_edges(cfg, g, seed=3)
     n = cfg.count
@@ -48,15 +67,17 @@ def test_general_connectivity_certain_connection():
 
 def test_general_connectivity_table_validation():
     with pytest.raises(InvalidArgumentError):
-        ph.ConnectivityFunction.from_table([(1.0, 0.2), (2.0, 0.5)])  # increasing
+        ph.ConnectivityFunction(((1.0, 1.5),))
     with pytest.raises(InvalidArgumentError):
-        ph.ConnectivityFunction.from_table([(1.0, 1.5)])
+        ph.ConnectivityFunction(((1.0, 0.5), (1.0, 0.0)))  # distances must increase
+    with pytest.raises(InvalidArgumentError):
+        ph.ConnectivityFunction(())
     with pytest.raises(InvalidArgumentError):
         ph.ConnectivityFunction.annulus(0.5, 0.2)
 
 
 def test_general_connectivity_is_seeded_bernoulli():
-    g = ph.ConnectivityFunction.from_table([(0.5, 0.5), (1.5, 0.0)])
+    g = ph.ConnectivityFunction(((0.5, 0.5), (1.5, 0.0)))
     cfg = ph.sample_poisson(UNIT2, 30.0, 4)
     a = ph.build_rcm_edges(cfg, g, seed=7)
     b = ph.build_rcm_edges(cfg, g, seed=7)
@@ -184,7 +205,7 @@ def test_scale_obstacles_identity_and_volume():
 def test_scaled_edges_preserved():
     g = ph.ConnectivityFunction.annulus(0.2, 0.5)
     cfg = ph.sample_poisson(UNIT2, 25.0, 9)
-    obs = ph.rcm_obstacles(cfg, g, seed=9)
+    obs = ph.build_tubes(cfg, ph.build_rcm_edges(cfg, g, seed=9), 0.1)
     scaled = ph.scale_obstacles(obs, 0.25)
     assert np.array_equal(scaled.edges.edges, obs.edges.edges)
 
@@ -341,6 +362,14 @@ def test_density_ratio_whole_domain_and_empty():
     hole_free = ph.hole_free_mask(UNIT2, 1.0 / 64)
     with pytest.raises(DegenerateConfigurationError):
         ph.density_ratio_check(hole_free, radius=0.5, probes=10, seed=0)
+
+
+def test_density_ratio_needs_a_positive_radius():
+    obs = ph.build_balls(_config([[0.5, 0.5]]), ph.BallRadiusRule.fixed(0.2))
+    mask = ph.rasterize(obs, UNIT2, 1.0 / 64)
+    for r in (0.0, -0.1, math.nan):
+        with pytest.raises(InvalidArgumentError):
+            ph.density_ratio_check(mask, radius=r, probes=10, seed=0)
 
 
 def test_density_ratio_flags_concentration():

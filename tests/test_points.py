@@ -7,6 +7,7 @@ from scipy import stats
 
 import percohom as ph
 from percohom.errors import InvalidArgumentError
+from percohom.points import count_in, translate
 from percohom.rng import substream_seed
 
 UNIT2 = ph.Box.unit(2)
@@ -75,7 +76,7 @@ def test_independence_of_disjoint_counts():
     pairs = []
     for i in range(10**4):
         cfg = ph.sample_poisson(UNIT2, 2.0, substream_seed(8, i))
-        pairs.append((ph.count_in(cfg, left), ph.count_in(cfg, right)))
+        pairs.append((count_in(cfg, left), count_in(cfg, right)))
     rho = np.corrcoef(np.asarray(pairs).T)[0, 1]
     assert abs(rho) < 0.05
 
@@ -84,13 +85,13 @@ def test_independence_of_disjoint_counts():
 @settings(max_examples=25, deadline=None)
 def test_translate_identity_and_covariance(seed):
     cfg = ph.sample_poisson(UNIT2, 4.0, seed)
-    same = ph.translate(cfg, (0.0, 0.0))
+    same = translate(cfg, (0.0, 0.0))
     assert np.array_equal(same.points, cfg.points)
     shift = (0.25, -0.5)  # dyadic, so region arithmetic is exact
-    moved = ph.translate(cfg, shift)
+    moved = translate(cfg, shift)
     region = ph.Box((0.25, -0.25), (0.75, 0.25))
     back = ph.Box((0.0, 0.25), (0.5, 0.75))
-    assert ph.count_in(moved, region) == ph.count_in(cfg, back)
+    assert count_in(moved, region) == count_in(cfg, back)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -98,7 +99,7 @@ def test_translate_identity_and_covariance(seed):
 def test_translate_round_trip(seed):
     cfg = ph.sample_poisson(UNIT2, 4.0, seed)
     v = (0.37, 1.21)
-    back = ph.translate(ph.translate(cfg, v), tuple(-x for x in v))
+    back = translate(translate(cfg, v), tuple(-x for x in v))
     assert np.allclose(back.points, cfg.points, atol=1e-12)
     assert np.allclose(back.box.lower, cfg.box.lower, atol=1e-12)
 
@@ -109,14 +110,14 @@ def test_count_additivity_on_halves(seed):
     cfg = ph.sample_poisson(UNIT2, 8.0, seed)
     left = ph.Box((0.0, 0.0), (0.5, 1.0))
     right = ph.Box((0.5, 0.0), (1.0, 1.0))
-    assert ph.count_in(cfg, left) + ph.count_in(cfg, right) == cfg.count
-    assert ph.count_in(cfg, cfg.box) == cfg.count
+    assert count_in(cfg, left) + count_in(cfg, right) == cfg.count
+    assert count_in(cfg, cfg.box) == cfg.count
 
 
 def test_count_in_region_escaping_box():
     cfg = ph.sample_poisson(UNIT2, 1.0, 3)
     with pytest.raises(InvalidArgumentError):
-        ph.count_in(cfg, ph.Box((0.5, 0.5), (1.5, 1.0)))
+        count_in(cfg, ph.Box((0.5, 0.5), (1.5, 1.0)))
 
 
 def test_scale_identity_and_distance_scaling():
