@@ -1,10 +1,7 @@
 """Variational capacity functionals on rasterized obstacle sets.
 
-Three related quadratic minimizations, kept strictly separate:
+Two quadratic minimizations, kept strictly separate:
 
-* `newton_capacity`: the condenser energy of an obstacle held at potential 1
-  inside a grounded outer cube (3D only; the truncation of the whole-space
-  problem).
 * `local_capacity`: the Dirichlet energy of the cheapest field equal to 1 on
   the boundary of a cube and 0 on the obstacle cells inside it.  This is the
   absorption-type functional whose volume density estimates the effective
@@ -13,7 +10,11 @@ Three related quadratic minimizations, kept strictly separate:
   a window, and `strange_term` (the absorption-constant table) and the sweeps
   call it on whole cube masks and partition windows.  The table runs on
   given obstacle realizations, so a sweep measures the capacity of the very
-  realizations it solves on.
+  realizations it solves on.  `newton_capacity`, the condenser energy of an
+  obstacle held at potential 1 inside a grounded outer cube (3D only; the
+  truncation of the whole-space problem), is the same problem: u -> 1 - u
+  maps the condenser potential onto the local-capacity minimizer of the
+  rasterized box with the same face weights, hence the same energy.
 * `penalized_functional` / `conductivity_tensor`: the conduction-type
   functional with affine data (x - z, xi) on the cube boundary, an
   h^(-2-gamma) penalty pinning the field to that affine profile, and
@@ -21,8 +22,9 @@ Three related quadratic minimizations, kept strictly separate:
   the affine profile itself, exactly, so the tensor reduces to h^n times the
   identity.
 
-Each is the solver's face kernel with its own cell roles and data, so every
-reported value is the energy of the computed minimizer.
+Each is the solver's face kernel with its own cell roles and data, solved by
+its `minimize`, so every reported value is the energy of the computed
+minimizer.
 """
 
 import math
@@ -36,8 +38,7 @@ from .errors import (InvalidArgumentError, UnsupportedDimensionError,
 from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, rasterize,
                        sample_family)
 from .rng import substream_seed
-from .solver import (_INSULATING, GridField, SolveReport, _FaceKernel,
-                     cg_solve)
+from .solver import _INSULATING, GridField, SolveReport, _FaceKernel
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,10 @@ class ConductivityTensor:
 # ---------------------------------------------------------------------------
 # Newton capacity (condenser with grounded cubic truncation)
 
-def newton_capacity(obstacles, outer_radius, dx, tol=1e-7, max_iter=None):
+def newton_capacity(obstacles, outer_radius, dx, tol=1e-7):
     """Energy of the equilibrium potential: 1 on the obstacle cells, 0 on the
-    boundary of the cube [-R, R]^3.  Returns (value, SolveReport)."""
+    boundary of the cube [-R, R]^3, computed as the local capacity of the
+    rasterized cube (module docstring).  Returns (value, SolveReport)."""
     if obstacles.dim != 3:
         raise UnsupportedDimensionError(
             "Newton capacity requires dimension 3; the two-dimensional "
@@ -91,18 +93,11 @@ def newton_capacity(obstacles, outer_radius, dx, tol=1e-7, max_iter=None):
     if not electrode.any():
         raise InvalidArgumentError(
             "obstacle covers no cell center at this resolution; refine dx")
-    for axis in range(3):
-        for side in (0, -1):
-            sl = [slice(None)] * 3
-            sl[axis] = side
-            if electrode[tuple(sl)].any():
-                raise InvalidArgumentError("obstacle must be strictly inside the outer box")
-    kernel = _FaceKernel(emask.flags, dx, data=np.pad(electrode.astype(float), 1))
-    if max_iter is None:
-        max_iter = 40 * max(emask.shape)
-    u, report = cg_solve(kernel.apply, kernel.rhs(), tol=tol, max_iter=max_iter,
-                         diag=kernel.diag)
-    return kernel.energy(u), report
+    if np.count_nonzero(electrode[(slice(1, -1),) * 3]) < np.count_nonzero(electrode):
+        raise InvalidArgumentError("obstacle must be strictly inside the outer box")
+    est, _ = capacity_minimizer_on_window(
+        emask, tuple(slice(0, m) for m in emask.shape), tol=tol)
+    return est.value, est.report
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +121,14 @@ def _window(mask, center, h):
     return tuple(slices), tuple(eff_center), m * dx
 
 
-def local_capacity(mask, center, h, tol=1e-8, max_iter=None):
+def local_capacity(mask, center, h, tol=1e-8):
     """Capacity-type energy of the cube of side h at `center`, snapped to
     whole cells; zero iff no obstacle cells intersect the cube."""
     slices, _, _ = _window(mask, center, h)
-    return capacity_minimizer_on_window(mask, slices, tol=tol, max_iter=max_iter)[0]
+    return capacity_minimizer_on_window(mask, slices, tol=tol)[0]
 
 
-def capacity_minimizer_on_window(mask, slices, tol=1e-8, max_iter=None):
+def capacity_minimizer_on_window(mask, slices, tol=1e-8):
     """Local capacity on an explicit index window of the mask.
 
     The window must be a cube in cell counts; returns (CapacityEstimate,
@@ -151,10 +146,7 @@ def capacity_minimizer_on_window(mask, slices, tol=1e-8, max_iter=None):
         return est, np.ones(sub.shape)
     # data 1 on the window faces; exterior cells are half-cell boundary at 0
     kernel = _FaceKernel(sub, dx, data=np.pad(np.zeros(sub.shape), 1, constant_values=1.0))
-    if max_iter is None:
-        max_iter = 40 * max(sub.shape)
-    u, report = cg_solve(kernel.apply, kernel.rhs(), tol=tol, max_iter=max_iter,
-                         diag=kernel.diag)
+    u, report = kernel.minimize(tol=tol)
     vals = np.where(kernel.unknown, u, 0.0)
     value = kernel.energy(vals)
     return CapacityEstimate(value=value, h=eff_h, report=report), vals
@@ -163,7 +155,7 @@ def capacity_minimizer_on_window(mask, slices, tol=1e-8, max_iter=None):
 # ---------------------------------------------------------------------------
 # Conduction-type functional with affine data and penalty
 
-def _affine_cell_problem(mask, window, xi, penalty, tol=1e-10, max_iter=None):
+def _affine_cell_problem(mask, window, xi, penalty, tol=1e-10):
     """Minimize sum_MM (dv/dx)^2 + penalty*|v - l|^2 on the material cells of
     the snapped cube `window` = (slices, center z, side), with
     v = l := (x - z, xi) on the window boundary and no-flux (insulating)
@@ -201,10 +193,7 @@ def _affine_cell_problem(mask, window, xi, penalty, tol=1e-10, max_iter=None):
 
     kernel = _FaceKernel(np.where(free, MATERIAL, _INSULATING), dx,
                          penalty, data=ell, target=ell[(slice(1, -1),) * n])
-    if max_iter is None:
-        max_iter = 40 * max(sub.shape)
-    u, report = cg_solve(kernel.apply, kernel.rhs(), tol=tol, max_iter=max_iter,
-                         diag=kernel.diag)
+    u, _ = kernel.minimize(tol=tol)
     u = np.where(free, u, 0.0)
     return kernel.energy(u), u, kernel
 

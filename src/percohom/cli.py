@@ -180,8 +180,12 @@ def validate_config(command, config):
             diags.extend(_spec(spec_class, values).validate())
         except InvalidArgumentError as exc:  # a degenerate domain
             return [{"field": command, "message": str(exc)}]
+    if "family" in values:
+        diags.extend({**d, "field": "family." + d["field"]}
+                     for d in values["family"].validate())
     checks = [("grid_cells" in values and values["grid_cells"] < 1, "grid_cells",
-               "grid_cells must be positive")]
+               "grid_cells must be positive"),
+              ("eps" in values and not values["eps"] > 0, "eps", "eps must be positive")]
     if mode == "newton-ladder":
         side = 2 * values["outer_radius"]
         checks.append((not values["dx_list"], "dx_list", "dx_list must not be empty"))

@@ -13,13 +13,15 @@ seed.  The number of overlapping tube pairs, a diagnostic, is always
 reported; a k-d tree on the segment midpoints picks the candidate pairs.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateConfigurationError, InvalidArgumentError
+from .errors import (DegenerateConfigurationError, InvalidArgumentError,
+                     diagnostics_of)
 from .points import Box, PointConfiguration, sample_poisson, scale as scale_points
 from .rng import substream
 
@@ -613,6 +615,20 @@ class GeometryFamily:
             raise InvalidArgumentError(f"unknown family kind {self.kind!r}")
         if self.dim not in (2, 3):
             raise InvalidArgumentError("dimension must be 2 or 3")
+
+    def validate(self):
+        """All violated parameter ranges at once, as diagnostics dicts."""
+        return diagnostics_of([
+            (not (math.isfinite(self.intensity) and self.intensity >= 0), "intensity",
+             "intensity must be finite and >= 0"),
+            (not self.r0 > 0, "r0", "r0 must be positive"),
+            (not self.c1 > 0, "c1", "annulus needs 0 < c1 <= c2"),
+            (not self.c1 <= self.c2, "c2", "annulus needs 0 < c1 <= c2"),
+            (self.tube_radius is not None and not self.tube_radius > 0, "tube_radius",
+             "tube_radius must be positive or null"),
+            (not self.lattice_spacing > 0, "lattice_spacing",
+             "lattice_spacing must be positive"),
+        ])
 
     @property
     def rcm_tube_radius(self):

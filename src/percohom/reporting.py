@@ -11,7 +11,7 @@ import datetime
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 TOOL_VERSION = "0.1.0"
 RECORD_FORMAT_VERSION = 1
@@ -73,17 +73,7 @@ class RunRecord:
         self.finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     def to_dict(self):
-        return {
-            "format_version": RECORD_FORMAT_VERSION,
-            "command": self.command,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "input_hash": self.input_hash,
-            "started": self.started,
-            "finished": self.finished,
-            "tool_version": self.tool_version,
-            "outputs": self.outputs,
-        }
+        return {"format_version": RECORD_FORMAT_VERSION, **asdict(self)}
 
 
 def output_directory(base, command, config, seed):

@@ -23,7 +23,9 @@ the weights give one discrete energy
 and the operator, its Jacobi diagonal and the right-hand side are exactly
 its Euler-Lagrange system, so every computed solution is the minimizer of E
 over the unknown cells, up to the CG tolerance.  `_FaceKernel` holds this
-form; every apply, diagonal, right-hand side and energy goes through it.
+form; every apply, diagonal, right-hand side and energy goes through it, and
+`_FaceKernel.minimize` is the one solve path: every Dirichlet solve here and
+every capacity and conduction problem in `capacity` calls it.
 
 The sign convention is  lap(u) - reaction*u = f  with reaction >= 0; the
 assembled SPD system is  (-lap_h + reaction) u = -f, and the Dirichlet
@@ -170,6 +172,13 @@ class _FaceKernel:
             b = b + _neighbour_sum(self.data, self.weights)[self.inner] / self.dx ** 2
         return np.where(self.unknown, b, 0.0)
 
+    def minimize(self, b=None, *, tol, max_iter=None):
+        """The minimizer of the energy over the unknown cells: Jacobi-CG on
+        this system with right-hand side `b`, by default `rhs()`.  Returns
+        (solution, SolveReport)."""
+        return cg_solve(self.apply, self.rhs() if b is None else b, tol=tol,
+                        max_iter=max_iter, diag=self.diag)
+
     def energy(self, u, other=None, v=None):
         """Symmetric bilinear energy of u, with this kernel's data, against v,
         with the data of `other` (same roles and reaction); energy(u) is the
@@ -205,13 +214,14 @@ def operator_diagonal(mask, reaction):
     return _FaceKernel(mask.flags, mask.dx, reaction).diag
 
 
-def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, x0=None):
+def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None):
     """Preconditioned conjugate gradients with a fixed summation order.
 
     All reductions go through np.sum (pairwise, single-threaded), so the
     iteration path and result are bit-stable across thread counts.  Returns
     (solution, SolveReport); raises SolverFailureError with the residual
-    history on non-convergence.
+    history on non-convergence.  The iteration starts from zero, and at most
+    20 * max(b.shape) iterations are made unless `max_iter` says otherwise.
     """
     t0 = time.perf_counter()
     b_norm = np.sqrt(np.sum(b * b))
@@ -219,8 +229,8 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, x0=None):
         return np.zeros_like(b), SolveReport(0, 0.0, time.perf_counter() - t0)
     if max_iter is None:
         max_iter = 20 * max(b.shape)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - apply_op(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     z = r / diag if diag is not None else r
     p = z.copy()
     rz = np.sum(r * z)
@@ -250,11 +260,7 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, x0=None):
 
 
 def as_source(f, mask):
-    """Accept a GridField, an expression string, a scalar, or a full array."""
-    if isinstance(f, GridField):
-        if not f.mask.same_grid(mask):
-            raise InvalidArgumentError("source field lives on a different grid")
-        return f.values
+    """Accept an expression string, a scalar, or a full array."""
     if isinstance(f, str):
         return evaluate_on_mask(f, mask)
     arr = np.asarray(f, dtype=float)
@@ -273,14 +279,12 @@ def solve_dirichlet_perforated(mask, reaction, f, tol=1e-8, max_iter=None):
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
     kernel = _FaceKernel(mask.flags, mask.dx, reaction)
-    b = np.where(kernel.unknown, -as_source(f, mask), 0.0)
-    if max_iter is None:
-        max_iter = 20 * max(mask.shape)
-    x, report = cg_solve(kernel.apply, b, tol=tol, max_iter=max_iter, diag=kernel.diag)
+    x, report = kernel.minimize(np.where(kernel.unknown, -as_source(f, mask), 0.0),
+                                tol=tol, max_iter=max_iter)
     return GridField(mask, x), report
 
 
-def solve_homogenized(domain, reaction, strange_c, f, dx, tol=1e-8, max_iter=None):
+def solve_homogenized(domain, reaction, strange_c, f, dx, tol=1e-8):
     """Solve lap(u) - (reaction + c) u = f on the unperforated grid.
 
     Deliberately routed through the perforated solver on a hole-free mask so
@@ -289,17 +293,11 @@ def solve_homogenized(domain, reaction, strange_c, f, dx, tol=1e-8, max_iter=Non
     if strange_c < 0:
         raise InvalidArgumentError("the effective absorption constant must be >= 0")
     mask = hole_free_mask(domain, dx)
-    return solve_dirichlet_perforated(mask, reaction + strange_c, f,
-                                      tol=tol, max_iter=max_iter)
-
-
-def _interior_volume(mask):
-    return mask.flags != EXTERIOR
+    return solve_dirichlet_perforated(mask, reaction + strange_c, f, tol=tol)
 
 
 def l2_norm(u):
-    v = np.where(_interior_volume(u.mask), u.values, 0.0)
-    return float(np.sqrt(np.sum(v * v) * u.mask.dx ** u.mask.dim))
+    return float(np.sqrt(np.sum(u.values * u.values) * u.mask.dx ** u.mask.dim))
 
 
 def l2_distance(u, v):
@@ -307,7 +305,6 @@ def l2_distance(u, v):
     if not u.mask.same_grid(v.mask):
         raise InvalidArgumentError("fields live on different grids")
     d = u.values - v.values
-    d = np.where(_interior_volume(u.mask), d, 0.0)
     return float(np.sqrt(np.sum(d * d) * u.mask.dx ** u.mask.dim))
 
 
@@ -323,7 +320,7 @@ def energy_gamma(u, reaction, f):
     mask = u.mask
     source = as_source(f, mask)
     vol = mask.dx ** mask.dim
-    fu = float(np.sum(np.where(_interior_volume(mask), source * u.values, 0.0)) * vol)
+    fu = float(np.sum(source * u.values) * vol)
     return _FaceKernel(mask.flags, mask.dx, reaction).energy(u.values) + 2.0 * fu
 
 

@@ -416,14 +416,8 @@ def build_corrector(w_field, partition, minimizers, mask, reaction, strange_c, f
         acc[part.slices] += w_vals[part.slices] * vals * part.weights
     corrector = GridField(mask, np.where(mask.material, acc, 0.0))
     gamma_eps = energy_gamma(corrector, reaction, f)
-    flat = hole_free_mask(mask.domain, mask.dx)
-    w_flat = GridField(flat, np.asarray(w_vals))
-    f_arr = as_source(f, flat)
-    vol = flat.dx ** flat.dim
-    gamma_bar = (gradient_energy(w_flat)
-                 + (reaction + strange_c) * l2_norm(w_flat) ** 2
-                 + 2.0 * float(np.sum(f_arr * w_flat.values) * vol))
-    return corrector, gamma_eps - gamma_bar
+    w_flat = GridField(hole_free_mask(mask.domain, mask.dx), np.asarray(w_vals))
+    return corrector, gamma_eps - energy_gamma(w_flat, reaction + strange_c, f)
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +436,15 @@ class AuditResult:
 
 def uniform_bound_audit(solutions, f_norm, friedrichs_c, tolerance=1e-10):
     """Check the chain  ||grad u|| <= 2 C ||f||,  ||u|| <= 2 C^2 ||f||, and
-    the combined ceiling on the H1 norm, across an eps sweep.
-
-    `solutions` holds GridFields or precomputed (h1, l2, grad) triples.
+    the combined ceiling on the H1 norm, across an eps sweep of GridFields.
     """
     if len(solutions) < 1:
         raise InvalidArgumentError("nothing to audit")
     triples = []
     for s in solutions:
-        if isinstance(s, GridField):
-            g = math.sqrt(gradient_energy(s))
-            l2 = l2_norm(s)
-            triples.append((math.sqrt(l2 ** 2 + g ** 2), l2, g))
-        else:
-            triples.append(tuple(float(x) for x in s))
+        g = math.sqrt(gradient_energy(s))
+        l2 = l2_norm(s)
+        triples.append((math.sqrt(l2 ** 2 + g ** 2), l2, g))
     max_h1 = max(t[0] for t in triples)
     max_l2 = max(t[1] for t in triples)
     max_grad = max(t[2] for t in triples)

@@ -261,7 +261,8 @@ def test_criterion_08_uniform_h1_bound(rcm_sweep_2d):
         mask = ph.rasterize(obs, UNIT2, rcm_sweep_2d.spec.dx())
         u, _ = ph.solve_dirichlet_perforated(mask, 1.0, "-1")
         sols.append(u)
-    c_d = ph.friedrichs_constant(UNIT2, 1.0 / 64)
+    # the constant of the grid the fields live on
+    c_d = ph.friedrichs_constant(UNIT2, rcm_sweep_2d.spec.dx())
     audit = ph.uniform_bound_audit(sols, f_norm=1.0, friedrichs_c=c_d)
     ok = growth_ok and audit.passed
     report(8, ok, f"max H1 {max_h1:.4f} <= 1.5 x eps=1/8 value {base:.4f}; "

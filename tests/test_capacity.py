@@ -6,7 +6,9 @@ import pytest
 import percohom as ph
 from percohom.capacity import capacity_minimizer_on_window
 from percohom.errors import InvalidArgumentError, UnsupportedDimensionError
+from percohom.geometry import HOLE
 from percohom.rng import substream, substream_seed
+from percohom.solver import _FaceKernel, cg_solve
 
 UNIT3 = ph.Box.unit(3)
 
@@ -77,14 +79,18 @@ def test_local_capacity_hole_free_is_zero():
 
 
 def test_local_capacity_complementary_to_newton():
-    # boundary-1/obstacle-0 is the 1-v flip of obstacle-1/boundary-0, so the
-    # two independent kernels must produce the same energy
+    # newton_capacity is the local capacity (boundary 1, obstacle 0) of its
+    # box; the oracle solves the condenser itself (obstacle 1, boundary 0),
+    # the 1-v flip with the same face weights, so the energies must agree
     obs = ball_at((0.0,) * 3, 0.1, 0.5)
     cap_n, _ = ph.newton_capacity(obs, 0.5, 1.0 / 48)
     domain = ph.Box.cube(1.0, 3, origin=(-0.5,) * 3)
     mask = ph.rasterize(obs, domain, 1.0 / 48)
-    est = ph.local_capacity(mask, (0.0,) * 3, 1.0)
-    assert abs(cap_n - est.value) / cap_n < 1e-10
+    electrode = mask.flags == HOLE
+    kernel = _FaceKernel(mask.flags, mask.dx, data=np.pad(electrode.astype(float), 1))
+    u, _ = cg_solve(kernel.apply, kernel.rhs(), tol=1e-7, diag=kernel.diag)
+    oracle = kernel.energy(u)
+    assert abs(cap_n - oracle) / oracle < 1e-10
 
 
 def test_local_capacity_monotone_under_inclusion():

@@ -124,6 +124,15 @@ def test_nonpositive_grid_cells_is_validation_error(tmp_path, capsys, command,
     ("capacity", "strange-3d", "eps_list", "[0.125,0.0625]"),
     ("capacity", "strange-3d", "h_list", "[0.75]"),
     ("capacity", "strange-3d", "replicas", "0"),
+    ("capacity", "conductivity-2d", "eps", "0"),
+    ("geometry", "rcm-2d-demo", "eps", "0"),
+    ("density-check", "tubes-2d", "eps", "-0.5"),
+    ("geometry", "rcm-2d-demo", "family.tube_radius", "0"),
+    ("geometry", "rcm-2d-demo", "family.intensity", "-1"),
+    ("geometry", "boolean-3d-demo", "family.r0", "0"),
+    ("solve", "perforated-2d", "family.c1", "0"),
+    ("sweep", "rcm-2d", "family.c2", "0.1"),
+    ("ergodic", "periodic-2d", "family.lattice_spacing", "0"),
 ])
 def test_degenerate_values_are_validation_errors(tmp_path, capsys, command, preset,
                                                  key, value):

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 import percohom as ph
-from percohom import capacity
+from percohom import capacity, solver
 from percohom.errors import InvalidArgumentError, SolverFailureError
 from percohom.expressions import parse_expression
 from percohom.geometry import EXTERIOR, HOLE, MATERIAL
@@ -118,7 +118,8 @@ def test_gamma_trivia_and_minimizer_inequalities():
 
 
 def _capture_kernel_solves(monkeypatch):
-    """Record (kernel, solution) of every CG solve made by the capacity code."""
+    """Record (kernel, solution) of every CG solve, all of which go through
+    the face kernel's `minimize`."""
     solves = []
 
     def recording_cg(apply_op, b, **kwargs):
@@ -126,7 +127,7 @@ def _capture_kernel_solves(monkeypatch):
         solves.append((apply_op.__self__, x))
         return x, report
 
-    monkeypatch.setattr(capacity, "cg_solve", recording_cg)
+    monkeypatch.setattr(solver, "cg_solve", recording_cg)
     return solves
 
 

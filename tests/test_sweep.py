@@ -245,9 +245,8 @@ def test_corrector_vanishes_on_holes_and_bounds_the_minimizer():
 # ------------------------------------------------------------- bound audit
 
 def test_uniform_bound_audit_trivial_and_sweep():
-    c_d = ph.friedrichs_constant(UNIT2, 1.0 / 64)
     zero = ph.GridField.zeros(ph.hole_free_mask(UNIT2, 1.0 / 64))
-    assert ph.uniform_bound_audit([zero], 0.0, c_d).passed
+    assert ph.uniform_bound_audit([zero], 0.0, ph.friedrichs_constant(UNIT2, 1.0 / 64)).passed
     sols = []
     for eps in (0.125, 0.0625, 0.03125):
         fam = ph.GeometryFamily(kind="rcm", dim=2, intensity=1.0, c1=0.5, c2=1.0)
@@ -255,7 +254,9 @@ def test_uniform_bound_audit_trivial_and_sweep():
         mask = ph.rasterize(obs, UNIT2, 1.0 / 128)
         u, _ = ph.solve_dirichlet_perforated(mask, 1.0, "-1")
         sols.append(u)
-    audit = ph.uniform_bound_audit(sols, f_norm=1.0, friedrichs_c=c_d)
+    # the constant of the grid the fields live on
+    audit = ph.uniform_bound_audit(sols, f_norm=1.0,
+                                   friedrichs_c=ph.friedrichs_constant(UNIT2, 1.0 / 128))
     assert audit.passed
     assert audit.max_h1 <= audit.ceiling_h1
 
