@@ -30,7 +30,11 @@ def main():
     for n in args.cells:
         dx = 2 * R / n
         t0 = time.perf_counter()
-        cap, rep = ph.newton_capacity(ball, R, dx, tol=1e-7)
+        try:
+            cap, rep = ph.newton_capacity(ball, R, dx, tol=1e-7)
+        except ph.InvalidArgumentError as exc:  # e.g. the ball covers no cell center
+            print(f"{n:>6} {dx:>12.6f} unresolved: {exc}")
+            continue
         dt = time.perf_counter() - t0
         print(f"{n:>6} {dx:>12.6f} {cap:>12.6f} {(cap - exact) / exact:>+10.2%} "
               f"{rep.iterations:>6} {dt:>6.1f}")

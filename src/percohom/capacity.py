@@ -103,28 +103,28 @@ def newton_capacity(obstacles, outer_radius, dx, tol=1e-7):
 # ---------------------------------------------------------------------------
 # Local capacity on a cube window of a mask
 
-def _window(mask, center, h):
-    """Snap the cube of side h at `center` to whole cells; returns
-    (slices, effective center, effective side)."""
-    dx = mask.dx
+def _window(lower, shape, dx, center, h):
+    """Snap the cube of side h at `center` to whole cells of the grid of
+    `shape` cells of side dx from `lower`; returns (slices, effective
+    center, effective side)."""
     m = int(round(h / dx))
     if m < 1:
         raise InvalidArgumentError(f"cube side {h} is below one cell")
     slices = []
     eff_center = []
-    for d in range(mask.dim):
-        i0 = int(round((center[d] - h / 2.0 - mask.domain.lower[d]) / dx))
-        if i0 < 0 or i0 + m > mask.shape[d]:
+    for d in range(len(shape)):
+        i0 = int(round((center[d] - h / 2.0 - lower[d]) / dx))
+        if i0 < 0 or i0 + m > shape[d]:
             raise InvalidArgumentError("cube must lie inside the mask domain")
         slices.append(slice(i0, i0 + m))
-        eff_center.append(mask.domain.lower[d] + (i0 + m / 2.0) * dx)
+        eff_center.append(lower[d] + (i0 + m / 2.0) * dx)
     return tuple(slices), tuple(eff_center), m * dx
 
 
 def local_capacity(mask, center, h, tol=1e-8):
     """Capacity-type energy of the cube of side h at `center`, snapped to
     whole cells; zero iff no obstacle cells intersect the cube."""
-    slices, _, _ = _window(mask, center, h)
+    slices, _, _ = _window(mask.domain.lower, mask.shape, mask.dx, center, h)
     return capacity_minimizer_on_window(mask, slices, tol=tol)[0]
 
 
@@ -202,7 +202,7 @@ def _penalized_window(mask, z, h, gamma):
     """The snapped cube window and its penalty h^(-2-gamma), gamma in (0, 2)."""
     if not (0.0 < gamma < 2.0):
         raise InvalidArgumentError(f"penalty exponent must be in (0, 2), got {gamma}")
-    window = _window(mask, z, h)
+    window = _window(mask.domain.lower, mask.shape, mask.dx, z, h)
     return window, window[2] ** (-2.0 - gamma)
 
 
@@ -235,7 +235,8 @@ def conductivity_tensor(mask, z, h, gamma, tol=1e-10):
 def affine_dirichlet_energy(mask, z, h, xi, tol=1e-10):
     """Minimum Dirichlet energy with affine data (x - z, xi) on the cube
     boundary and insulating obstacles; the penalty-free conduction value."""
-    return _affine_cell_problem(mask, _window(mask, z, h), xi, 0.0, tol=tol)[0]
+    window = _window(mask.domain.lower, mask.shape, mask.dx, z, h)
+    return _affine_cell_problem(mask, window, xi, 0.0, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +280,16 @@ def _scale_diagnostics(eps_list, h_list, replicas):
     ])
 
 
+def _cube_diagnostics(domain, center, h_list):
+    """The cubes of side h at `center` that escape the domain, as
+    diagnostics dicts."""
+    return diagnostics_of([
+        (any(c - h / 2.0 < lo - 1e-12 or c + h / 2.0 > hi + 1e-12
+             for c, lo, hi in zip(center, domain.lower, domain.upper)),
+         "h_list", f"capacity cube of side {h} escapes the domain")
+        for h in h_list])
+
+
 def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
                  cells_per_h=32, center=None, limsup_bound=None, tol=1e-8):
     """Table of local capacity densities cap(x, h, eps) / h^n and the
@@ -295,12 +306,9 @@ def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
         raise InvalidArgumentError("; ".join(d["message"] for d in diags))
     if center is None:
         center = tuple(0.5 * (lo + hi) for lo, hi in zip(domain.lower, domain.upper))
-    for h in h_list:
-        half = h / 2.0
-        for d in range(domain.dim):
-            if center[d] - half < domain.lower[d] - 1e-12 or \
-               center[d] + half > domain.upper[d] + 1e-12:
-                raise InvalidArgumentError("capacity cube escapes the domain")
+    diags = _cube_diagnostics(domain, center, h_list)
+    if diags:
+        raise InvalidArgumentError("; ".join(d["message"] for d in diags))
     realizations = []
     for ie, eps in enumerate(eps_list):
         for k in range(replicas):

@@ -18,7 +18,8 @@ from dataclasses import MISSING, asdict, fields, is_dataclass
 import numpy as np
 
 from . import presets
-from .capacity import (_scale_diagnostics, conductivity_tensor, newton_capacity,
+from .capacity import (_cube_diagnostics, _scale_diagnostics, _window,
+                       conductivity_tensor, newton_capacity,
                        strange_term)
 from .errors import (ConfigError, DegenerateConfigurationError,
                      InvalidArgumentError, SolverFailureError,
@@ -185,7 +186,9 @@ def validate_config(command, config):
                      for d in values["family"].validate())
     checks = [("grid_cells" in values and values["grid_cells"] < 1, "grid_cells",
                "grid_cells must be positive"),
-              ("eps" in values and not values["eps"] > 0, "eps", "eps must be positive")]
+              ("eps" in values and not values["eps"] > 0, "eps", "eps must be positive"),
+              ("domain_side" in values and not values["domain_side"] > 0, "domain_side",
+               "domain_side must be positive")]
     if mode == "newton-ladder":
         side = 2 * values["outer_radius"]
         checks.append((not values["dx_list"], "dx_list", "dx_list must not be empty"))
@@ -197,9 +200,21 @@ def validate_config(command, config):
                        "the absorption-constant pipeline requires dimension 3"))
         diags.extend(_scale_diagnostics(values["eps_list"], values["h_list"],
                                         values["replicas"]))
+        side = values["domain_side"]
+        if side > 0:
+            diags.extend(_cube_diagnostics(Box.cube(side, 3), (0.5 * side,) * 3,
+                                           values["h_list"]))
     elif mode == "conductivity":
         checks.append((not 0.0 < values["gamma"] < 2.0, "gamma",
                        f"penalty exponent must be in (0, 2), got {values['gamma']}"))
+        side, n, dim, h = (values["domain_side"], values["grid_cells"],
+                           values["family"].dim, values["h"])
+        checks.append((not math.isfinite(h), "h", "h must be finite"))
+        if n >= 1 and side > 0 and math.isfinite(h):
+            try:  # the run's window: the cube of side h at the domain center
+                _window((0.0,) * dim, (n,) * dim, side / n, (0.5 * side,) * dim, h)
+            except InvalidArgumentError as exc:
+                diags.append({"field": "h", "message": str(exc)})
     if command == "density-check":
         checks.append((not values["radius"] > 0, "radius", "radius must be positive"))
         checks.append((values["probes"] < 1, "probes", "need at least one probe"))

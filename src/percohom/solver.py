@@ -27,6 +27,20 @@ form; every apply, diagonal, right-hand side and energy goes through it, and
 `_FaceKernel.minimize` is the one solve path: every Dirichlet solve here and
 every capacity and conduction problem in `capacity` calls it.
 
+`minimize` runs conjugate gradients preconditioned by one multigrid V-cycle
+(aggregation multigrid: Vanek, Mandel & Brezina 1996; Notay 2010).  The
+hierarchy is built from the kernel's own face weights, matrix-free: each
+coarse cell aggregates a 2^d block of cells (an odd axis gets a decoupled
+cell), and the Galerkin operator P^T A P of this piecewise-constant P is
+again face weights, the sums of the fine weights across each aggregate
+boundary, plus a sink, the sum of the rest of the diagonal.  Coarsening runs
+down to a single cell, whose solve is a division.  One damped-Jacobi sweep
+before and after the coarse correction keeps the preconditioner symmetric
+positive definite.  There is no BLAS call and every reduction is np.sum, so
+solutions are byte-identical at any thread count.  The iteration count
+grows slowly with the grid (21/30/44 on 32^2/64^2/128^2, against Jacobi's
+95/193/392).
+
 The sign convention is  lap(u) - reaction*u = f  with reaction >= 0; the
 assembled SPD system is  (-lap_h + reaction) u = -f, and the Dirichlet
 energy is  gamma(u) = E(u) + 2<f, u>.
@@ -35,7 +49,7 @@ energy is  gamma(u) = E(u) + 2<f, u>.
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -98,6 +112,7 @@ _FACE_WEIGHT = np.array([[1, 1, 2, 0],    # MATERIAL
                         dtype=np.uint8)
 
 
+@cache  # called on every operator apply
 def _faces(ndim):
     """Per axis, the index pair (lo, hi) selecting the two cells of every face
     along that axis."""
@@ -105,18 +120,32 @@ def _faces(ndim):
              (slice(None),) * axis + (slice(1, None),)) for axis in range(ndim)]
 
 
-def _neighbour_sum(v, weights=None):
+def _neighbour_sum(v, weights):
     """Sum over the faces of every cell of w * (the value across the face),
-    nothing past the array edge; w = 1, or weights[axis] along each axis."""
+    w = weights[axis] along each axis, nothing past the array edge."""
     out = np.zeros_like(v)
     for axis, (lo, hi) in enumerate(_faces(v.ndim)):
-        if weights is None:
-            out[lo] += v[hi]
-            out[hi] += v[lo]
-        else:
-            out[lo] += weights[axis] * v[hi]
-            out[hi] += weights[axis] * v[lo]
+        out[lo] += weights[axis] * v[hi]
+        out[hi] += weights[axis] * v[lo]
     return out
+
+
+def _subtract_neighbours(out, u):
+    """out -= the sum of the neighbours of every cell in u, nothing past the
+    array edge; `out` is C-contiguous.  Along each axis the neighbour is one
+    shift of the flattened arrays, which runs at the speed of a contiguous
+    copy even on the last axis; the shift wraps onto the cells at the far
+    edge of the axis, which are saved before and restored after, so the
+    result is bitwise that of the sliced differences."""
+    flat_out, flat_u = out.reshape(-1), u.reshape(-1)
+    for axis in range(u.ndim):
+        step = math.prod(u.shape[axis + 1:])
+        for edge, dst, src in ((-1, slice(None, -step), slice(step, None)),
+                               (0, slice(step, None), slice(None, -step))):
+            far = (slice(None),) * axis + (edge,)
+            keep = out[far].copy()
+            flat_out[dst] -= flat_u[src]
+            out[far] = keep
 
 
 class _FaceKernel:
@@ -158,10 +187,13 @@ class _FaceKernel:
         """diag*u - (sum of the neighbours)/dx^2 on the unknown cells.  Every
         face between two unknown cells has weight 1, and u vanishes off the
         unknown cells (as every CG iterate does), so zero-filled neighbours
-        serve absorbing and insulating holes alike."""
-        out = _neighbour_sum(u)
-        out *= -1.0 / self.dx ** 2
-        out += self.diag * u
+        serve absorbing and insulating holes alike.  Computed in place as
+        (diag*u*dx^2 - neighbours)/dx^2, with no zero-filled temporary."""
+        out = np.empty(u.shape)
+        np.multiply(self.diag, u, out=out)
+        out *= self.dx ** 2
+        _subtract_neighbours(out, u)
+        out *= 1.0 / self.dx ** 2
         out *= self.unknown
         return out
 
@@ -173,11 +205,12 @@ class _FaceKernel:
         return np.where(self.unknown, b, 0.0)
 
     def minimize(self, b=None, *, tol, max_iter=None):
-        """The minimizer of the energy over the unknown cells: Jacobi-CG on
-        this system with right-hand side `b`, by default `rhs()`.  Returns
-        (solution, SolveReport)."""
+        """The minimizer of the energy over the unknown cells: CG on this
+        system with right-hand side `b`, by default `rhs()`, preconditioned
+        by one multigrid V-cycle on the kernel's aggregation hierarchy
+        (`_vcycle`).  Returns (solution, SolveReport)."""
         return cg_solve(self.apply, self.rhs() if b is None else b, tol=tol,
-                        max_iter=max_iter, diag=self.diag)
+                        max_iter=max_iter, precondition=self._precondition)
 
     def energy(self, u, other=None, v=None):
         """Symmetric bilinear energy of u, with this kernel's data, against v,
@@ -204,6 +237,111 @@ class _FaceKernel:
             values += self.data
         return values
 
+    def _precondition(self, r):
+        return _vcycle([self, *self._coarse_levels], r)
+
+    @cached_property
+    def _coarse_levels(self):
+        """The multigrid hierarchy below this kernel: the Galerkin levels of
+        piecewise-constant 2^d aggregation, down to a single cell.  The face
+        weights between unknown cells are 1/dx^2; the rest of the diagonal
+        (faces to holes and boundary, the reaction) is a sink."""
+        u = self.unknown
+        # unknown-unknown faces as 0/1 counts, summed into coarse faces
+        # before they are scaled, so no float weight array of this size is made
+        weights = [(u[lo] & u[hi]).view(np.uint8) for lo, hi in _faces(u.ndim)]
+        unknown_faces = _neighbour_sum(np.ones(u.shape, np.uint8), weights)
+        sink = np.where(u, self.diag - unknown_faces / self.dx ** 2, 0.0)
+        levels = []
+        while sink.size > 1:
+            weights, sink = _coarsen(weights, sink)
+            if not levels:
+                weights = [w / self.dx ** 2 for w in weights]
+            levels.append(_Level(weights, sink))
+        return levels
+
+
+# Damping of the multigrid's Jacobi sweeps.  D^-1 A has its spectrum in
+# (0, 2) on these weakly diagonally dominant systems, so any weight below 1
+# makes each sweep an energy-norm contraction and the V-cycle SPD.
+_JACOBI_WEIGHT = 0.8
+
+
+def _pair_sum(a, axes):
+    """Sum of each pair of neighbouring cells along each of `axes`; a last,
+    unpaired cell of an odd axis stays alone (paired with a decoupled cell)."""
+    for axis in axes:
+        n = a.shape[axis]
+        pairs = (a[(slice(None),) * axis + (slice(0, n - 1, 2),)]
+                 + a[(slice(None),) * axis + (slice(1, None, 2),)])
+        a = pairs if n % 2 == 0 else np.concatenate(
+            (pairs, a[(slice(None),) * axis + (slice(n - 1, None),)]), axis=axis)
+    return a
+
+
+def _coarse_axes(shape):
+    return [axis for axis, n in enumerate(shape) if n > 1]
+
+
+def _coarsen(weights, sink):
+    """The Galerkin level P^T A P of aggregating each 2^d block of cells,
+    with A given by face weights and a sink: the weights of the faces
+    between two neighbouring aggregates add up, and so do the sinks."""
+    axes = _coarse_axes(sink.shape)
+    coarse = []
+    for axis, w in enumerate(weights):
+        if axis in axes:  # the faces across aggregate boundaries
+            w = w[(slice(None),) * axis + (slice(1, None, 2),)]
+        coarse.append(_pair_sum(w, [a for a in axes if a != axis]))
+    return coarse, _pair_sum(sink, axes)
+
+
+class _Level:
+    """A coarse level: the operator diag*u - sum_faces w*(neighbour), on
+    cells that aggregate unknowns; every other cell is decoupled, with
+    diagonal 1 and values that stay 0."""
+
+    def __init__(self, weights, sink):
+        self.weights = weights
+        diag = _neighbour_sum(np.ones(sink.shape), weights) + sink
+        self.unknown = diag > 0
+        self.diag = np.where(self.unknown, diag, 1.0)
+
+    def apply(self, u):
+        out = self.diag * u
+        for w, (lo, hi) in zip(self.weights, _faces(u.ndim)):
+            out[lo] -= w * u[hi]
+            out[hi] -= w * u[lo]
+        return out
+
+
+def _vcycle(levels, r, k=0):
+    """One V-cycle for levels[k] x = r: a damped-Jacobi sweep, the coarse
+    correction of the aggregated residual, and the same sweep again; exact
+    on the single-cell coarsest level.  Symmetric, with the same sweep on
+    both sides, and positive definite (_JACOBI_WEIGHT)."""
+    level = levels[k]
+    x = r / level.diag
+    if k == len(levels) - 1:
+        return x
+    x *= _JACOBI_WEIGHT
+    res = level.apply(x)
+    np.subtract(r, res, out=res)
+    axes = _coarse_axes(r.shape)
+    e = _vcycle(levels, _pair_sum(res, axes), k + 1)
+    del res
+    for axis in axes:
+        e = np.repeat(e, 2, axis=axis)
+    x += e[tuple(slice(0, n) for n in r.shape)]
+    del e
+    x *= level.unknown  # x was 0 off the unknowns
+    res = level.apply(x)
+    np.subtract(r, res, out=res)
+    res /= level.diag
+    res *= _JACOBI_WEIGHT
+    x += res
+    return x
+
 
 def make_operator(mask, reaction):
     """Matrix-free application of (-lap_h + reaction) on material cells."""
@@ -214,13 +352,15 @@ def operator_diagonal(mask, reaction):
     return _FaceKernel(mask.flags, mask.dx, reaction).diag
 
 
-def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None):
+def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None):
     """Preconditioned conjugate gradients with a fixed summation order.
 
-    All reductions go through np.sum (pairwise, single-threaded), so the
-    iteration path and result are bit-stable across thread counts.  Returns
-    (solution, SolveReport); raises SolverFailureError with the residual
-    history on non-convergence.  The iteration starts from zero, and at most
+    The preconditioner is `precondition(r)` if given, else the Jacobi
+    division r / diag if `diag` is given, else none.  All reductions go
+    through np.sum (pairwise, single-threaded), so the iteration path and
+    result are bit-stable across thread counts.  Returns (solution,
+    SolveReport); raises SolverFailureError with the residual history on
+    non-convergence.  The iteration starts from zero, and at most
     20 * max(b.shape) iterations are made unless `max_iter` says otherwise.
     """
     t0 = time.perf_counter()
@@ -229,11 +369,14 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None):
         return np.zeros_like(b), SolveReport(0, 0.0, time.perf_counter() - t0)
     if max_iter is None:
         max_iter = 20 * max(b.shape)
+    if precondition is None:
+        precondition = (lambda r: r) if diag is None else (lambda r: r / diag)
     x = np.zeros_like(b)
     r = b.copy()
-    z = r / diag if diag is not None else r
+    z = precondition(r)
     p = z.copy()
     rz = np.sum(r * z)
+    del z
     history = [float(np.sqrt(np.sum(r * r)) / b_norm)]
     if history[-1] <= tol:
         return x, SolveReport(0, history[-1], time.perf_counter() - t0)
@@ -245,14 +388,19 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None):
                                      history)
         alpha = rz / pAp
         x += alpha * p
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
+        # drop each full-size temporary before the next one is made
+        del Ap
         rel = float(np.sqrt(np.sum(r * r)) / b_norm)
         history.append(rel)
         if rel <= tol:
             return x, SolveReport(k, rel, time.perf_counter() - t0)
-        z = r / diag if diag is not None else r
+        z = precondition(r)
         rz_new = np.sum(r * z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
+        del z
         rz = rz_new
     raise SolverFailureError(
         f"CG did not reach tol={tol} in {max_iter} iterations "

@@ -133,6 +133,13 @@ def test_nonpositive_grid_cells_is_validation_error(tmp_path, capsys, command,
     ("solve", "perforated-2d", "family.c1", "0"),
     ("sweep", "rcm-2d", "family.c2", "0.1"),
     ("ergodic", "periodic-2d", "family.lattice_spacing", "0"),
+    # cubes that leave the domain, or cover no cell, and degenerate domains
+    ("capacity", "conductivity-2d", "h", "2"),
+    ("capacity", "conductivity-2d", "h", "0.001"),
+    ("capacity", "conductivity-2d", "h", "NaN"),
+    ("capacity", "strange-3d", "h_list", "[1.5,0.55]"),
+    ("capacity", "strange-3d", "domain_side", "0"),
+    ("geometry", "rcm-2d-demo", "domain_side", "-1"),
 ])
 def test_degenerate_values_are_validation_errors(tmp_path, capsys, command, preset,
                                                  key, value):

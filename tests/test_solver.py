@@ -262,6 +262,20 @@ def test_operator_is_spd():
         assert np.sum(v * apply_op(v)) > 0.0
 
 
+@pytest.mark.parametrize("shape", [(25, 24), (7, 5, 3), (1, 24, 24), (3, 1, 4)])
+def test_flat_shift_stencil_matches_sliced_differences(shape):
+    rng = substream(46, "stencil")
+    u, base = rng.standard_normal(shape), rng.standard_normal(shape)
+    sliced = base.copy()
+    for lo, hi in solver._faces(len(shape)):
+        sliced[lo] -= u[hi]
+        sliced[hi] -= u[lo]
+    for v in (u, np.asfortranarray(u)):
+        out = base.copy()
+        solver._subtract_neighbours(out, v)
+        assert np.array_equal(out, sliced)
+
+
 def test_cg_identity_one_iteration():
     b = np.arange(1.0, 10.0)
     x, rep = cg_solve(lambda v: v, b, tol=1e-12, max_iter=10)
@@ -279,14 +293,147 @@ def test_cg_matches_tridiagonal_oracle():
     assert np.abs(x - direct).max() <= 1e-10
 
 
-def test_cg_iteration_growth():
+def _iterations_on_refined_squares(jacobi):
+    """CG iterations of the hole-free Dirichlet problem for the source x*y - 1
+    on 32^2, 64^2 and 128^2 cells: Jacobi-CG, or the solve path's MG-PCG."""
     iters = []
     for n in (32, 64, 128):
         mask = ph.hole_free_mask(UNIT2, 1.0 / n)
-        _, rep = ph.solve_dirichlet_perforated(mask, 0.0, "x*y-1", tol=1e-8)
+        kernel = solver._FaceKernel(mask.flags, mask.dx)
+        b = np.where(kernel.unknown, -as_source("x*y-1", mask), 0.0)
+        if jacobi:
+            _, rep = cg_solve(kernel.apply, b, tol=1e-8, diag=kernel.diag)
+        else:
+            _, rep = kernel.minimize(b, tol=1e-8)
         iters.append(rep.iterations)
+    return iters
+
+
+def test_cg_iteration_growth():
+    # Jacobi-CG iterations grow like the grid side
+    iters = _iterations_on_refined_squares(jacobi=True)
     assert 1.4 <= iters[1] / iters[0] <= 2.8
     assert 1.4 <= iters[2] / iters[1] <= 2.8
+
+
+def test_multigrid_iterations_grow_slowly():
+    jacobi = _iterations_on_refined_squares(jacobi=True)
+    mg = _iterations_on_refined_squares(jacobi=False)
+    assert mg[2] <= jacobi[2] / 4
+    assert mg[1] / mg[0] <= 1.6 and mg[2] / mg[1] <= 1.6
+
+
+def _pad_random(shape, seed):
+    return np.pad(substream(seed, "kernel-data").standard_normal(shape), 1)
+
+
+def _absorbing_holes():
+    mask = _random_mask(41, cells=18, dim=3)
+    assert np.any(mask.flags == HOLE)
+    return solver._FaceKernel(mask.flags, mask.dx, 1.0)
+
+
+def _exterior_cells():
+    # the masks of _dirichlet_with_exterior, on a non-square 25 x 24 grid
+    mask = _random_mask(13, cells=24)
+    flags = np.concatenate([mask.flags, np.full((1, 24), MATERIAL, np.uint8)])
+    flags[:3, :5] = EXTERIOR
+    flags[8:10, 8:10] = EXTERIOR
+    return solver._FaceKernel(flags, mask.dx, 1.0)
+
+
+def _insulating_with_penalty():
+    mask = _affine_mask(31)
+    roles = np.where(mask.material, MATERIAL, solver._INSULATING)
+    data = _pad_random(roles.shape, 42)
+    return solver._FaceKernel(roles, mask.dx, 8.0, data=data,
+                              target=data[(slice(1, -1),) * 3])
+
+
+def _sealed_pocket_at_penalty_zero():
+    # _affine_cell_problem's roles: the pocket inside the hole shell is no
+    # unknown, nor is the shell
+    flags = np.full((12, 12, 12), MATERIAL, np.uint8)
+    flags[3:8, 3:8, 3:8] = HOLE
+    flags[4:7, 4:7, 4:7] = MATERIAL
+    border = np.ones(flags.shape, dtype=bool)
+    border[1:-1, 1:-1, 1:-1] = False
+    mat = flags == MATERIAL
+    free = ndimage.binary_propagation(mat & border, mask=mat)
+    roles = np.where(free, MATERIAL, solver._INSULATING)
+    return solver._FaceKernel(roles, 1.0 / 12, 0.0, data=_pad_random(roles.shape, 43))
+
+
+def _thin_window_reaction_zero():
+    # a capacity window one cell thick, with holes: data 1 on the faces
+    flags = _random_mask(44, cells=24).flags[None]
+    data = np.pad(np.zeros(flags.shape), 1, constant_values=1.0)
+    return solver._FaceKernel(flags, 1.0 / 24, data=data)
+
+
+def _large_reaction_2d():
+    # the homogenized solve with c ~ 475, in 2D on an odd grid
+    mask = ph.hole_free_mask(ph.Box.unit(2), 1.0 / 27)
+    return solver._FaceKernel(mask.flags, mask.dx, 1.0 + 475.5)
+
+
+KERNELS = [_absorbing_holes, _exterior_cells, _insulating_with_penalty,
+           _sealed_pocket_at_penalty_zero, _thin_window_reaction_zero, _large_reaction_2d]
+KERNEL_IDS = ["absorbing-holes-18^3", "exterior-25x24", "insulating-penalty",
+              "sealed-pocket-penalty-0", "thin-window-1x24x24", "reaction-475-27^2"]
+
+
+def _kernel_and_rhs(case):
+    kernel = case()
+    b = kernel.rhs()
+    if not b.any():  # no data: the Dirichlet problem with source -1
+        b = np.where(kernel.unknown, 1.0, 0.0)
+    return kernel, b
+
+
+@pytest.mark.parametrize("case", KERNELS, ids=KERNEL_IDS)
+def test_vcycle_is_symmetric_positive_definite(case):
+    kernel, _ = _kernel_and_rhs(case)
+    rng = substream(45, "vcycle-spd")
+    for _ in range(5):
+        x, y = (np.where(kernel.unknown, rng.standard_normal(kernel.unknown.shape), 0.0)
+                for _ in range(2))
+        mx, my = kernel._precondition(x), kernel._precondition(y)
+        assert np.all(mx[~kernel.unknown] == 0.0)
+        assert abs(np.sum(mx * y) - np.sum(x * my)) <= 1e-13 * math.sqrt(
+            np.sum(mx * mx) * np.sum(y * y))
+        assert np.sum(mx * x) > 0.0
+
+
+def _condition_number(kernel):
+    """cond(A) of the kernel's system on its unknown cells, by Lanczos."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+    unknown = kernel.unknown
+    n = int(np.count_nonzero(unknown))
+
+    def matvec(v):
+        full = np.zeros(unknown.shape)
+        full[unknown] = v.ravel()
+        return kernel.apply(full)[unknown]
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    lo, hi = (eigsh(op, k=1, which=which, tol=1e-4, return_eigenvectors=False)[0]
+              for which in ("SA", "LA"))
+    return hi / lo
+
+
+@pytest.mark.parametrize("case", KERNELS, ids=KERNEL_IDS)
+def test_multigrid_matches_jacobi(case):
+    # each stops at relative residual tol, so each is within cond(A) * tol
+    # of the exact solution, relative to its norm
+    kernel, b = _kernel_and_rhs(case)
+    tol = 1e-10
+    x_mg, mg = kernel.minimize(b, tol=tol)
+    x_jac, jac = cg_solve(kernel.apply, b, tol=tol, diag=kernel.diag)
+    assert mg.final_rel_residual <= tol and jac.final_rel_residual <= tol
+    assert mg.iterations < jac.iterations
+    bound = 2.0 * _condition_number(kernel) * tol * math.sqrt(np.sum(x_jac * x_jac))
+    assert math.sqrt(np.sum((x_mg - x_jac) ** 2)) <= bound
 
 
 def test_solver_failure_carries_history():
