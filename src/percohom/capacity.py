@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (InvalidArgumentError, UnsupportedDimensionError,
                      diagnostics_of)
@@ -187,6 +186,7 @@ def _affine_cell_problem(mask, window, xi, penalty, tol=1e-10):
     # when penalty == 0; they contribute zero energy with any constant value
     free = mat
     if penalty == 0.0:
+        from scipy import ndimage
         border = np.ones(mat.shape, dtype=bool)
         border[(slice(1, -1),) * n] = False
         free = ndimage.binary_propagation(mat & border, mask=mat)

@@ -7,10 +7,14 @@ whose distance falls in a band), and unions of balls centered on the
 points.  Both are unions of capsules, the points within a radius of a
 segment; a ball is the capsule of a zero-length segment.  One
 point-to-segment distance decides membership in `rasterize`, which flags a
-cell as a hole exactly when its center lies inside.  Obstacles scale
-homothetically and carry enough provenance to reproduce themselves from a
-seed.  The number of overlapping tube pairs, a diagnostic, is always
-reported; a k-d tree on the segment midpoints picks the candidate pairs.
+cell as a hole exactly when its center lies inside.  It evaluates the
+capsules whose windows have one shape together, in cache-sized batches, so
+balls of one radius cost a few array passes rather than one pass each.
+Obstacles scale homothetically and carry enough provenance to reproduce
+themselves from a seed.  The number of overlapping tube pairs, a
+diagnostic, is always reported; a k-d tree on the segment midpoints picks
+the candidate pairs.  scipy is imported inside the functions that use it,
+so a run that never calls them does not pay for the import.
 """
 
 import math
@@ -18,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (DegenerateConfigurationError, InvalidArgumentError,
                      diagnostics_of)
@@ -29,6 +32,7 @@ MATERIAL, HOLE, EXTERIOR = 0, 1, 2
 _FLAG_CHARS = {MATERIAL: "m", HOLE: "h", EXTERIOR: "x"}
 _CHAR_FLAGS = {v: k for k, v in _FLAG_CHARS.items()}
 MASK_FORMAT_VERSION = 1
+_BATCH_CELLS = 1 << 16  # window cells per rasterization batch: its temporaries stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -149,15 +153,28 @@ class ObstacleSet:
         return float(r.min()) if r.size else None
 
 
-def _capsule_dist2(x, a, b):
-    """Squared distance from the points with coordinate arrays x[d]
-    (broadcast against each other) to the segment [a, b]."""
-    ab = [bd - ad for ad, bd in zip(a, b)]
-    denom = sum(v * v for v in ab)
-    t = 0.0
-    if denom != 0.0:
-        t = np.clip(sum((xd - ad) * v for xd, ad, v in zip(x, a, ab)) / denom, 0.0, 1.0)
-    return sum((xd - (ad + t * v)) ** 2 for xd, ad, v in zip(x, a, ab))
+def _capsule_dist2(x, a, ab, ab2):
+    """Squared distances from points to the segments from a to a + ab.  The
+    coordinate arrays x[d], the segment starts a[d] and directions ab[d]
+    carry the segment index on their leading axis and broadcast against each
+    other; ab2 is |ab|^2, inf for a zero-length segment (a ball), whose
+    nearest point is a.  Each segment's distances take the same operations
+    whatever shares its batch, so a mask does not depend on the batching."""
+    if np.isinf(ab2).all():
+        return sum((xd - ad) ** 2 for xd, ad in zip(x, a))
+    # nearest point a + t ab, t clamped to [0, 1]; every term below has the
+    # full batch shape, so it is updated in place
+    t = sum((xd - ad) * v for xd, ad, v in zip(x, a, ab))
+    t /= ab2
+    np.clip(t, 0.0, 1.0, out=t)
+    dist2 = 0.0
+    for xd, ad, v in zip(x, a, ab):
+        e = t * v
+        e += ad
+        np.subtract(xd, e, out=e)
+        e *= e
+        dist2 = np.add(dist2, e, out=e)
+    return dist2
 
 
 def build_rcm_edges(config, g, seed=0):
@@ -171,6 +188,7 @@ def build_rcm_edges(config, g, seed=0):
         return EdgeSet(edges=np.empty((0, 2), dtype=np.int64))
     cutoff = g.support_radius()
     if np.isfinite(cutoff):
+        from scipy.spatial import cKDTree
         tree = cKDTree(config.points)
         pairs = tree.query_pairs(r=cutoff, output_type="ndarray")
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
@@ -224,6 +242,7 @@ def min_pairwise_distance(config):
     if config.count < 2:
         raise DegenerateConfigurationError(
             "minimum pairwise distance needs at least two points")
+    from scipy.spatial import cKDTree
     tree = cKDTree(config.points)
     d, _ = tree.query(config.points, k=2)
     return float(d[:, 1].min())
@@ -359,12 +378,31 @@ def rasterize(obstacles, domain, dx):
     first = np.clip(np.ceil((np.minimum(a, b) - r[:, None] - lo) / dx - 0.5), 0, n)
     last = np.clip(np.floor((np.maximum(a, b) + r[:, None] - lo) / dx - 0.5), -1, n - 1)
     hit = np.all(first <= last, axis=1)
-    for ak, bk, rk, i0, i1 in zip(a[hit], b[hit], r[hit],
-                                  first[hit].astype(int), last[hit].astype(int) + 1):
-        x = [(lo[d] + (np.arange(i0[d], i1[d]) + 0.5) * dx).reshape(
-            (-1,) + (1,) * (len(shape) - 1 - d)) for d in range(len(shape))]
-        window = tuple(map(slice, i0, i1))
-        flags[window][_capsule_dist2(x, ak, bk) <= rk * rk] = HOLE
+    # capsules whose windows have one shape are evaluated together, a
+    # cache-sized batch at a time; sorted by shape, each batch is a slice
+    i0, i1 = first[hit].astype(np.intp), last[hit].astype(np.intp) + 1
+    order = np.lexsort((i1 - i0).T)
+    a, b, r, i0, i1 = a[hit][order], b[hit][order], r[hit][order], i0[order], i1[order]
+    dim = len(shape)
+    stacked = (dim, -1) + (1,) * dim  # axis, capsule, then the window's axes
+    ab = b - a
+    ab2 = np.square(ab).sum(axis=1)
+    ab2 = np.where(ab2 == 0.0, np.inf, ab2).reshape(stacked[1:])
+    r2 = (r * r).reshape(stacked[1:])
+    a, ab = a.T.reshape(stacked), ab.T.reshape(stacked)
+    centers = [lo[d] + (np.arange(shape[d]) + 0.5) * dx for d in range(dim)]
+    starts = np.flatnonzero(np.diff(i1 - i0, axis=0, prepend=-1).any(axis=1)).tolist()
+    for g0, g1 in zip(starts, starts[1:] + [r.size]):
+        w = (i1[g0] - i0[g0]).tolist()
+        steps = [np.arange(wd) for wd in w]
+        per = max(1, _BATCH_CELLS // math.prod(w))
+        for k0 in range(g0, g1, per):
+            k = slice(k0, min(k0 + per, g1))
+            x = [centers[d][i0[k, d, None] + steps[d]].reshape(
+                (-1,) + (1,) * d + (w[d],) + (1,) * (dim - 1 - d)) for d in range(dim)]
+            inside = _capsule_dist2(x, a[:, k], ab[:, k], ab2[k]) <= r2[k]
+            for cells, lo_k, hi_k in zip(inside, i0[k].tolist(), i1[k].tolist()):
+                flags[tuple(map(slice, lo_k, hi_k))][cells] = HOLE
     prov = f"kind={obstacles.kind} scale={obstacles.scale_applied:.17g}"
     return PerforatedMask(flags=flags, dx=dx, domain=domain,
                           epsilon=obstacles.scale_applied,
@@ -437,6 +475,7 @@ def tube_overlap_count(obstacles):
     half = 0.5 * np.sqrt(np.sum((b - a) ** 2, axis=1))
     # widened by a rounding margin: the exact test below decides
     radius = (2.0 * half.max() + reach) * (1.0 + 1e-9)
+    from scipy.spatial import cKDTree
     i, j = cKDTree(0.5 * (a + b)).query_pairs(radius, output_type="ndarray").T
     return int(np.count_nonzero(_segment_pair_dist2(a[i], b[i], a[j], b[j]) <= reach * reach))
 
@@ -469,6 +508,7 @@ def density_ratio_check(mask, radius, probes, seed):
         raise DegenerateConfigurationError("hole set has zero volume; ratio undefined")
     lo = np.asarray(mask.domain.lower)
     centers = lo + (hole_idx + 0.5) * mask.dx
+    from scipy.spatial import cKDTree
     tree = cKDTree(centers)
     rng = substream(seed, "density-probes")
     sides = np.asarray(mask.domain.sides)

@@ -10,6 +10,7 @@ run record, which is exempt from that contract.
 import datetime
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -41,8 +42,21 @@ def write_plot_data(path, pairs):
             fh.write(f"{fmt(float(a))} {fmt(float(b))}\n")
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by None: JSON (RFC 8259) has
+    no NaN or infinity, so an undefined number is written as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    return json.dumps(_finite(obj), sort_keys=True, separators=(",", ": "), indent=1,
+                      allow_nan=False)
 
 
 def write_json(path, obj):

@@ -23,7 +23,7 @@ from .geometry import (Box, GeometryFamily, hole_free_mask, rasterize,
 from .points import empty_cell_frequency
 from .rng import substream_seed
 from .solver import (GridField, as_source, energy_gamma, gradient_energy,
-                     h1_norm, l2_distance, l2_norm, solve_dirichlet_perforated,
+                     l2_distance, l2_norm, solve_dirichlet_perforated,
                      solve_homogenized)
 
 DEFAULT_SOURCE = "-1"
@@ -116,11 +116,10 @@ def _sweep_row(spec, eps, k, seed, obstacles, config):
     dx = spec.dx()
     mask = rasterize(obstacles, spec.domain, dx)
     vf = volume_fraction(mask)
-    u, report = solve_dirichlet_perforated(mask, spec.reaction, spec.source,
-                                           tol=spec.tol)
     f_arr = as_source(spec.source, mask)
+    u, report = solve_dirichlet_perforated(mask, spec.reaction, f_arr, tol=spec.tol)
     f_norm = float(np.sqrt(np.sum(f_arr * f_arr) * dx ** mask.dim))
-    grad_plus = gradient_energy(u) + spec.reaction * l2_norm(u) ** 2
+    l2, grad = l2_norm(u), gradient_energy(u)
     ecf = math.nan
     if spec.family.kind == "rcm" and config is not None:
         sides = config.box.sides
@@ -130,10 +129,10 @@ def _sweep_row(spec, eps, k, seed, obstacles, config):
     if spec.family.kind in ("boolean", "lattice") and obstacles.dim == 3:
         bc, _ = boolean_capacity_constant(obstacles, spec.domain)
     row = SweepRow(eps=eps, replica=k, seed=seed, volume_fraction=vf,
-                   hole_cells=mask.hole_count, h1=h1_norm(u),
-                   gamma=energy_gamma(u, spec.reaction, spec.source),
-                   energy_lhs=grad_plus,
-                   energy_rhs=2.0 * l2_norm(u) * f_norm,
+                   hole_cells=mask.hole_count, h1=float(np.sqrt(l2 ** 2 + grad)),
+                   gamma=energy_gamma(u, spec.reaction, f_arr),
+                   energy_lhs=grad + spec.reaction * l2 ** 2,
+                   energy_rhs=2.0 * l2 * f_norm,
                    iterations=report.iterations,
                    residual=report.final_rel_residual,
                    empty_cell_freq=ecf, boolean_constant=bc)

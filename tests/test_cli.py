@@ -1,6 +1,9 @@
 import glob
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -320,3 +323,49 @@ def test_run_record_outputs_are_relative_to_the_record(tmp_path, command, preset
             assert os.path.isfile(os.path.join(d, name))
         recorded.append(names)
     assert recorded[0] == recorded[1]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command, args", [
+    ("sweep", ("--preset", "rcm-2d", "--set", "grid_cells=64")),
+    ("density-check", ("--preset", "tubes-2d", "--set", "grid_cells=64")),
+])
+def test_artifacts_are_strict_json(tmp_path, command, args):
+    # an undefined number (a 2D sweep's boolean_constant_mean) is null:
+    # RFC 8259 has no NaN or Infinity
+    out = str(tmp_path / "runs")
+    assert run_cli(command, *args, "--out", out) == 0
+    paths = glob.glob(os.path.join(only_dir(out, command), "*.json"))
+    assert len(paths) == 2
+    for path in paths:
+        with open(path) as fh:
+            json.loads(fh.read(), parse_constant=_reject_constant)
+
+
+def test_boolean_runs_do_not_import_scipy(tmp_path):
+    # scipy is imported where it is used: a 3D Boolean sweep and a Boolean
+    # ergodic run never load it, and an RCM geometry run still finds it
+    code = textwrap.dedent(f"""
+        import sys
+        from percohom.cli import main
+        out = {str(tmp_path)!r}
+        assert main(["sweep", "--preset", "boolean-critical-3d", "--set", "grid_cells=16",
+                     "--set", "replicas=1", "--set", "capacity_cells_per_h=8",
+                     "--out", out]) == 0
+        assert main(["ergodic", "--preset", "boolean-3d-spot", "--set", "replicas=2",
+                     "--out", out]) == 0
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
+        assert main(["geometry", "--preset", "rcm-2d-demo", "--set", "grid_cells=32",
+                     "--out", out]) == 0
+        assert "scipy.spatial" in sys.modules
+    """)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -266,6 +266,91 @@ def test_rasterize_requires_divisible_dx():
         ph.rasterize(obs, UNIT2, 0.3)
 
 
+def _rasterize_per_capsule(obstacles, domain, dx):
+    """Oracle: the flags of a loop that evaluates one capsule at a time, each
+    on its own window, with the per-capsule point-to-segment distance."""
+    def dist2(x, a, b):
+        ab = [bd - ad for ad, bd in zip(a, b)]
+        denom = sum(v * v for v in ab)
+        t = 0.0
+        if denom != 0.0:
+            t = np.clip(sum((xd - ad) * v for xd, ad, v in zip(x, a, ab)) / denom, 0.0, 1.0)
+        return sum((xd - (ad + t * v)) ** 2 for xd, ad, v in zip(x, a, ab))
+
+    shape = tuple(int(round(side / dx)) for side in domain.sides)
+    flags = np.zeros(shape, dtype=np.uint8)
+    a, b, r = obstacles.capsules()
+    lo = np.asarray(domain.lower, dtype=float)
+    n = np.asarray(shape)
+    first = np.clip(np.ceil((np.minimum(a, b) - r[:, None] - lo) / dx - 0.5), 0, n)
+    last = np.clip(np.floor((np.maximum(a, b) + r[:, None] - lo) / dx - 0.5), -1, n - 1)
+    hit = np.all(first <= last, axis=1)
+    for ak, bk, rk, i0, i1 in zip(a[hit], b[hit], r[hit],
+                                  first[hit].astype(int), last[hit].astype(int) + 1):
+        x = [(lo[d] + (np.arange(i0[d], i1[d]) + 0.5) * dx).reshape(
+            (-1,) + (1,) * (len(shape) - 1 - d)) for d in range(len(shape))]
+        window = tuple(map(slice, i0, i1))
+        flags[window][dist2(x, ak, bk) <= rk * rk] = HOLE
+    return flags
+
+
+def _oracle_obstacles(case):
+    """(obstacles, domain, cells per side) for the rasterization oracle."""
+    fixed = ph.BallRadiusRule.fixed
+    if case == "balls-2d-equal":
+        return ph.build_balls(ph.sample_poisson(UNIT2, 600.0, 1), fixed(0.02)), UNIT2, 64
+    if case == "balls-3d-equal":
+        # windows of about 10^3 cells: each window shape spans several batches
+        return ph.build_balls(ph.sample_poisson(UNIT3, 2000.0, 2), fixed(0.15)), UNIT3, 32
+    if case == "balls-3d-iid":
+        cfg = ph.sample_poisson(UNIT3, 200.0, 5)
+        return ph.build_balls(cfg, ph.BallRadiusRule.iid_uniform(0.5), seed=5), UNIT3, 48
+    if case == "tubes-2d":
+        fam = ph.GeometryFamily(kind="rcm", dim=2, c1=0.5, c2=1.0)
+        return ph.sample_family(fam, 0.125, 3, UNIT2)[0], UNIT2, 64
+    if case == "tubes-3d":
+        fam = ph.GeometryFamily(kind="rcm", dim=3, c1=0.5, c2=1.0)
+        return ph.sample_family(fam, 0.25, 7, UNIT3)[0], UNIT3, 40
+    if case == "tubes-3d-zero-length":
+        cfg = _config([[0.3, 0.3, 0.3], [0.3, 0.3, 0.3], [0.6, 0.5, 0.4]], dim=3)
+        edges = ph.EdgeSet(edges=[[0, 1], [0, 2], [1, 2]])
+        return ph.build_tubes(cfg, edges, 0.1), UNIT3, 32
+    if case == "balls-2d-clipped":
+        # centers in a box twice the domain's size: balls inside, straddling
+        # the boundary, and wholly outside the grid
+        cfg = ph.sample_poisson(ph.Box((-0.5, -0.5), (1.5, 1.5)), 10.0, 3)
+        return ph.build_balls(cfg, fixed(0.12)), UNIT2, 64
+    if case == "tubes-3d-clipped":
+        fam = ph.GeometryFamily(kind="rcm", dim=3, c1=0.5, c2=1.0)
+        big = ph.Box((-0.25,) * 3, (1.25,) * 3)
+        return ph.sample_family(fam, 0.25, 4, big)[0], UNIT3, 32
+    if case == "outside":
+        cfg = _config([[1.5, 0.5], [-0.3, 0.2], [0.5, 1.11]], box=ph.Box((-1, -1), (2, 2)))
+        return ph.build_balls(cfg, fixed(0.1)), UNIT2, 32
+    if case == "single":
+        # one window of 48^3 cells, more than one batch holds
+        cfg = _config([[0.5, 0.5, 0.5]], dim=3)
+        return ph.build_balls(cfg, fixed(0.5)), UNIT3, 48
+    return ph.build_balls(_config(np.empty((0, 3)), dim=3), fixed(0.1)), UNIT3, 16
+
+
+@pytest.mark.parametrize("case", ["balls-2d-equal", "balls-3d-equal", "balls-3d-iid",
+                                  "tubes-2d", "tubes-3d", "tubes-3d-zero-length",
+                                  "balls-2d-clipped", "tubes-3d-clipped", "outside",
+                                  "single", "empty"])
+def test_rasterize_matches_per_capsule_oracle(case):
+    # batching capsules by window shape changes no flag, bit for bit
+    obs, domain, cells = _oracle_obstacles(case)
+    dx = domain.sides[0] / cells
+    mask = ph.rasterize(obs, domain, dx)
+    expected = _rasterize_per_capsule(obs, domain, dx)
+    assert mask.flags.dtype == expected.dtype and np.array_equal(mask.flags, expected)
+    if case in ("outside", "empty"):
+        assert mask.hole_count == 0
+    else:
+        assert 0 < mask.hole_count
+
+
 # --------------------------------------------------------------- components
 
 def _brute_force_components(n, edges):
