@@ -85,18 +85,25 @@ def newton_capacity(obstacles, outer_radius, dx, tol=1e-7):
         raise UnsupportedDimensionError(
             "Newton capacity requires dimension 3; the two-dimensional "
             "analogue is logarithmic and out of scope")
+    emask = _electrode(obstacles, outer_radius, dx)
+    est, _ = capacity_minimizer_on_window(
+        emask, tuple(slice(0, m) for m in emask.shape), tol=tol)
+    return est.value, est.report
+
+
+def _electrode(obstacles, outer_radius, dx):
+    """The obstacle rasterized on the cube [-R, R]^3 at spacing dx; refuses
+    an obstacle that covers no cell center or reaches the cube's outer
+    layer of cells."""
     R = float(outer_radius)
-    box = Box((-R,) * 3, (R,) * 3)
-    emask = rasterize(obstacles, box, dx)
+    emask = rasterize(obstacles, Box((-R,) * 3, (R,) * 3), dx)
     electrode = emask.flags == HOLE
     if not electrode.any():
         raise InvalidArgumentError(
             "obstacle covers no cell center at this resolution; refine dx")
     if np.count_nonzero(electrode[(slice(1, -1),) * 3]) < np.count_nonzero(electrode):
         raise InvalidArgumentError("obstacle must be strictly inside the outer box")
-    est, _ = capacity_minimizer_on_window(
-        emask, tuple(slice(0, m) for m in emask.shape), tol=tol)
-    return est.value, est.report
+    return emask
 
 
 # ---------------------------------------------------------------------------

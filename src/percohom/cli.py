@@ -6,6 +6,12 @@ validate.  A run resolves its configuration (preset or JSON file, then
 rejected), executes, and writes its artifacts into an output directory named
 by the content hash of (config, seed, version).  Exit codes: 0 success,
 2 validation error, 3 solver failure.
+
+Each subcommand, and each mode of `solve` and `capacity`, reads its config
+through one frozen dataclass, its spec.  The spec's fields are the keys the
+run reads, with their types and defaults; any other key is rejected.  Its
+`validate()` holds the run's checks, and its `run` writes the artifacts.
+`sweep` and `ergodic` use the library's SweepSpec and ErgodicSpec.
 """
 
 import argparse
@@ -13,26 +19,27 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from . import presets
-from .capacity import (_cube_diagnostics, _scale_diagnostics, _window,
-                       conductivity_tensor, newton_capacity,
-                       strange_term)
+from .capacity import (_cube_diagnostics, _electrode, _scale_diagnostics, _window,
+                       conductivity_tensor, newton_capacity, strange_term)
 from .errors import (ConfigError, DegenerateConfigurationError,
                      InvalidArgumentError, SolverFailureError,
                      UnsupportedDimensionError, diagnostics_of)
-from .geometry import (BallRadiusRule, Box, build_balls, density_ratio_check,
-                       hole_free_mask, mask_stats, rasterize, sample_family,
-                       save_mask)
+from .expressions import source_diagnostics
+from .geometry import (BallRadiusRule, Box, GeometryFamily, build_balls,
+                       density_ratio_check, hole_free_mask, mask_stats, rasterize,
+                       sample_family, save_mask)
+from .points import PointConfiguration
 from .reporting import (RunRecord, content_hash, output_directory, write_csv,
                         write_json, write_plot_data)
 from .solver import (energy_gamma, h1_norm, l2_norm, load_field, save_field,
                      solve_dirichlet_perforated)
-from .sweep import (ErgodicSpec, SweepRow, SweepSpec, ergodic_average_experiment,
-                    run_sweep)
+from .sweep import (DEFAULT_REACTION, DEFAULT_SOURCE, ErgodicSpec, SweepRow,
+                    SweepSpec, ergodic_average_experiment, run_sweep)
 
 SUBCOMMANDS = ("geometry", "solve", "capacity", "sweep", "ergodic", "density-check")
 
@@ -43,68 +50,27 @@ _RENAMED = {"master_seed": "seed", "domain": "domain_side"}
 
 def _schema_of(cls):
     """{key: (type, default)} of a dataclass's fields; `domain_side`, the side
-    of a cube from the origin, stands for `domain`."""
+    of a cube from the origin, stands for `domain`.  A type is int, float (a
+    JSON number), str, tuple (a list of numbers) or a dataclass (an object
+    with that dataclass's keys); a None default also accepts null."""
     return {_RENAMED.get(f.name, f.name):
             (float, 1.0) if f.name == "domain" else (f.type, f.default)
             for f in fields(cls)}
 
 
-_SWEEP = _schema_of(SweepSpec)
-
-
-def _shared(*keys):
-    """The sweep's entries for keys other subcommands take too."""
-    return {key: _SWEEP[key] for key in keys}
-
-
-# Every key a subcommand accepts: (type, default or REQUIRED).  A type is
-# int, float (a JSON number), str, tuple (a list of numbers) or a dataclass
-# (an object with that dataclass's keys); a None default also accepts null.
-_SCHEMAS = {
-    "geometry": {**_shared("family", "grid_cells", "domain_side", "seed"),
-                 "eps": (float, REQUIRED)},
-    "solve": {**_shared("family", "grid_cells", "domain_side", "reaction",
-                        "source", "tol", "seed"),
-              "mode": (str, REQUIRED), "eps": (float, REQUIRED), "dim": (int, 2),
-              "source_file": (str, None), "max_iter": (int, None)},
-    "capacity": {**_shared("family", "grid_cells", "domain_side", "h_list",
-                           "eps_list", "replicas", "seed"),
-                 "mode": (str, REQUIRED), "radius": (float, REQUIRED),
-                 "outer_radius": (float, REQUIRED), "dx_list": (tuple, REQUIRED),
-                 "tol": (float, 1e-7),
-                 "cells_per_h": _SWEEP["capacity_cells_per_h"],
-                 "limsup_bound": (float, None), "eps": (float, 1.0),
-                 "h": (float, REQUIRED), "gamma": (float, 1.0)},
-    "sweep": _SWEEP,
-    "ergodic": _schema_of(ErgodicSpec),
-    "density-check": {**_shared("family", "grid_cells", "domain_side", "seed"),
-                      "eps": (float, REQUIRED), "radius": (float, REQUIRED),
-                      "probes": (int, REQUIRED)},
-}
-
-# the REQUIRED keys each mode of a subcommand needs; the others go unused
-_MODE_REQUIRED = {
-    "solve": {"hole-free": ("grid_cells",),
-              "family": ("grid_cells", "family", "eps")},
-    "capacity": {"newton-ladder": ("radius", "outer_radius", "dx_list"),
-                 "strange-term": ("family", "h_list", "eps_list"),
-                 "conductivity": ("family", "h", "grid_cells")},
-}
-
-
 def _accepts(kind, value):
-    """Whether a JSON value fits a key of this type."""
+    """Whether a JSON value fits a key of this type; a number must be finite
+    (Python's JSON reader also takes NaN and Infinity)."""
     if kind is tuple:
         return isinstance(value, list) and all(_accepts(float, v) for v in value)
     json_type = {float: (int, float), int: int, str: str}.get(kind, dict)
-    return isinstance(value, json_type) and not isinstance(value, bool)
+    return (isinstance(value, json_type) and not isinstance(value, bool)
+            and (kind is not float or math.isfinite(value)))
 
 
-def _schema_diags(schema, config, required=None, prefix=""):
-    """Unknown keys, wrong types and missing required keys (by default every
-    REQUIRED one) of a JSON object and the objects nested in it."""
-    if required is None:
-        required = [key for key, (_, default) in schema.items() if default is REQUIRED]
+def _schema_diags(schema, config, prefix=""):
+    """Unknown keys, wrong types and missing REQUIRED keys of a JSON object
+    and the objects nested in it."""
     diags = []
     for key, value in config.items():
         field = prefix + key
@@ -121,32 +87,26 @@ def _schema_diags(schema, config, required=None, prefix=""):
             diags.extend(_schema_diags(_schema_of(kind), value, prefix=field + "."))
     diags.extend({"field": prefix + key,
                   "message": f"missing required key {prefix + key!r}"}
-                 for key in required if key not in config)
+                 for key, (_, default) in schema.items()
+                 if default is REQUIRED and key not in config)
     return diags
 
 
-def _resolve(schema, config):
-    """The config's values in their keys' types, defaults filled in; a
-    REQUIRED key the config lacks stays absent."""
-    return {key: _convert(kind, config.get(key, default))
-            for key, (kind, default) in schema.items()
-            if key in config or default is not REQUIRED}
-
-
-def _convert(kind, value):
-    """A JSON value the schema accepted, as the key's type."""
-    if value is None:
-        return None
-    if is_dataclass(kind):
-        return kind(**_resolve(_schema_of(kind), value))
-    return tuple(float(v) for v in value) if kind is tuple else kind(value)
-
-
-def _spec(cls, values):
-    """The SweepSpec or ErgodicSpec of resolved values."""
-    kwargs = {f.name: values[_RENAMED.get(f.name, f.name)] for f in fields(cls)}
-    if "domain" in kwargs:
-        kwargs["domain"] = Box.cube(kwargs["domain"], values["family"].dim)
+def _build(cls, config):
+    """The `cls` of a config its schema accepted: every key in its field's
+    type, defaults filled in, and `domain` the cube of side `domain_side`."""
+    kwargs = {}
+    for f, (key, (kind, default)) in zip(fields(cls), _schema_of(cls).items()):
+        value = config.get(key, default)
+        try:
+            if value is not None:
+                value = (_build(kind, value) if is_dataclass(kind) else
+                         tuple(float(v) for v in value) if kind is tuple else kind(value))
+            if f.name == "domain":
+                value = Box.cube(value, kwargs["family"].dim)
+        except InvalidArgumentError as exc:  # a family kind or dimension, or a domain
+            raise ConfigError([{"field": key, "message": str(exc)}]) from exc
+        kwargs[f.name] = value
     return cls(**kwargs)
 
 
@@ -154,71 +114,6 @@ def _divides(dx, side):
     """Whether a grid spacing dx > 0 cuts `side` into a whole number of cells."""
     cells = side / dx if dx > 0 else math.nan
     return math.isfinite(cells) and abs(cells - round(cells)) <= 1e-9
-
-
-def validate_config(command, config):
-    """All schema and invariant violations at once, as diagnostics dicts."""
-    schema = _SCHEMAS[command]
-    modes = _MODE_REQUIRED.get(command)
-    mode = config.get("mode")
-    diags = []
-    if modes and "mode" in config and not (isinstance(mode, str) and mode in modes):
-        diags.append({"field": "mode",
-                      "message": f"mode must be one of {', '.join(modes)}"})
-        mode = None
-    required = None if modes is None else ["mode", *modes.get(mode, ())]
-    diags.extend(_schema_diags(schema, config, required))
-    if diags:
-        return diags
-    # cross-field invariants
-    try:
-        values = _resolve(schema, config)
-    except InvalidArgumentError as exc:  # a family kind or dimension out of range
-        return [{"field": "family", "message": str(exc)}]
-    spec_class = {"sweep": SweepSpec, "ergodic": ErgodicSpec}.get(command)
-    if spec_class is not None:
-        try:
-            diags.extend(_spec(spec_class, values).validate())
-        except InvalidArgumentError as exc:  # a degenerate domain
-            return [{"field": command, "message": str(exc)}]
-    if "family" in values:
-        diags.extend({**d, "field": "family." + d["field"]}
-                     for d in values["family"].validate())
-    checks = [("grid_cells" in values and values["grid_cells"] < 1, "grid_cells",
-               "grid_cells must be positive"),
-              ("eps" in values and not values["eps"] > 0, "eps", "eps must be positive"),
-              ("domain_side" in values and not values["domain_side"] > 0, "domain_side",
-               "domain_side must be positive")]
-    if mode == "newton-ladder":
-        side = 2 * values["outer_radius"]
-        checks.append((not values["dx_list"], "dx_list", "dx_list must not be empty"))
-        checks.extend((not _divides(dx, side), "dx_list",
-                       f"dx {dx} must be positive and divide the box")
-                      for dx in values["dx_list"])
-    elif mode == "strange-term":
-        checks.append((values["family"].dim != 3, "family.dim",
-                       "the absorption-constant pipeline requires dimension 3"))
-        diags.extend(_scale_diagnostics(values["eps_list"], values["h_list"],
-                                        values["replicas"]))
-        side = values["domain_side"]
-        if side > 0:
-            diags.extend(_cube_diagnostics(Box.cube(side, 3), (0.5 * side,) * 3,
-                                           values["h_list"]))
-    elif mode == "conductivity":
-        checks.append((not 0.0 < values["gamma"] < 2.0, "gamma",
-                       f"penalty exponent must be in (0, 2), got {values['gamma']}"))
-        side, n, dim, h = (values["domain_side"], values["grid_cells"],
-                           values["family"].dim, values["h"])
-        checks.append((not math.isfinite(h), "h", "h must be finite"))
-        if n >= 1 and side > 0 and math.isfinite(h):
-            try:  # the run's window: the cube of side h at the domain center
-                _window((0.0,) * dim, (n,) * dim, side / n, (0.5 * side,) * dim, h)
-            except InvalidArgumentError as exc:
-                diags.append({"field": "h", "message": str(exc)})
-    if command == "density-check":
-        checks.append((not values["radius"] > 0, "radius", "radius must be positive"))
-        checks.append((values["probes"] < 1, "probes", "need at least one probe"))
-    return diags + diagnostics_of(checks)
 
 
 _CAP_COLUMNS = ("h", "eps", "seed", "cap", "cap_per_hn", "iterations", "dx")
@@ -229,103 +124,262 @@ def _write_rows(path, columns, rows):
     write_csv(path, columns, [[getattr(r, c) for c in columns] for r in rows])
 
 
-def _family_mask(values):
-    """Sample the family on its cube domain and rasterize it on the grid;
-    returns (obstacles, unscaled configuration, mask)."""
-    fam = values["family"]
-    side = values["domain_side"]
-    domain = Box.cube(side, fam.dim)
-    obstacles, unscaled = sample_family(fam, values["eps"], values["seed"], domain)
-    return obstacles, unscaled, rasterize(obstacles, domain, side / values["grid_cells"])
-
-
-def _cmd_geometry(values, outdir, record, threads):
-    obstacles, cfg_unscaled, mask = _family_mask(values)
-    mask_path = os.path.join(outdir, "mask.txt")
-    save_mask(mask, mask_path)
-    stats = mask_stats(mask, obstacles, cfg_unscaled)
-    stats_path = os.path.join(outdir, "stats.json")
-    write_json(stats_path, stats)
-    record.outputs = {"mask": mask_path, "stats": stats_path}
-    return 0
-
-
-def _cmd_solve(values, outdir, record, threads):
-    if values["mode"] == "family":
-        _, _, mask = _family_mask(values)
-    else:
-        side = values["domain_side"]
-        mask = hole_free_mask(Box.cube(side, values["dim"]), side / values["grid_cells"])
-    reaction = values["reaction"]
-    if values["source_file"] is not None:
-        loaded = load_field(values["source_file"])
-        if not loaded.mask.same_grid(mask):
-            raise ConfigError([{"field": "source_file",
-                                "message": "source field grid does not match "
-                                           "the solve grid"}])
-        source = loaded.values
-    else:
-        source = values["source"]
-    u, rep = solve_dirichlet_perforated(mask, reaction, source, tol=values["tol"],
-                                        max_iter=values["max_iter"])
-    field_path = os.path.join(outdir, "field.txt")
-    save_field(u, field_path)
-    report = {
-        "format_version": 1,
-        "iterations": rep.iterations,
-        "final_rel_residual": rep.final_rel_residual,
-        "l2_norm": l2_norm(u),
-        "h1_norm": h1_norm(u),
-        "gamma": energy_gamma(u, reaction, source),
-        "hole_cells": mask.hole_count,
-    }
-    report_path = os.path.join(outdir, "report.json")
-    write_json(report_path, report)
-    record.outputs = {"field": field_path, "report": report_path,
-                      "wall_time": rep.wall_time}
-    return 0
-
-
-def _cmd_capacity(values, outdir, record, threads):
-    mode = values["mode"]
-    seed = values["seed"]
+def _capacity_outputs(outdir, columns, rows, summary):
+    """The two artifacts of every capacity mode, capacity.csv and
+    summary.json; returns their paths."""
     csv_path = os.path.join(outdir, "capacity.csv")
+    write_csv(csv_path, columns, rows)
     summary_path = os.path.join(outdir, "summary.json")
-    if mode == "newton-ladder":
-        r = values["radius"]
-        R = values["outer_radius"]
-        center = np.zeros(3)
-        pts_box = Box.cube(2 * R, 3, origin=(-R, -R, -R))
-        from .points import PointConfiguration
-        cfg = PointConfiguration(points=center.reshape(1, 3), box=pts_box,
-                                 intensity=0.0, seed=seed)
-        ball = build_balls(cfg, BallRadiusRule.fixed(r))
+    write_json(summary_path, {"format_version": 1, **summary})
+    return {"table": csv_path, "summary": summary_path}
+
+
+# ---------------------------------------------------------------------------
+# The specs: one per subcommand, and per mode of solve and capacity
+
+@dataclass(frozen=True, kw_only=True)
+class _Grid:
+    """A run on the cube [0, domain_side]^dim, grid_cells cells per side."""
+
+    grid_cells: int
+    domain_side: float = 1.0
+    master_seed: int = 0
+
+    def domain(self):
+        return Box.cube(self.domain_side, self.dim)
+
+    def dx(self):
+        return self.domain_side / self.grid_cells
+
+    def validate(self):
+        return diagnostics_of([
+            (self.grid_cells < 1, "grid_cells", "grid_cells must be positive"),
+            (not self.domain_side > 0, "domain_side", "domain_side must be positive"),
+        ])
+
+
+@dataclass(frozen=True, kw_only=True)
+class _FamilyRun(_Grid):
+    """A run on one realization of a geometry family at scale eps."""
+
+    family: GeometryFamily
+    eps: float
+
+    @property
+    def dim(self):
+        return self.family.dim
+
+    def realization(self):
+        """Sample the family on the domain and rasterize it on the grid;
+        returns (obstacles, unscaled configuration, mask)."""
+        domain = self.domain()
+        obstacles, unscaled = sample_family(self.family, self.eps, self.master_seed, domain)
+        return obstacles, unscaled, rasterize(obstacles, domain, self.dx())
+
+    def mask(self):
+        return self.realization()[2]
+
+    def validate(self):
+        return super().validate() + self.family.validate() + diagnostics_of([
+            (not self.eps > 0, "eps", "eps must be positive"),
+        ])
+
+
+@dataclass(frozen=True, kw_only=True)
+class GeometrySpec(_FamilyRun):
+    """geometry: one realization's mask and statistics."""
+
+    def run(self, outdir, threads):
+        obstacles, cfg_unscaled, mask = self.realization()
+        mask_path = os.path.join(outdir, "mask.txt")
+        save_mask(mask, mask_path)
+        stats_path = os.path.join(outdir, "stats.json")
+        write_json(stats_path, mask_stats(mask, obstacles, cfg_unscaled))
+        return {"mask": mask_path, "stats": stats_path}
+
+
+@dataclass(frozen=True, kw_only=True)
+class DensityCheckSpec(_FamilyRun):
+    """density-check: hole-volume ratios in `probes` balls of `radius`."""
+
+    radius: float
+    probes: int
+
+    def validate(self):
+        return super().validate() + diagnostics_of([
+            (not self.radius > 0, "radius", "radius must be positive"),
+            (self.probes < 1, "probes", "need at least one probe"),
+        ])
+
+    def run(self, outdir, threads):
+        check = density_ratio_check(self.mask(), self.radius, self.probes,
+                                    self.master_seed)
+        path = os.path.join(outdir, "density.json")
+        write_json(path, {"format_version": 1, **asdict(check)})
+        return {"density": path}
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Solve(_Grid):
+    """solve: the perforated Dirichlet problem on the mask of the mode."""
+
+    mode: str
+    reaction: float = DEFAULT_REACTION
+    source: str = DEFAULT_SOURCE
+    source_file: str = None
+    tol: float = 1e-8
+    max_iter: int = None
+
+    def validate(self):
+        diags = super().validate() + source_diagnostics(self.source, self.dim) + diagnostics_of([
+            (self.reaction < 0, "reaction", "reaction must be >= 0"),
+            (not self.tol > 0, "tol", "tol must be positive"),
+            (self.max_iter is not None and self.max_iter < 1, "max_iter",
+             "max_iter must be positive or null"),
+            (self.dim not in (2, 3), "dim", "dim must be 2 or 3"),
+        ])
+        if self.source_file is None or diags:
+            return diags
+        try:  # the field the run loads, on the run's grid
+            loaded = load_field(self.source_file)
+        except (OSError, ValueError, LookupError) as exc:
+            return [{"field": "source_file", "message": f"cannot read a field: {exc}"}]
+        return diagnostics_of([
+            (not loaded.mask.same_grid(hole_free_mask(self.domain(), self.dx())),
+             "source_file", "source field grid does not match the solve grid"),
+        ])
+
+    def run(self, outdir, threads):
+        mask = self.mask()
+        source = self.source if self.source_file is None else load_field(self.source_file).values
+        u, rep = solve_dirichlet_perforated(mask, self.reaction, source, tol=self.tol,
+                                            max_iter=self.max_iter)
+        field_path = os.path.join(outdir, "field.txt")
+        save_field(u, field_path)
+        report = {
+            "format_version": 1,
+            "iterations": rep.iterations,
+            "final_rel_residual": rep.final_rel_residual,
+            "l2_norm": l2_norm(u),
+            "h1_norm": h1_norm(u),
+            "gamma": energy_gamma(u, self.reaction, source),
+            "hole_cells": mask.hole_count,
+        }
+        report_path = os.path.join(outdir, "report.json")
+        write_json(report_path, report)
+        return {"field": field_path, "report": report_path, "wall_time": rep.wall_time}
+
+
+@dataclass(frozen=True, kw_only=True)
+class HoleFreeSolveSpec(_Solve):
+    """solve, mode hole-free: the unperforated cube of dimension `dim`."""
+
+    dim: int = 2
+
+    def mask(self):
+        return hole_free_mask(self.domain(), self.dx())
+
+
+@dataclass(frozen=True, kw_only=True)
+class FamilySolveSpec(_FamilyRun, _Solve):
+    """solve, mode family: one realization of the family."""
+
+
+@dataclass(frozen=True, kw_only=True)
+class NewtonLadderSpec:
+    """capacity, mode newton-ladder: the Newton capacity of a ball of
+    `radius` at the origin in the grounded cube [-outer_radius,
+    outer_radius]^3, at each grid spacing of `dx_list`."""
+
+    mode: str
+    radius: float
+    outer_radius: float
+    dx_list: tuple
+    tol: float = 1e-7
+    master_seed: int = 0
+
+    def ball(self):
+        R = self.outer_radius
+        cfg = PointConfiguration(points=np.zeros((1, 3)),
+                                 box=Box.cube(2 * R, 3, origin=(-R, -R, -R)),
+                                 intensity=0.0, seed=self.master_seed)
+        return build_balls(cfg, BallRadiusRule.fixed(self.radius))
+
+    def validate(self):
+        side = 2 * self.outer_radius
+        diags = diagnostics_of([
+            (not self.radius > 0, "radius", "radius must be positive"),
+            (not self.outer_radius > 0, "outer_radius", "outer_radius must be positive"),
+            (not self.tol > 0, "tol", "tol must be positive"),
+            (not self.dx_list, "dx_list", "dx_list must not be empty"),
+            *((not _divides(dx, side), "dx_list",
+               f"dx {dx} must be positive and divide the box") for dx in self.dx_list),
+        ])
+        if diags:
+            return diags
+        ball = self.ball()
+        for dx in self.dx_list:  # the ball as the run rasterizes it
+            try:
+                _electrode(ball, self.outer_radius, dx)
+            except InvalidArgumentError as exc:
+                diags.append({"field": "radius", "message": f"at dx {dx}: {exc}"})
+        return diags
+
+    def run(self, outdir, threads):
+        ball = self.ball()
         caps = []
         rows = []
-        for dx in values["dx_list"]:
-            cap, rep = newton_capacity(ball, R, dx, tol=values["tol"])
+        for dx in self.dx_list:
+            cap, rep = newton_capacity(ball, self.outer_radius, dx, tol=self.tol)
             caps.append(cap)
             change = abs(caps[-1] - caps[-2]) if len(caps) > 1 else float("nan")
             rows.append((dx, cap, rep.iterations, change))
-        write_csv(csv_path, ["dx", "value", "iterations", "abs_change"], rows)
         extrapolated = (2 * caps[-1] - caps[-2]) if len(caps) > 1 else caps[-1]
-        write_json(summary_path, {
-            "format_version": 1,
+        return _capacity_outputs(outdir, ["dx", "value", "iterations", "abs_change"], rows, {
             "values": caps,
             "extrapolated": extrapolated,
-            "radius": r,
-            "outer_radius": R,
+            "radius": self.radius,
+            "outer_radius": self.outer_radius,
         })
-    elif mode == "strange-term":
-        fam = values["family"]
-        res = strange_term(fam, values["h_list"], values["eps_list"],
-                           values["replicas"], seed,
-                           Box.cube(values["domain_side"], fam.dim),
-                           cells_per_h=values["cells_per_h"],
-                           limsup_bound=values["limsup_bound"])
-        _write_rows(csv_path, _CAP_COLUMNS, res.rows)
-        write_json(summary_path, {
-            "format_version": 1,
+
+
+@dataclass(frozen=True, kw_only=True)
+class StrangeTermSpec:
+    """capacity, mode strange-term: the absorption-constant table of the
+    family on the cube [0, domain_side]^3."""
+
+    mode: str
+    family: GeometryFamily
+    h_list: tuple
+    eps_list: tuple
+    replicas: int = 1
+    cells_per_h: int = 32
+    limsup_bound: float = None
+    domain_side: float = 1.0
+    master_seed: int = 0
+
+    def validate(self):
+        side = self.domain_side
+        diags = (self.family.validate()
+                 + _scale_diagnostics(self.eps_list, self.h_list, self.replicas)
+                 + diagnostics_of([
+                     (self.family.dim != 3, "family.dim",
+                      "the absorption-constant pipeline requires dimension 3"),
+                     (not all(e > 0 for e in self.eps_list), "eps_list",
+                      "eps must be positive"),
+                     (self.cells_per_h < 1, "cells_per_h", "cells_per_h must be >= 1"),
+                     (not side > 0, "domain_side", "domain_side must be positive"),
+                 ]))
+        if side > 0:
+            diags += _cube_diagnostics(Box.cube(side, 3), (0.5 * side,) * 3, self.h_list)
+        return diags
+
+    def run(self, outdir, threads):
+        res = strange_term(self.family, self.h_list, self.eps_list, self.replicas,
+                           self.master_seed, Box.cube(self.domain_side, self.family.dim),
+                           cells_per_h=self.cells_per_h, limsup_bound=self.limsup_bound)
+        rows = [[getattr(r, c) for c in _CAP_COLUMNS] for r in res.rows]
+        return _capacity_outputs(outdir, _CAP_COLUMNS, rows, {
             "c": res.c,
             "spread": res.spread,
             "eps_then_h": [list(t) for t in res.eps_then_h],
@@ -333,26 +387,46 @@ def _cmd_capacity(values, outdir, record, threads):
             "limsup_bound": res.limsup_bound,
             "limsup_flagged": res.limsup_flagged,
         })
-    else:  # conductivity
-        _, _, mask = _family_mask(values)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ConductivitySpec(_FamilyRun):
+    """capacity, mode conductivity: the conductivity tensor of the cube of
+    side h at the domain center, penalty exponent gamma."""
+
+    mode: str
+    eps: float = 1.0
+    h: float
+    gamma: float = 1.0
+
+    def validate(self):
+        diags = super().validate() + diagnostics_of([
+            (not 0.0 < self.gamma < 2.0, "gamma",
+             f"penalty exponent must be in (0, 2), got {self.gamma}"),
+        ])
+        n, side, dim = self.grid_cells, self.domain_side, self.dim
+        if n >= 1 and side > 0:
+            try:  # the run's window: the cube of side h at the domain center
+                _window((0.0,) * dim, (n,) * dim, side / n, (0.5 * side,) * dim, self.h)
+            except InvalidArgumentError as exc:
+                diags.append({"field": "h", "message": str(exc)})
+        return diags
+
+    def run(self, outdir, threads):
+        mask = self.mask()
         center = tuple(0.5 * (lo + hi) for lo, hi in zip(mask.domain.lower,
                                                          mask.domain.upper))
-        tensor = conductivity_tensor(mask, center, values["h"], values["gamma"])
-        write_csv(csv_path, ["i", "j", "a_ij"],
-                  [(i, j, float(tensor.entries[i, j]))
-                   for i in range(mask.dim) for j in range(mask.dim)])
-        write_json(summary_path, {
-            "format_version": 1,
+        tensor = conductivity_tensor(mask, center, self.h, self.gamma)
+        rows = [(i, j, float(tensor.entries[i, j]))
+                for i in range(mask.dim) for j in range(mask.dim)]
+        return _capacity_outputs(outdir, ["i", "j", "a_ij"], rows, {
             "entries": [[float(v) for v in row] for row in tensor.entries],
             "gamma": tensor.gamma,
             "h": tensor.h,
         })
-    record.outputs = {"table": csv_path, "summary": summary_path}
-    return 0
 
 
-def _cmd_sweep(values, outdir, record, threads):
-    spec = _spec(SweepSpec, values)
+def _cmd_sweep(spec, outdir, threads):
     report = run_sweep(spec, threads=threads)
     csv_path = os.path.join(outdir, "report.csv")
     _write_rows(csv_path, [f.name for f in fields(SweepRow)], report.rows)
@@ -362,15 +436,14 @@ def _cmd_sweep(values, outdir, record, threads):
     write_json(summary_path, report.summary)
     plot_path = os.path.join(outdir, "plot_eps_l2.txt")
     write_plot_data(plot_path, report.summary["l2_error_by_eps"])
-    record.outputs = {"report": csv_path, "cap_table": cap_path,
-                      "summary": summary_path, "plot": plot_path}
+    outputs = {"report": csv_path, "cap_table": cap_path,
+               "summary": summary_path, "plot": plot_path}
     if report.summary["partial"]:
-        record.outputs["partial"] = True
-    return 0
+        outputs["partial"] = True
+    return outputs
 
 
-def _cmd_ergodic(values, outdir, record, threads):
-    spec = _spec(ErgodicSpec, values)
+def _cmd_ergodic(spec, outdir, threads):
     res = ergodic_average_experiment(spec, threads=threads)
     csv_path = os.path.join(outdir, "decay.csv")
     write_csv(csv_path, ["t", "mean", "rel_std"], res.rows)
@@ -383,28 +456,47 @@ def _cmd_ergodic(values, outdir, record, threads):
         "decays": res.decays,
         "rows": [list(r) for r in res.rows],
     })
-    record.outputs = {"decay": csv_path, "plot": plot_path, "summary": summary_path}
-    return 0
+    return {"decay": csv_path, "plot": plot_path, "summary": summary_path}
 
 
-def _cmd_density_check(values, outdir, record, threads):
-    _, _, mask = _family_mask(values)
-    check = density_ratio_check(mask, values["radius"], values["probes"],
-                                values["seed"])
-    path = os.path.join(outdir, "density.json")
-    write_json(path, {"format_version": 1, **asdict(check)})
-    record.outputs = {"density": path}
-    return 0
-
-
-_DISPATCH = {
-    "geometry": _cmd_geometry,
-    "solve": _cmd_solve,
-    "capacity": _cmd_capacity,
-    "sweep": _cmd_sweep,
-    "ergodic": _cmd_ergodic,
-    "density-check": _cmd_density_check,
+# the spec of each subcommand, or of each of its modes
+_SPECS = {
+    "geometry": GeometrySpec,
+    "solve": {"hole-free": HoleFreeSolveSpec, "family": FamilySolveSpec},
+    "capacity": {"newton-ladder": NewtonLadderSpec, "strange-term": StrangeTermSpec,
+                 "conductivity": ConductivitySpec},
+    "sweep": SweepSpec,
+    "ergodic": ErgodicSpec,
+    "density-check": DensityCheckSpec,
 }
+# the runs of the library's specs; the CLI's own specs have a `run` method
+_LIBRARY_RUNS = {"sweep": _cmd_sweep, "ergodic": _cmd_ergodic}
+
+
+def _spec_class(command, config):
+    """The spec that reads a config of this subcommand; None for a `mode`
+    the subcommand does not have."""
+    spec_class = _SPECS[command]
+    if isinstance(spec_class, dict):
+        mode = config.get("mode")
+        return spec_class.get(mode) if isinstance(mode, str) else None
+    return spec_class
+
+
+def validate_config(command, config):
+    """All schema and invariant violations at once, as diagnostics dicts."""
+    spec_class = _spec_class(command, config)
+    if spec_class is None:
+        return [{"field": "mode",
+                 "message": f"mode must be one of {', '.join(_SPECS[command])}"}]
+    diags = _schema_diags(_schema_of(spec_class), config)
+    if diags:
+        return diags
+    try:
+        spec = _build(spec_class, config)
+    except ConfigError as exc:
+        return exc.diagnostics
+    return spec.validate()
 
 
 def _set_override(config, dotted, raw):
@@ -486,21 +578,22 @@ def main(argv=None):
             return 0
         if diags:
             raise ConfigError(diags)
-        values = _resolve(_SCHEMAS[command], config)
-        seed = values["seed"]
+        spec = _build(_spec_class(command, config), config)
+        seed = spec.master_seed
         outdir = output_directory(args.out, command, config, seed)
         record = RunRecord(command=command, config=config, master_seed=seed,
                            input_hash=content_hash(config, seed))
         record.start()
-        code = _DISPATCH[command](values, outdir, record, max(1, args.threads))
+        run = _LIBRARY_RUNS.get(command) or type(spec).run
+        outputs = run(spec, outdir, max(1, args.threads))
         record.finish()
         # file names relative to the run directory, so the record does not
         # depend on where --out put it
         record.outputs = {key: os.path.relpath(value, outdir) if isinstance(value, str)
-                          else value for key, value in record.outputs.items()}
+                          else value for key, value in outputs.items()}
         write_json(os.path.join(outdir, "run_record.json"), record.to_dict())
         print(outdir)
-        return code
+        return 0
     except ConfigError as exc:
         for d in exc.diagnostics:
             print(f"config error at {d.get('field', '?')}: {d.get('message')}",

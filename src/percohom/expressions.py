@@ -32,6 +32,18 @@ def parse_expression(text):
     return evaluate
 
 
+def source_diagnostics(text, dim):
+    """Why `text` cannot be a run's source in `dim` dimensions, as
+    diagnostics dicts: it is outside the grammar, names a coordinate the
+    dimension lacks, or divides by a constant zero."""
+    try:
+        with np.errstate(all="ignore"):  # a zero only at some points is no error
+            parse_expression(text)(**{c: np.full(1, 0.5) for c in _COORDS[:dim]})
+    except (InvalidArgumentError, ArithmeticError) as exc:
+        return [{"field": "source", "message": f"source {text!r}: {exc}"}]
+    return []
+
+
 def _check(node):
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
         _check(node.left)

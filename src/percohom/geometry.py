@@ -657,16 +657,17 @@ class GeometryFamily:
             raise InvalidArgumentError("dimension must be 2 or 3")
 
     def validate(self):
-        """All violated parameter ranges at once, as diagnostics dicts."""
+        """All violated parameter ranges at once, as diagnostics dicts at
+        the `family.<field>` keys of a run's config."""
         return diagnostics_of([
-            (not (math.isfinite(self.intensity) and self.intensity >= 0), "intensity",
+            (not (math.isfinite(self.intensity) and self.intensity >= 0), "family.intensity",
              "intensity must be finite and >= 0"),
-            (not self.r0 > 0, "r0", "r0 must be positive"),
-            (not self.c1 > 0, "c1", "annulus needs 0 < c1 <= c2"),
-            (not self.c1 <= self.c2, "c2", "annulus needs 0 < c1 <= c2"),
-            (self.tube_radius is not None and not self.tube_radius > 0, "tube_radius",
+            (not self.r0 > 0, "family.r0", "r0 must be positive"),
+            (not self.c1 > 0, "family.c1", "annulus needs 0 < c1 <= c2"),
+            (not self.c1 <= self.c2, "family.c2", "annulus needs 0 < c1 <= c2"),
+            (self.tube_radius is not None and not self.tube_radius > 0, "family.tube_radius",
              "tube_radius must be positive or null"),
-            (not self.lattice_spacing > 0, "lattice_spacing",
+            (not self.lattice_spacing > 0, "family.lattice_spacing",
              "lattice_spacing must be positive"),
         ])
 

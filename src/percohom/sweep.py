@@ -18,6 +18,7 @@ import numpy as np
 from .capacity import (StrangeTermResult, _scale_diagnostics, _strange_table,
                        boolean_capacity_constant, capacity_minimizer_on_window)
 from .errors import InvalidArgumentError, diagnostics_of
+from .expressions import source_diagnostics
 from .geometry import (Box, GeometryFamily, hole_free_mask, rasterize,
                        sample_family, volume_fraction)
 from .points import empty_cell_frequency
@@ -53,7 +54,8 @@ class SweepSpec:
         """All violated invariants at once, as diagnostics dicts."""
         eps = [float(e) for e in self.eps_list]
         sides = self.domain.sides
-        return _scale_diagnostics(eps, self.h_list, self.replicas) + diagnostics_of([
+        diags = self.family.validate() + source_diagnostics(self.source, self.family.dim)
+        return diags + _scale_diagnostics(eps, self.h_list, self.replicas) + diagnostics_of([
             (any(e <= 0 for e in eps), "eps_list", "eps must be positive"),
             (any(b >= a for a, b in zip(eps, eps[1:])), "eps_list",
              "eps list must be strictly decreasing"),
@@ -63,6 +65,9 @@ class SweepSpec:
              "cube sizes must fit inside the domain"),
             (self.reaction < 0, "reaction", "reaction must be >= 0"),
             (self.grid_cells < 4, "grid_cells", "grid too coarse"),
+            (self.capacity_cells_per_h < 1, "capacity_cells_per_h",
+             "capacity_cells_per_h must be >= 1"),
+            (not self.tol > 0, "tol", "tol must be positive"),
         ])
 
     def resolution_warnings(self):
@@ -120,6 +125,8 @@ def _sweep_row(spec, eps, k, seed, obstacles, config):
     u, report = solve_dirichlet_perforated(mask, spec.reaction, f_arr, tol=spec.tol)
     f_norm = float(np.sqrt(np.sum(f_arr * f_arr) * dx ** mask.dim))
     l2, grad = l2_norm(u), gradient_energy(u)
+    energy_lhs = grad + spec.reaction * l2 ** 2
+    fu = float(np.sum(f_arr * u.values) * dx ** mask.dim)
     ecf = math.nan
     if spec.family.kind == "rcm" and config is not None:
         sides = config.box.sides
@@ -130,8 +137,8 @@ def _sweep_row(spec, eps, k, seed, obstacles, config):
         bc, _ = boolean_capacity_constant(obstacles, spec.domain)
     row = SweepRow(eps=eps, replica=k, seed=seed, volume_fraction=vf,
                    hole_cells=mask.hole_count, h1=float(np.sqrt(l2 ** 2 + grad)),
-                   gamma=energy_gamma(u, spec.reaction, f_arr),
-                   energy_lhs=grad + spec.reaction * l2 ** 2,
+                   gamma=energy_lhs + 2.0 * fu,
+                   energy_lhs=energy_lhs,
                    energy_rhs=2.0 * l2 * f_norm,
                    iterations=report.iterations,
                    residual=report.final_rel_residual,
@@ -182,7 +189,7 @@ def run_sweep(spec, threads=1):
                              for row, obstacles, _ in results if obstacles is not None],
                             sorted((float(h) for h in spec.h_list), reverse=True),
                             [float(e) for e in spec.eps_list], center,
-                            spec.capacity_cells_per_h)
+                            spec.capacity_cells_per_h, tol=spec.tol)
     else:
         # the absorption-constant pipeline is a dimension-3 construction; 2D
         # sweeps exercise the solver and energies only
@@ -249,12 +256,18 @@ class ErgodicSpec:
 
     def validate(self):
         """All violated invariants at once, as diagnostics dicts."""
-        return diagnostics_of([
+        dim = self.family.dim
+        return self.family.validate() + diagnostics_of([
             (self.functional not in ("local_capacity", "affine_energy"), "functional",
              "functional must be local_capacity or affine_energy"),
             (len(self.t_list) < 1, "t_list", "need at least one cube size"),
+            (not all(math.isfinite(t) and t > 0 for t in self.t_list), "t_list",
+             "cube sizes must be positive and finite"),
             (self.replicas < 2, "replicas", "spread needs at least two replicas"),
             (not self.dx > 0, "dx", "dx must be positive"),
+            (self.xi is not None
+             and not (len(self.xi) == dim and all(map(math.isfinite, self.xi))), "xi",
+             f"xi must be {dim} finite numbers, one per dimension"),
         ])
 
 

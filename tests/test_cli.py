@@ -69,6 +69,22 @@ def test_missing_mode_key_is_validation_error(tmp_path, capsys, command, preset,
     assert {"field": missing, "message": f"missing required key {missing!r}"} in diags
 
 
+@pytest.mark.parametrize("command, preset, key, value", [
+    ("solve", "mms-2d", "eps", "0.125"),                 # read by mode family
+    ("solve", "perforated-2d", "dim", "2"),              # read by mode hole-free
+    ("capacity", "ball-oracle", "cells_per_h", "32"),    # read by strange-term
+    ("capacity", "strange-3d", "tol", "1e-30"),          # read by newton-ladder
+    ("capacity", "conductivity-2d", "h_list", "[0.5]"),  # read by strange-term
+])
+def test_key_of_another_mode_is_unknown(tmp_path, capsys, command, preset, key, value):
+    # each mode accepts only the keys its own run reads
+    args = ("--preset", preset, "--set", f"{key}={value}")
+    assert run_cli("validate", "--command", command, *args) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"field": key, "message": f"unknown key {key!r}"}]
+    assert run_cli(command, *args, "--out", str(tmp_path / "runs")) == 2
+
+
 @pytest.mark.parametrize("command, preset, family, missing", [
     ("geometry", "rcm-2d-demo", {"dim": 2, "c1": 0.5}, "family.kind"),
     ("sweep", "rcm-2d", {"kind": "rcm"}, "family.dim"),
@@ -143,6 +159,32 @@ def test_nonpositive_grid_cells_is_validation_error(tmp_path, capsys, command,
     ("capacity", "strange-3d", "h_list", "[1.5,0.55]"),
     ("capacity", "strange-3d", "domain_side", "0"),
     ("geometry", "rcm-2d-demo", "domain_side", "-1"),
+    # a zero count of capacity cells divided by zero in the run
+    ("sweep", "rcm-2d", "capacity_cells_per_h", "0"),
+    ("sweep", "rcm-2d", "capacity_cells_per_h", "-1"),
+    ("capacity", "strange-3d", "cells_per_h", "0"),
+    ("capacity", "strange-3d", "cells_per_h", "-1"),
+    ("capacity", "strange-3d", "eps_list", "[0.125,0.0625,-0.03125]"),
+    ("solve", "mms-2d", "reaction", "-1"),
+    ("solve", "mms-2d", "dim", "4"),
+    ("solve", "mms-2d", "tol", "0"),
+    ("solve", "mms-2d", "max_iter", "0"),
+    ("solve", "mms-2d", "source", '"2*w"'),
+    ("solve", "mms-2d", "source", '"1/z"'),
+    ("solve", "mms-2d", "source", '"1/(pi-pi)"'),
+    ("sweep", "rcm-2d", "source", '"x**2"'),
+    ("sweep", "rcm-2d", "tol", "0"),
+    ("capacity", "ball-oracle", "radius", "0"),
+    ("capacity", "ball-oracle", "outer_radius", "-1"),
+    ("capacity", "ball-oracle", "radius", "1.5"),
+    ("capacity", "ball-oracle", "radius", "0.01"),  # covers no cell center
+    ("capacity", "ball-oracle", "tol", "0"),
+    ("ergodic", "periodic-2d", "xi", "[1,0,0]"),
+    ("ergodic", "periodic-2d", "t_list", "[2,-4]"),
+    # JSON as Python reads it has infinities, which no key takes
+    ("sweep", "rcm-2d", "reaction", "Infinity"),
+    ("geometry", "boolean-3d-demo", "family.r0", "Infinity"),
+    ("ergodic", "periodic-2d", "dx", "Infinity"),
 ])
 def test_degenerate_values_are_validation_errors(tmp_path, capsys, command, preset,
                                                  key, value):
@@ -152,6 +194,22 @@ def test_degenerate_values_are_validation_errors(tmp_path, capsys, command, pres
     assert key in {d["field"] for d in json.loads(capsys.readouterr().out)}
     assert run_cli(command, *args, "--out", str(tmp_path / "runs")) == 2
     assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("content", [None, "percohom-field format_version x\n",
+                                     "other grid"])
+def test_source_file_is_validated(tmp_path, capsys, content):
+    # a source field that is missing, malformed or on another grid
+    path = tmp_path / "source.txt"
+    if content == "other grid":
+        ph.save_field(ph.GridField.constant(
+            ph.hole_free_mask(ph.Box.unit(2), 1.0 / 32), -1.0), str(path))
+    elif content is not None:
+        path.write_text(content)
+    args = ("--preset", "mms-2d", "--set", f'source_file="{path}"')
+    assert run_cli("validate", "--command", "solve", *args) == 0
+    assert [d["field"] for d in json.loads(capsys.readouterr().out)] == ["source_file"]
+    assert run_cli("solve", *args, "--out", str(tmp_path / "runs")) == 2
 
 
 @pytest.mark.parametrize("source", ["--set", "list", "not-json", "missing"])

@@ -126,6 +126,22 @@ def test_sweep_records_row_failures_and_continues():
     assert {(r.eps, r.seed) for r in rep.cap_rows} == {(r.eps, r.seed) for r in rep.rows}
 
 
+def test_sweep_tol_reaches_the_capacity_table():
+    # one tolerance per sweep: its capacity windows are solved at its tol too
+    fam = ph.GeometryFamily(kind="boolean", dim=3, intensity=1.0, r0=0.35,
+                            radius_exponent=1.0)
+
+    def cap_iterations(tol):
+        spec = ph.SweepSpec(family=fam, domain=UNIT3, eps_list=(0.125, 0.1, 0.0625),
+                            h_list=(0.75, 0.55), grid_cells=16, capacity_cells_per_h=16,
+                            master_seed=1, tol=tol)
+        return [r.iterations for r in ph.run_sweep(spec).cap_rows]
+
+    loose, tight = cap_iterations(1e-3), cap_iterations(1e-10)
+    assert all(a <= b for a, b in zip(loose, tight))
+    assert sum(loose) < sum(tight)
+
+
 # -------------------------------------------------------------- ergodic runs
 
 def test_ergodic_periodic_geometry_has_zero_spread():
