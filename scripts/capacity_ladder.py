@@ -23,7 +23,7 @@ def main():
     box = ph.Box.cube(2 * R, 3, origin=(-R,) * 3)
     cfg = ph.PointConfiguration(points=np.zeros((1, 3)), box=box,
                                 intensity=0.0, seed=0)
-    ball = ph.build_balls(cfg, ph.BallRadiusRule.fixed(args.radius))
+    ball = ph.build_balls(cfg, args.radius)
     exact = 4 * math.pi / (1 / args.radius - 1 / R)
     print(f"shell reference: {exact:.6f}")
     print(f"{'cells':>6} {'dx':>12} {'capacity':>12} {'rel err':>10} {'iters':>6} {'secs':>6}")

@@ -8,17 +8,15 @@ from .errors import (ConfigError, DegenerateConfigurationError,
                      UnsupportedDimensionError)
 from .points import (Box, PointConfiguration, empty_cell_frequency, load_points,
                      sample_poisson, save_points, scale)
-from .geometry import (BallRadiusRule, ConnectivityFunction, EdgeSet,
-                       GeometryFamily, ObstacleSet, PerforatedMask,
-                       build_balls, build_rcm_edges, build_tubes,
-                       connected_components, density_ratio_check,
-                       hole_free_mask, load_mask, min_pairwise_distance,
-                       rasterize, sample_family, save_mask, scale_obstacles,
-                       volume_fraction)
-from .solver import (GridField, SolveReport, cg_solve, energy_gamma,
-                     friedrichs_constant, gradient_energy, h1_norm,
-                     l2_distance, l2_norm, load_field, make_operator,
-                     save_field, solve_dirichlet_perforated, solve_homogenized)
+from .geometry import (ConnectivityFunction, EdgeSet, GeometryFamily,
+                       ObstacleSet, PerforatedMask, build_balls,
+                       build_rcm_edges, build_tubes, connected_components,
+                       density_ratio_check, hole_free_mask, load_mask,
+                       min_pairwise_distance, rasterize, sample_family,
+                       save_mask, scale_obstacles, volume_fraction)
+from .solver import (GridField, SolveReport, energy_gamma, friedrichs_constant,
+                     gradient_energy, h1_norm, l2_distance, l2_norm,
+                     load_field, save_field, solve_dirichlet_perforated)
 from .capacity import (CapacityEstimate, ConductivityTensor,
                        affine_dirichlet_energy, boolean_capacity_constant,
                        conductivity_tensor, local_capacity, newton_capacity,

@@ -11,7 +11,8 @@ Each subcommand, and each mode of `solve` and `capacity`, reads its config
 through one frozen dataclass, its spec.  The spec's fields are the keys the
 run reads, with their types and defaults; any other key is rejected.  Its
 `validate()` holds the run's checks, and its `run` writes the artifacts.
-`sweep` and `ergodic` use the library's SweepSpec and ErgodicSpec.
+The specs of `sweep` and `ergodic` add their `run` to the library's
+SweepSpec and ErgodicSpec.
 """
 
 import argparse
@@ -30,7 +31,7 @@ from .errors import (ConfigError, DegenerateConfigurationError,
                      InvalidArgumentError, SolverFailureError,
                      UnsupportedDimensionError, diagnostics_of)
 from .expressions import source_diagnostics
-from .geometry import (BallRadiusRule, Box, GeometryFamily, build_balls,
+from .geometry import (Box, GeometryFamily, _grid_shape, build_balls,
                        density_ratio_check, hole_free_mask, mask_stats, rasterize,
                        sample_family, save_mask)
 from .points import PointConfiguration
@@ -48,72 +49,61 @@ REQUIRED = MISSING  # the default of a key without one, as in dataclasses
 _RENAMED = {"master_seed": "seed", "domain": "domain_side"}
 
 
-def _schema_of(cls):
-    """{key: (type, default)} of a dataclass's fields; `domain_side`, the side
-    of a cube from the origin, stands for `domain`.  A type is int, float (a
-    JSON number), str, tuple (a list of numbers) or a dataclass (an object
-    with that dataclass's keys); a None default also accepts null."""
-    return {_RENAMED.get(f.name, f.name):
-            (float, 1.0) if f.name == "domain" else (f.type, f.default)
-            for f in fields(cls)}
+def _is_number(value):
+    """A finite JSON number (Python's JSON reader also takes NaN and Infinity)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
-def _accepts(kind, value):
-    """Whether a JSON value fits a key of this type; a number must be finite
-    (Python's JSON reader also takes NaN and Infinity)."""
-    if kind is tuple:
-        return isinstance(value, list) and all(_accepts(float, v) for v in value)
-    json_type = {float: (int, float), int: int, str: str}.get(kind, dict)
-    return (isinstance(value, json_type) and not isinstance(value, bool)
-            and (kind is not float or math.isfinite(value)))
-
-
-def _schema_diags(schema, config, prefix=""):
-    """Unknown keys, wrong types and missing REQUIRED keys of a JSON object
-    and the objects nested in it."""
-    diags = []
-    for key, value in config.items():
-        field = prefix + key
-        if key not in schema:
-            diags.append({"field": field, "message": f"unknown key {key!r}"})
-            continue
-        kind, default = schema[key]
-        if value is None and default is None:
-            continue
-        if not _accepts(kind, value):
-            diags.append({"field": field,
-                          "message": f"{field} has the wrong type: {value!r}"})
-        elif is_dataclass(kind):
-            diags.extend(_schema_diags(_schema_of(kind), value, prefix=field + "."))
-    diags.extend({"field": prefix + key,
-                  "message": f"missing required key {prefix + key!r}"}
-                 for key, (_, default) in schema.items()
-                 if default is REQUIRED and key not in config)
-    return diags
-
-
-def _build(cls, config):
-    """The `cls` of a config its schema accepted: every key in its field's
-    type, defaults filled in, and `domain` the cube of side `domain_side`."""
-    kwargs = {}
-    for f, (key, (kind, default)) in zip(fields(cls), _schema_of(cls).items()):
-        value = config.get(key, default)
+def _convert(kind, value, field, diags):
+    """A JSON value as a `kind`: int, float, str, tuple (a list of numbers)
+    or a dataclass (an object with its keys).  Adds a diagnostic to `diags`
+    and returns None when the value is not one."""
+    if is_dataclass(kind) and isinstance(value, dict):
         try:
-            if value is not None:
-                value = (_build(kind, value) if is_dataclass(kind) else
-                         tuple(float(v) for v in value) if kind is tuple else kind(value))
-            if f.name == "domain":
-                value = Box.cube(value, kwargs["family"].dim)
-        except InvalidArgumentError as exc:  # a family kind or dimension, or a domain
-            raise ConfigError([{"field": key, "message": str(exc)}]) from exc
+            return _read(kind, value, diags, prefix=field + ".")
+        except InvalidArgumentError as exc:  # a family kind or dimension
+            diags.append({"field": field, "message": str(exc)})
+            return None
+    if kind is tuple and isinstance(value, list) and all(map(_is_number, value)):
+        return tuple(float(v) for v in value)
+    if kind is float and _is_number(value):
+        return float(value)
+    if kind in (int, str) and isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    diags.append({"field": field, "message": f"{field} has the wrong type: {value!r}"})
+    return None
+
+
+def _read(cls, config, diags, prefix=""):
+    """The `cls` of a JSON object, in one walk over its fields: each key's
+    value converted to its field's type, defaults filled in, and `domain`
+    the cube of side `domain_side` from the origin.  A None default also
+    accepts null.  Unknown keys, wrong types and missing required keys go to
+    `diags`, and then the result is None."""
+    keys = {_RENAMED.get(f.name, f.name): f for f in fields(cls)}
+    found = len(diags)
+    diags += [{"field": prefix + key, "message": f"unknown key {key!r}"}
+              for key in config if key not in keys]
+    kwargs = {}
+    for key, f in keys.items():
+        field = prefix + key
+        kind, default = (float, 1.0) if f.name == "domain" else (f.type, f.default)
+        value = config.get(key, default)
+        if value is REQUIRED:
+            diags.append({"field": field, "message": f"missing required key {field!r}"})
+        elif key in config and (value is not None or default is not None):
+            value = _convert(kind, value, field, diags)
         kwargs[f.name] = value
+    if len(diags) > found:
+        return None
+    if "domain" in kwargs:
+        try:
+            kwargs["domain"] = Box.cube(kwargs["domain"], kwargs["family"].dim)
+        except InvalidArgumentError as exc:
+            diags.append({"field": prefix + "domain_side", "message": str(exc)})
+            return None
     return cls(**kwargs)
-
-
-def _divides(dx, side):
-    """Whether a grid spacing dx > 0 cuts `side` into a whole number of cells."""
-    cells = side / dx if dx > 0 else math.nan
-    return math.isfinite(cells) and abs(cells - round(cells)) <= 1e-9
 
 
 _CAP_COLUMNS = ("h", "eps", "seed", "cap", "cap_per_hn", "iterations", "dx")
@@ -208,6 +198,8 @@ class DensityCheckSpec(_FamilyRun):
     def validate(self):
         return super().validate() + diagnostics_of([
             (not self.radius > 0, "radius", "radius must be positive"),
+            (self.radius > self.domain_side, "radius",
+             "radius must not exceed domain_side: a larger ball measures nothing"),
             (self.probes < 1, "probes", "need at least one probe"),
         ])
 
@@ -303,24 +295,28 @@ class NewtonLadderSpec:
         cfg = PointConfiguration(points=np.zeros((1, 3)),
                                  box=Box.cube(2 * R, 3, origin=(-R, -R, -R)),
                                  intensity=0.0, seed=self.master_seed)
-        return build_balls(cfg, BallRadiusRule.fixed(self.radius))
+        return build_balls(cfg, self.radius)
 
     def validate(self):
-        side = 2 * self.outer_radius
+        R = self.outer_radius
         diags = diagnostics_of([
             (not self.radius > 0, "radius", "radius must be positive"),
-            (not self.outer_radius > 0, "outer_radius", "outer_radius must be positive"),
+            (not R > 0, "outer_radius", "outer_radius must be positive"),
             (not self.tol > 0, "tol", "tol must be positive"),
             (not self.dx_list, "dx_list", "dx_list must not be empty"),
-            *((not _divides(dx, side), "dx_list",
-               f"dx {dx} must be positive and divide the box") for dx in self.dx_list),
         ])
+        for dx in self.dx_list if R > 0 else ():
+            try:  # the rasterizer's rule, on the box the run rasterizes
+                _grid_shape(Box((-R,) * 3, (R,) * 3), dx)
+            except InvalidArgumentError:
+                diags.append({"field": "dx_list",
+                              "message": f"dx {dx} must be positive and divide the box"})
         if diags:
             return diags
         ball = self.ball()
         for dx in self.dx_list:  # the ball as the run rasterizes it
             try:
-                _electrode(ball, self.outer_radius, dx)
+                _electrode(ball, R, dx)
             except InvalidArgumentError as exc:
                 diags.append({"field": "radius", "message": f"at dx {dx}: {exc}"})
         return diags
@@ -426,37 +422,45 @@ class ConductivitySpec(_FamilyRun):
         })
 
 
-def _cmd_sweep(spec, outdir, threads):
-    report = run_sweep(spec, threads=threads)
-    csv_path = os.path.join(outdir, "report.csv")
-    _write_rows(csv_path, [f.name for f in fields(SweepRow)], report.rows)
-    cap_path = os.path.join(outdir, "cap_table.csv")
-    _write_rows(cap_path, _CAP_COLUMNS, report.cap_rows)
-    summary_path = os.path.join(outdir, "summary.json")
-    write_json(summary_path, report.summary)
-    plot_path = os.path.join(outdir, "plot_eps_l2.txt")
-    write_plot_data(plot_path, report.summary["l2_error_by_eps"])
-    outputs = {"report": csv_path, "cap_table": cap_path,
-               "summary": summary_path, "plot": plot_path}
-    if report.summary["partial"]:
-        outputs["partial"] = True
-    return outputs
+class SweepRun(SweepSpec):
+    """sweep: the library's SweepSpec, run into its report, capacity table,
+    summary and plot data."""
+
+    def run(self, outdir, threads):
+        report = run_sweep(self, threads=threads)
+        csv_path = os.path.join(outdir, "report.csv")
+        _write_rows(csv_path, [f.name for f in fields(SweepRow)], report.rows)
+        cap_path = os.path.join(outdir, "cap_table.csv")
+        _write_rows(cap_path, _CAP_COLUMNS, report.cap_rows)
+        summary_path = os.path.join(outdir, "summary.json")
+        write_json(summary_path, report.summary)
+        plot_path = os.path.join(outdir, "plot_eps_l2.txt")
+        write_plot_data(plot_path, report.summary["l2_error_by_eps"])
+        outputs = {"report": csv_path, "cap_table": cap_path,
+                   "summary": summary_path, "plot": plot_path}
+        if report.summary["partial"]:
+            outputs["partial"] = True
+        return outputs
 
 
-def _cmd_ergodic(spec, outdir, threads):
-    res = ergodic_average_experiment(spec, threads=threads)
-    csv_path = os.path.join(outdir, "decay.csv")
-    write_csv(csv_path, ["t", "mean", "rel_std"], res.rows)
-    plot_path = os.path.join(outdir, "plot_t_relstd.txt")
-    write_plot_data(plot_path, [(t, rel) for t, _, rel in res.rows])
-    summary_path = os.path.join(outdir, "summary.json")
-    write_json(summary_path, {
-        "format_version": 1,
-        "functional": spec.functional,
-        "decays": res.decays,
-        "rows": [list(r) for r in res.rows],
-    })
-    return {"decay": csv_path, "plot": plot_path, "summary": summary_path}
+class ErgodicRun(ErgodicSpec):
+    """ergodic: the library's ErgodicSpec, run into its decay table, plot
+    data and summary."""
+
+    def run(self, outdir, threads):
+        res = ergodic_average_experiment(self, threads=threads)
+        csv_path = os.path.join(outdir, "decay.csv")
+        write_csv(csv_path, ["t", "mean", "rel_std"], res.rows)
+        plot_path = os.path.join(outdir, "plot_t_relstd.txt")
+        write_plot_data(plot_path, [(t, rel) for t, _, rel in res.rows])
+        summary_path = os.path.join(outdir, "summary.json")
+        write_json(summary_path, {
+            "format_version": 1,
+            "functional": self.functional,
+            "decays": res.decays,
+            "rows": [list(r) for r in res.rows],
+        })
+        return {"decay": csv_path, "plot": plot_path, "summary": summary_path}
 
 
 # the spec of each subcommand, or of each of its modes
@@ -465,12 +469,10 @@ _SPECS = {
     "solve": {"hole-free": HoleFreeSolveSpec, "family": FamilySolveSpec},
     "capacity": {"newton-ladder": NewtonLadderSpec, "strange-term": StrangeTermSpec,
                  "conductivity": ConductivitySpec},
-    "sweep": SweepSpec,
-    "ergodic": ErgodicSpec,
+    "sweep": SweepRun,
+    "ergodic": ErgodicRun,
     "density-check": DensityCheckSpec,
 }
-# the runs of the library's specs; the CLI's own specs have a `run` method
-_LIBRARY_RUNS = {"sweep": _cmd_sweep, "ergodic": _cmd_ergodic}
 
 
 def _spec_class(command, config):
@@ -489,14 +491,9 @@ def validate_config(command, config):
     if spec_class is None:
         return [{"field": "mode",
                  "message": f"mode must be one of {', '.join(_SPECS[command])}"}]
-    diags = _schema_diags(_schema_of(spec_class), config)
-    if diags:
-        return diags
-    try:
-        spec = _build(spec_class, config)
-    except ConfigError as exc:
-        return exc.diagnostics
-    return spec.validate()
+    diags = []
+    spec = _read(spec_class, config, diags)
+    return diags if spec is None else spec.validate()
 
 
 def _set_override(config, dotted, raw):
@@ -578,14 +575,13 @@ def main(argv=None):
             return 0
         if diags:
             raise ConfigError(diags)
-        spec = _build(_spec_class(command, config), config)
+        spec = _read(_spec_class(command, config), config, [])
         seed = spec.master_seed
         outdir = output_directory(args.out, command, config, seed)
         record = RunRecord(command=command, config=config, master_seed=seed,
                            input_hash=content_hash(config, seed))
         record.start()
-        run = _LIBRARY_RUNS.get(command) or type(spec).run
-        outputs = run(spec, outdir, max(1, args.threads))
+        outputs = spec.run(outdir, max(1, args.threads))
         record.finish()
         # file names relative to the run directory, so the record does not
         # depend on where --out put it

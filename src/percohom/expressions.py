@@ -28,7 +28,6 @@ def parse_expression(text):
     def evaluate(**coords):
         return _eval(tree.body, coords)
 
-    evaluate.source = text
     return evaluate
 
 

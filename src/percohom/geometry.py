@@ -217,27 +217,6 @@ def build_tubes(config, edges, tube_radius, max_allowed=None):
                        tube_radius=float(tube_radius))
 
 
-@dataclass(frozen=True)
-class BallRadiusRule:
-    """How ball radii are assigned: a fixed value, a fraction of the minimum
-    pairwise distance, or i.i.d. uniform radii capped at that fraction."""
-
-    kind: str  # "fixed" | "min_distance_fraction" | "iid_uniform"
-    value: float
-
-    @staticmethod
-    def fixed(r):
-        return BallRadiusRule("fixed", float(r))
-
-    @staticmethod
-    def min_distance_fraction(theta):
-        return BallRadiusRule("min_distance_fraction", float(theta))
-
-    @staticmethod
-    def iid_uniform(theta_max=0.5):
-        return BallRadiusRule("iid_uniform", float(theta_max))
-
-
 def min_pairwise_distance(config):
     if config.count < 2:
         raise DegenerateConfigurationError(
@@ -248,31 +227,16 @@ def min_pairwise_distance(config):
     return float(d[:, 1].min())
 
 
-def build_balls(config, rule, seed=0):
-    """Balls centered at the points with radii given by `rule`.
+def build_balls(config, radii):
+    """Balls centered at the points, of radius `radii`: one positive radius
+    for every ball, or one per point.
 
-    With fractions <= 1/2 of the minimum pairwise distance, the balls are
-    pairwise non-intersecting by construction.
+    Radii of at most half the minimum pairwise distance give pairwise
+    disjoint balls.
     """
-    n = config.count
-    if rule.kind == "fixed":
-        if rule.value <= 0:
-            raise InvalidArgumentError("fixed radius must be positive")
-        radii = np.full(n, rule.value)
-    elif rule.kind == "min_distance_fraction":
-        if not (0 < rule.value):
-            raise InvalidArgumentError("fraction must be positive")
-        d = min_pairwise_distance(config)
-        radii = np.full(n, rule.value * d)
-    elif rule.kind == "iid_uniform":
-        if not (0 < rule.value):
-            raise InvalidArgumentError("cap fraction must be positive")
-        d = min_pairwise_distance(config)
-        rng = substream(seed, "ball-radii")
-        # uniform on (0, theta_max * min_dist]; zero radii excluded
-        radii = (1.0 - rng.random(n)) * rule.value * d
-    else:
-        raise InvalidArgumentError(f"unknown radius rule {rule.kind!r}")
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim == 0:
+        radii = np.full(config.count, float(radii))
     return ObstacleSet(kind="balls", points=config, ball_radii=radii)
 
 
@@ -346,6 +310,10 @@ class PerforatedMask:
 
 
 def _grid_shape(domain, dx):
+    """Cells per side of the grid of spacing dx on `domain`: dx must be
+    positive and cut every side into a whole number of cells."""
+    if not dx > 0:
+        raise InvalidArgumentError("dx must be positive")
     shape = []
     for side in domain.sides:
         m = side / dx
@@ -359,8 +327,6 @@ def _grid_shape(domain, dx):
 def rasterize(obstacles, domain, dx):
     """Flag grid cells whose centers fall inside the obstacle set as holes."""
     dx = float(dx)
-    if dx <= 0:
-        raise InvalidArgumentError("dx must be positive")
     shape = _grid_shape(domain, dx)
     if obstacles.dim != domain.dim:
         raise InvalidArgumentError("obstacle and domain dimensions differ")
@@ -513,7 +479,7 @@ def density_ratio_check(mask, radius, probes, seed):
     rng = substream(seed, "density-probes")
     sides = np.asarray(mask.domain.sides)
     xs = lo + rng.random((probes, n)) * sides
-    counts = np.asarray([len(tree.query_ball_point(x, radius)) for x in xs], dtype=float)
+    counts = tree.query_ball_point(xs, radius, return_length=True).astype(float)
     ratios = counts * cell_vol / (radius ** n * total)
     return DensityCheck(min_ratio=float(ratios.min()), max_ratio=float(ratios.max()),
                         failed=bool(ratios.min() == 0.0), probes=probes,
@@ -617,10 +583,10 @@ def _read_mask(fh):
                           epsilon=epsilon, provenance=provenance, warnings=warns)
 
 
-def hole_free_mask(domain, dx, provenance="hole-free"):
+def hole_free_mask(domain, dx):
     shape = _grid_shape(domain, dx)
     return PerforatedMask(flags=np.zeros(shape, dtype=np.uint8), dx=float(dx),
-                          domain=domain, epsilon=1.0, provenance=provenance)
+                          domain=domain, epsilon=1.0, provenance="hole-free")
 
 
 @dataclass(frozen=True)
@@ -706,5 +672,5 @@ def sample_family(family, eps, seed, domain):
                                 max_allowed=family.c1 / 2.0)
     else:
         unscaled_r = family.r0 * eps ** (family.radius_exponent - 1.0)
-        obstacles = build_balls(config, BallRadiusRule.fixed(unscaled_r))
+        obstacles = build_balls(config, unscaled_r)
     return scale_obstacles(obstacles, eps), config

@@ -49,13 +49,6 @@ class Box:
     def volume(self):
         return float(np.prod(self.sides))
 
-    def contains(self, pts):
-        """Half-open membership test, vectorized over rows of `pts`."""
-        pts = np.asarray(pts, dtype=float)
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return np.all((pts >= lo) & (pts < hi), axis=-1)
-
     def translated(self, shift):
         shift = tuple(float(s) for s in shift)
         return Box(tuple(l + s for l, s in zip(self.lower, shift)),

@@ -432,18 +432,6 @@ def solve_dirichlet_perforated(mask, reaction, f, tol=1e-8, max_iter=None):
     return GridField(mask, x), report
 
 
-def solve_homogenized(domain, reaction, strange_c, f, dx, tol=1e-8):
-    """Solve lap(u) - (reaction + c) u = f on the unperforated grid.
-
-    Deliberately routed through the perforated solver on a hole-free mask so
-    that c = 0 reproduces it bit for bit.
-    """
-    if strange_c < 0:
-        raise InvalidArgumentError("the effective absorption constant must be >= 0")
-    mask = hole_free_mask(domain, dx)
-    return solve_dirichlet_perforated(mask, reaction + strange_c, f, tol=tol)
-
-
 def l2_norm(u):
     return float(np.sqrt(np.sum(u.values * u.values) * u.mask.dx ** u.mask.dim))
 

@@ -24,8 +24,7 @@ from .geometry import (Box, GeometryFamily, hole_free_mask, rasterize,
 from .points import empty_cell_frequency
 from .rng import substream_seed
 from .solver import (GridField, as_source, energy_gamma, gradient_energy,
-                     l2_distance, l2_norm, solve_dirichlet_perforated,
-                     solve_homogenized)
+                     l2_distance, l2_norm, solve_dirichlet_perforated)
 
 DEFAULT_SOURCE = "-1"
 DEFAULT_REACTION = 1.0
@@ -195,8 +194,8 @@ def run_sweep(spec, threads=1):
         # sweeps exercise the solver and energies only
         st = StrangeTermResult(rows=(), c=0.0, spread=0.0,
                                eps_then_h=(), h_then_eps=())
-    u_hom, _ = solve_homogenized(spec.domain, spec.reaction, st.c, spec.source,
-                                 spec.dx(), tol=spec.tol)
+    u_hom, _ = solve_dirichlet_perforated(hole_free_mask(spec.domain, spec.dx()),
+                                          spec.reaction + st.c, spec.source, tol=spec.tol)
     rows = [row if u is None else
             SweepRow(**{**asdict(row), "l2_error": l2_distance(u, u_hom)})
             for row, _, u in results]

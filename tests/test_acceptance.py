@@ -128,7 +128,7 @@ def test_criterion_02_newton_capacity_oracle():
     cfg = ph.PointConfiguration(points=np.zeros((1, 3)),
                                 box=ph.Box.cube(2.0, 3, origin=(-1.0,) * 3),
                                 intensity=0.0, seed=0)
-    ball = ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.1))
+    ball = ph.build_balls(cfg, 0.1)
     errs = []
     for dx in (1.0 / 12, 1.0 / 24, 1.0 / 48):
         cap, _ = ph.newton_capacity(ball, 1.0, dx, tol=1e-7)
@@ -144,7 +144,7 @@ def test_criterion_03_capacity_scaling_law():
         cfg = ph.PointConfiguration(points=np.zeros((1, 3)),
                                     box=ph.Box.cube(2 * R, 3, origin=(-R,) * 3),
                                     intensity=0.0, seed=0)
-        ball = ph.build_balls(cfg, ph.BallRadiusRule.fixed(r))
+        ball = ph.build_balls(cfg, r)
         return ph.newton_capacity(ball, R, dx)[0]
 
     full = cap_of(0.1, 0.5, 1.0 / 48)
@@ -164,9 +164,9 @@ def test_criterion_04_local_capacity_monotone():
         base = ph.PointConfiguration(points=pts, box=UNIT3, intensity=0.0, seed=0)
         plus = ph.PointConfiguration(points=np.vstack([pts, 0.2 + 0.6 * rng.random((2, 3))]),
                                      box=UNIT3, intensity=0.0, seed=0)
-        small = ph.build_balls(base, ph.BallRadiusRule.fixed(0.04))
-        big = ph.build_balls(base, ph.BallRadiusRule.fixed(0.055))
-        extra = ph.build_balls(plus, ph.BallRadiusRule.fixed(0.04))
+        small = ph.build_balls(base, 0.04)
+        big = ph.build_balls(base, 0.055)
+        extra = ph.build_balls(plus, 0.04)
         caps = {}
         for name, obs in (("small", small), ("big", big), ("extra", extra)):
             mask = ph.rasterize(obs, UNIT3, 1.0 / 48)
@@ -197,7 +197,7 @@ def test_criterion_05_conductivity_tensor():
         pts = 0.35 + 0.3 * rng.random((3, 3))
         obs = ph.build_balls(ph.PointConfiguration(points=pts, box=UNIT3,
                                                    intensity=0.0, seed=0),
-                             ph.BallRadiusRule.fixed(0.05))
+                             0.05)
         m = ph.rasterize(obs, UNIT3, 1.0 / 64)
         t = ph.conductivity_tensor(m, (0.5,) * 3, 0.5, 1.0)
         a = t.entries

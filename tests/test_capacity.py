@@ -17,13 +17,13 @@ def ball_at(center, r, halfside=0.5, dim=3):
     box = ph.Box.cube(2 * halfside, dim, origin=tuple(c - halfside for c in center))
     cfg = ph.PointConfiguration(points=np.array([center], float), box=box,
                                 intensity=0.0, seed=0)
-    return ph.build_balls(cfg, ph.BallRadiusRule.fixed(r))
+    return ph.build_balls(cfg, r)
 
 
 def balls_at(centers, r, box):
     cfg = ph.PointConfiguration(points=np.asarray(centers, float), box=box,
                                 intensity=0.0, seed=0)
-    return ph.build_balls(cfg, ph.BallRadiusRule.fixed(r))
+    return ph.build_balls(cfg, r)
 
 
 # ----------------------------------------------------------- newton capacity

@@ -137,6 +137,7 @@ def test_nonpositive_grid_cells_is_validation_error(tmp_path, capsys, command,
     ("density-check", "tubes-2d", "radius", "0"),
     ("density-check", "tubes-2d", "radius", "-0.1"),
     ("density-check", "tubes-2d", "probes", "0"),
+    ("density-check", "tubes-2d", "radius", "1e300"),  # a ball beyond the domain
     ("capacity", "ball-oracle", "dx_list", "[]"),
     ("capacity", "ball-oracle", "dx_list", "[0.3]"),
     ("capacity", "ball-oracle", "dx_list", "[0.1,0]"),
@@ -194,6 +195,18 @@ def test_degenerate_values_are_validation_errors(tmp_path, capsys, command, pres
     assert key in {d["field"] for d in json.loads(capsys.readouterr().out)}
     assert run_cli(command, *args, "--out", str(tmp_path / "runs")) == 2
     assert not os.path.exists(tmp_path / "runs")
+
+
+def test_ladder_dx_is_checked_by_the_rasterizer_rule():
+    # 2/96 (1 + 1e-10) is within the rasterizer's tolerance of cutting the
+    # box [-1, 1]^3 into 96 cells per side, so the run accepts it
+    dx = 2.0 / 96 * (1 + 1e-10)
+    config = {**PRESETS["capacity"]["ball-oracle"], "dx_list": [dx]}
+    assert validate_config("capacity", config) == []
+    cfg = ph.PointConfiguration(points=[[0.0, 0.0, 0.0]], box=ph.Box((-1.0,) * 3, (1.0,) * 3),
+                                intensity=0.0, seed=0)
+    mask = ph.rasterize(ph.build_balls(cfg, 0.1), cfg.box, dx)
+    assert mask.shape == (96, 96, 96)
 
 
 @pytest.mark.parametrize("content", [None, "percohom-field format_version x\n",

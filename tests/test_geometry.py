@@ -144,7 +144,7 @@ def test_tube_radius_warning():
 
 def test_tangent_balls_at_half_fraction():
     cfg = _config([[0.25, 0.5], [0.75, 0.5]])
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.min_distance_fraction(0.5))
+    obs = ph.build_balls(cfg, 0.5 * ph.min_pairwise_distance(cfg))
     assert np.allclose(obs.ball_radii, 0.25)
     c0, c1 = obs.points.points
     assert np.linalg.norm(c0 - c1) >= obs.ball_radii[0] + obs.ball_radii[1] - 1e-15
@@ -153,8 +153,14 @@ def test_tangent_balls_at_half_fraction():
 def test_fixed_radius_non_intersection():
     cfg = ph.sample_poisson(UNIT2, 10.0, 2)
     d = ph.min_pairwise_distance(cfg)
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.49 * d))
+    obs = ph.build_balls(cfg, 0.49 * d)
     _assert_no_overlap(obs)
+
+
+def _iid_radii(cfg, seed):
+    """I.i.d. radii, uniform on (0, d/2] for d the minimum pairwise distance."""
+    d = ph.min_pairwise_distance(cfg)
+    return (1.0 - substream(seed, "ball-radii").random(cfg.count)) * 0.5 * d
 
 
 def _assert_no_overlap(obs):
@@ -170,14 +176,28 @@ def test_iid_capped_radii_never_overlap():
         cfg = ph.sample_poisson(ph.Box.cube(2.0, 2), 5.0, substream_seed(77, i))
         if cfg.count < 2:
             continue
-        obs = ph.build_balls(cfg, ph.BallRadiusRule.iid_uniform(0.5), seed=i)
+        obs = ph.build_balls(cfg, _iid_radii(cfg, i))
         _assert_no_overlap(obs)
 
 
 def test_min_distance_rule_needs_two_points():
-    single = _config([[0.5, 0.5]])
     with pytest.raises(DegenerateConfigurationError):
-        ph.build_balls(single, ph.BallRadiusRule.min_distance_fraction(0.5))
+        ph.min_pairwise_distance(_config([[0.5, 0.5]]))
+
+
+def test_build_balls_takes_one_radius_or_one_per_point():
+    cfg = _config([[0.25, 0.5], [0.75, 0.5], [0.5, 0.8]])
+    assert np.array_equal(ph.build_balls(cfg, 0.1).ball_radii, [0.1, 0.1, 0.1])
+    radii = np.array([0.1, 0.2, 0.05])
+    assert np.array_equal(ph.build_balls(cfg, radii).ball_radii, radii)
+
+
+@pytest.mark.parametrize("radii", [[0.1, 0.2], [0.1, 0.2, 0.1, 0.1], 0.0, -0.1,
+                                   [0.1, 0.0, 0.1]])
+def test_build_balls_rejects_bad_radii(radii):
+    # one radius per point, each positive
+    with pytest.raises(InvalidArgumentError):
+        ph.build_balls(_config([[0.25, 0.5], [0.75, 0.5], [0.5, 0.8]]), radii)
 
 
 # ------------------------------------------------------------------- scaling
@@ -215,7 +235,7 @@ def test_scaling_commutes_with_rasterization():
     cfg = ph.sample_poisson(ph.Box.cube(4.0, 2), 3.0, 21)
     if cfg.count < 2:
         pytest.skip("degenerate draw")
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.min_distance_fraction(0.4))
+    obs = ph.build_balls(cfg, 0.4 * ph.min_pairwise_distance(cfg))
     eps = 0.25
     coarse = ph.rasterize(obs, ph.Box.cube(4.0, 2), 4.0 / 128)
     fine = ph.rasterize(ph.scale_obstacles(obs, eps), ph.Box.cube(1.0, 2), 1.0 / 128)
@@ -226,7 +246,7 @@ def test_scaling_commutes_with_rasterization():
 
 def test_rasterize_ball_area_oracle():
     cfg = _config([[0.5, 0.5]])
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.25))
+    obs = ph.build_balls(cfg, 0.25)
     dx = 1.0 / 256
     mask = ph.rasterize(obs, UNIT2, dx)
     area = mask.hole_count * dx**2
@@ -239,7 +259,7 @@ def test_rasterize_refinement_stability():
     # flag in all four children of the refined grid
     cfg = _config([[0.5, 0.5]])
     r = 0.3
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.fixed(r))
+    obs = ph.build_balls(cfg, r)
     dx = 1.0 / 32
     coarse = ph.rasterize(obs, UNIT2, dx)
     fine = ph.rasterize(obs, UNIT2, dx / 2)
@@ -254,14 +274,14 @@ def test_rasterize_refinement_stability():
 
 def test_rasterize_resolution_warning():
     cfg = _config([[0.5, 0.5]])
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.001))
+    obs = ph.build_balls(cfg, 0.001)
     mask = ph.rasterize(obs, UNIT2, 1.0 / 16)
     assert any("resolution-loss" in w for w in mask.warnings)
 
 
 def test_rasterize_requires_divisible_dx():
     cfg = _config([[0.5, 0.5]])
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.2))
+    obs = ph.build_balls(cfg, 0.2)
     with pytest.raises(InvalidArgumentError):
         ph.rasterize(obs, UNIT2, 0.3)
 
@@ -296,15 +316,14 @@ def _rasterize_per_capsule(obstacles, domain, dx):
 
 def _oracle_obstacles(case):
     """(obstacles, domain, cells per side) for the rasterization oracle."""
-    fixed = ph.BallRadiusRule.fixed
     if case == "balls-2d-equal":
-        return ph.build_balls(ph.sample_poisson(UNIT2, 600.0, 1), fixed(0.02)), UNIT2, 64
+        return ph.build_balls(ph.sample_poisson(UNIT2, 600.0, 1), 0.02), UNIT2, 64
     if case == "balls-3d-equal":
         # windows of about 10^3 cells: each window shape spans several batches
-        return ph.build_balls(ph.sample_poisson(UNIT3, 2000.0, 2), fixed(0.15)), UNIT3, 32
+        return ph.build_balls(ph.sample_poisson(UNIT3, 2000.0, 2), 0.15), UNIT3, 32
     if case == "balls-3d-iid":
         cfg = ph.sample_poisson(UNIT3, 200.0, 5)
-        return ph.build_balls(cfg, ph.BallRadiusRule.iid_uniform(0.5), seed=5), UNIT3, 48
+        return ph.build_balls(cfg, _iid_radii(cfg, 5)), UNIT3, 48
     if case == "tubes-2d":
         fam = ph.GeometryFamily(kind="rcm", dim=2, c1=0.5, c2=1.0)
         return ph.sample_family(fam, 0.125, 3, UNIT2)[0], UNIT2, 64
@@ -319,19 +338,19 @@ def _oracle_obstacles(case):
         # centers in a box twice the domain's size: balls inside, straddling
         # the boundary, and wholly outside the grid
         cfg = ph.sample_poisson(ph.Box((-0.5, -0.5), (1.5, 1.5)), 10.0, 3)
-        return ph.build_balls(cfg, fixed(0.12)), UNIT2, 64
+        return ph.build_balls(cfg, 0.12), UNIT2, 64
     if case == "tubes-3d-clipped":
         fam = ph.GeometryFamily(kind="rcm", dim=3, c1=0.5, c2=1.0)
         big = ph.Box((-0.25,) * 3, (1.25,) * 3)
         return ph.sample_family(fam, 0.25, 4, big)[0], UNIT3, 32
     if case == "outside":
         cfg = _config([[1.5, 0.5], [-0.3, 0.2], [0.5, 1.11]], box=ph.Box((-1, -1), (2, 2)))
-        return ph.build_balls(cfg, fixed(0.1)), UNIT2, 32
+        return ph.build_balls(cfg, 0.1), UNIT2, 32
     if case == "single":
         # one window of 48^3 cells, more than one batch holds
         cfg = _config([[0.5, 0.5, 0.5]], dim=3)
-        return ph.build_balls(cfg, fixed(0.5)), UNIT3, 48
-    return ph.build_balls(_config(np.empty((0, 3)), dim=3), fixed(0.1)), UNIT3, 16
+        return ph.build_balls(cfg, 0.5), UNIT3, 48
+    return ph.build_balls(_config(np.empty((0, 3)), dim=3), 0.1), UNIT3, 16
 
 
 @pytest.mark.parametrize("case", ["balls-2d-equal", "balls-3d-equal", "balls-3d-iid",
@@ -438,7 +457,7 @@ def test_density_ratio_uniform_lattice():
 
 def test_density_ratio_whole_domain_and_empty():
     cfg = _config([[0.5, 0.5]])
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.2))
+    obs = ph.build_balls(cfg, 0.2)
     mask = ph.rasterize(obs, UNIT2, 1.0 / 128)
     r = 2.0  # >= diam(D): every probe sees the whole hole set
     check = ph.density_ratio_check(mask, radius=r, probes=50, seed=1)
@@ -450,7 +469,7 @@ def test_density_ratio_whole_domain_and_empty():
 
 
 def test_density_ratio_needs_a_positive_radius():
-    obs = ph.build_balls(_config([[0.5, 0.5]]), ph.BallRadiusRule.fixed(0.2))
+    obs = ph.build_balls(_config([[0.5, 0.5]]), 0.2)
     mask = ph.rasterize(obs, UNIT2, 1.0 / 64)
     for r in (0.0, -0.1, math.nan):
         with pytest.raises(InvalidArgumentError):
@@ -459,7 +478,7 @@ def test_density_ratio_needs_a_positive_radius():
 
 def test_density_ratio_flags_concentration():
     cfg = _config([[0.05, 0.05]])
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.04))
+    obs = ph.build_balls(cfg, 0.04)
     mask = ph.rasterize(obs, UNIT2, 1.0 / 256)
     check = ph.density_ratio_check(mask, radius=0.05, probes=400, seed=2)
     assert check.min_ratio == 0.0
@@ -584,15 +603,15 @@ def test_tube_overlap_count_matches_brute_force(dim):
 def _indicator_obstacles(case):
     if case == "balls-2d":
         cfg = ph.sample_poisson(UNIT2, 8.0, 31)
-        return ph.build_balls(cfg, ph.BallRadiusRule.min_distance_fraction(0.5)), UNIT2, 64
+        return ph.build_balls(cfg, 0.5 * ph.min_pairwise_distance(cfg)), UNIT2, 64
     if case == "balls-2d-beyond-domain":
         # centers in a box twice the domain's size: balls inside, straddling
         # the boundary, and wholly outside the grid
         cfg = ph.sample_poisson(ph.Box((-0.5, -0.5), (1.5, 1.5)), 10.0, 3)
-        return ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.12)), UNIT2, 64
+        return ph.build_balls(cfg, 0.12), UNIT2, 64
     if case == "balls-3d-iid":
         cfg = ph.sample_poisson(UNIT3, 12.0, 5)
-        return ph.build_balls(cfg, ph.BallRadiusRule.iid_uniform(0.5), seed=5), UNIT3, 48
+        return ph.build_balls(cfg, _iid_radii(cfg, 5)), UNIT3, 48
     fam = ph.GeometryFamily(kind="rcm", dim=3, c1=0.5, c2=1.0)
     obs, _ = ph.sample_family(fam, 0.25, 7, UNIT3)
     return obs, UNIT3, 40

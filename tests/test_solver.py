@@ -20,7 +20,7 @@ def _random_mask(seed, cells=48, intensity=6.0, radius_frac=0.4, dim=2):
     cfg = ph.sample_poisson(box, intensity, seed)
     if cfg.count < 2:
         return ph.hole_free_mask(box, 1.0 / cells)
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.min_distance_fraction(radius_frac))
+    obs = ph.build_balls(cfg, radius_frac * ph.min_pairwise_distance(cfg))
     return ph.rasterize(obs, box, 1.0 / cells)
 
 
@@ -51,7 +51,7 @@ def test_manufactured_solution_order_with_absorption():
     for n in (32, 64, 128):
         mask = ph.hole_free_mask(UNIT2, 1.0 / n)
         src = "-(2*pi*pi+5)*sin(pi*x)*sin(pi*y)"
-        u, _ = ph.solve_homogenized(UNIT2, 2.0, 3.0, src, 1.0 / n, tol=1e-10)
+        u, _ = ph.solve_dirichlet_perforated(mask, 2.0 + 3.0, src, tol=1e-10)
         exact = ph.GridField.from_expression(mask, "sin(pi*x)*sin(pi*y)")
         errs.append(ph.l2_distance(u, exact))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -66,17 +66,9 @@ def test_discrete_maximum_principle():
         assert u.values.min() >= -1e-12
 
 
-def test_homogenized_matches_perforated_bitwise_at_zero_c():
-    mask = ph.hole_free_mask(UNIT2, 1.0 / 32)
-    u1, r1 = ph.solve_dirichlet_perforated(mask, 1.0, "-1")
-    u2, r2 = ph.solve_homogenized(UNIT2, 1.0, 0.0, "-1", 1.0 / 32)
-    assert np.array_equal(u1.values, u2.values)
-    assert r1.iterations == r2.iterations
-
-
 def test_homogenized_large_absorption_sup_bound():
     c = 1e6
-    u, _ = ph.solve_homogenized(UNIT2, 1.0, c, "-1", 1.0 / 32)
+    u, _ = ph.solve_dirichlet_perforated(ph.hole_free_mask(UNIT2, 1.0 / 32), 1.0 + c, "-1")
     assert np.abs(u.values).max() <= 1.0 / (1.0 + c) * (1 + 1e-8)
 
 
@@ -158,7 +150,7 @@ def _newton_condenser(monkeypatch):
     solves = _capture_kernel_solves(monkeypatch)
     box = ph.Box.cube(1.0, 3, origin=(-0.5,) * 3)
     cfg = ph.PointConfiguration(points=np.zeros((1, 3)), box=box, intensity=0.0, seed=0)
-    obs = ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.1))
+    obs = ph.build_balls(cfg, 0.1)
     cap, _ = ph.newton_capacity(obs, 0.5, 1.0 / 16, tol=1e-12)
     kernel, x = solves[-1]
     return cap, x, kernel.unknown, kernel.energy
@@ -169,7 +161,7 @@ def _affine_mask(seed):
     rng = substream(seed, "affine-mask")
     cfg = ph.PointConfiguration(points=0.3 + 0.4 * rng.random((3, 3)), box=box,
                                 intensity=0.0, seed=0)
-    return ph.rasterize(ph.build_balls(cfg, ph.BallRadiusRule.fixed(0.08)), box, 1.0 / 16)
+    return ph.rasterize(ph.build_balls(cfg, 0.08), box, 1.0 / 16)
 
 
 def _affine_with_penalty(monkeypatch):
@@ -222,8 +214,8 @@ def test_solution_minimizes_discrete_energy(problem, monkeypatch):
 def test_nested_masks_energy_comparison():
     # more holes shrink the admissible set, so the attained minimum grows
     cfg = ph.sample_poisson(UNIT2, 8.0, 23)
-    obs_small = ph.build_balls(cfg, ph.BallRadiusRule.min_distance_fraction(0.3))
-    obs_big = ph.build_balls(cfg, ph.BallRadiusRule.min_distance_fraction(0.45))
+    obs_small = ph.build_balls(cfg, 0.3 * ph.min_pairwise_distance(cfg))
+    obs_big = ph.build_balls(cfg, 0.45 * ph.min_pairwise_distance(cfg))
     m_small = ph.rasterize(obs_small, UNIT2, 1.0 / 64)
     m_big = ph.rasterize(obs_big, UNIT2, 1.0 / 64)
     u_small, _ = ph.solve_dirichlet_perforated(m_small, 1.0, "-1", tol=1e-11)
@@ -253,7 +245,7 @@ def test_zero_extension_identity():
 
 def test_operator_is_spd():
     mask = _random_mask(16, cells=24)
-    apply_op = ph.make_operator(mask, 0.5)
+    apply_op = solver.make_operator(mask, 0.5)
     rng = substream(17, "spd")
     for _ in range(100):
         v = np.where(mask.material, rng.standard_normal(mask.shape), 0.0)
