@@ -11,12 +11,15 @@ cell as a hole exactly when its center lies inside.  It evaluates the
 capsules whose windows have one shape together, in cache-sized batches, so
 balls of one radius cost a few array passes rather than one pass each.
 Obstacles scale homothetically and carry enough provenance to reproduce
-themselves from a seed.  The number of overlapping tube pairs, a
-diagnostic, is always reported; a k-d tree on the segment midpoints picks
-the candidate pairs.  scipy is imported inside the functions that use it,
-so a run that never calls them does not pay for the import.
+themselves from a seed.  One cell-list search in numpy finds the point
+pairs within a distance: the candidate edges of the random connection
+model, the minimum pairwise distance and the candidate pairs of the
+overlapping-tube count, a diagnostic that is always reported.  Graph
+components come from min-label hooking with pointer jumping.  scipy is
+left only in `density_ratio_check`, which imports it when called.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -95,7 +98,8 @@ class EdgeSet:
         if e.size:
             if np.any(e[:, 0] >= e[:, 1]):
                 raise InvalidArgumentError("edges must satisfy i < j")
-            if np.unique(e, axis=0).shape[0] != e.shape[0]:
+            rows = e[np.lexsort((e[:, 1], e[:, 0]))]
+            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
                 raise InvalidArgumentError("duplicate edges")
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
@@ -177,6 +181,83 @@ def _capsule_dist2(x, a, ab, ab2):
     return dist2
 
 
+def _pair_dist2(points, i, j):
+    """Squared distances of the point pairs (i[k], j[k]), summed axis by
+    axis from 0 in the order of scipy's k-d tree."""
+    dist2 = 0.0
+    for x in points.T:
+        step = x[i] - x[j]
+        step *= step
+        dist2 = np.add(dist2, step, out=step)
+    return dist2
+
+
+def _runs(values, starts, total):
+    """The `total` entries that hold values[k] from starts[k] up to the next
+    start; starts rise strictly from 0."""
+    out = np.zeros(total, dtype=np.int64)
+    out[starts] = np.diff(values, prepend=0)
+    return np.cumsum(out, out=out)
+
+
+def _close_pairs(points, radius):
+    """Every index pair (i, j), i < j, of points at distance <= radius, as
+    an (M, 2) int64 array in lexicographic order; a radius <= 0 gives the
+    coincident pairs.
+
+    A linked-cell search (Hockney & Eastwood 1981): the points are sorted
+    once by the key of the cell of side `radius` that holds them, and each
+    cell is compared with itself and with the forward half of its 3^d
+    neighbours, so every candidate pair is seen once.  The squared distance
+    of a candidate is compared with radius * radius, in the arithmetic of
+    scipy's k-d tree, so the pairs are those of `cKDTree.query_pairs`.
+    """
+    p = np.asarray(points, dtype=float)
+    n, dim = p.shape
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    lo = p.min(axis=0)
+    # at most about n^(1/d) cells per axis, so the cell tables stay O(n);
+    # a cell larger than the radius only adds candidates
+    side = max(radius, float((p.max(axis=0) - lo).max()) / math.ceil(n ** (1.0 / dim)))
+    if not side > 0:  # every point coincides and radius <= 0
+        side = 1.0
+    # one empty layer of cells on each side, so that no neighbour key wraps
+    cells = np.floor((p - lo) / side).astype(np.int64) + 1
+    extent = cells.max(axis=0) + 2
+    strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1)
+    keys = cells @ strides
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    heads = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    head = np.zeros(int(extent.prod()), dtype=np.int64)
+    count = np.zeros_like(head)
+    head[keys[heads]] = heads
+    count[keys[heads]] = np.diff(np.append(heads, n))
+    # the partners of sorted point s: the rest of its own cell, then each
+    # forward neighbour cell, as runs first + (0 .. length - 1)
+    own = np.arange(n)
+    firsts, lengths = [own + 1], [head[keys] + count[keys] - 1 - own]
+    for step in itertools.product((-1, 0, 1), repeat=dim):
+        if step > (0,) * dim:
+            neighbour = keys + int(np.dot(step, strides))
+            firsts.append(head[neighbour])
+            lengths.append(count[neighbour])
+    length = np.concatenate(lengths)
+    runs = np.flatnonzero(length)
+    first, length = np.concatenate(firsts)[runs], length[runs]
+    starts = np.cumsum(length) - length
+    total = int(length.sum())
+    src = _runs(runs % n, starts, total)
+    dst = _runs(first - starts, starts, total)
+    dst += np.arange(total)
+    close = _pair_dist2(p[order], src, dst) <= (
+        radius * radius if radius > 0 else 0.0)
+    i, j = order[src[close]], order[dst[close]]
+    flat = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.column_stack([flat // n, flat % n])
+
+
 def build_rcm_edges(config, g, seed=0):
     """Edge set of the random connection model under connectivity rule `g`:
     an independent Bernoulli(g(d)) per pair, drawn from `seed` in sorted pair
@@ -188,10 +269,7 @@ def build_rcm_edges(config, g, seed=0):
         return EdgeSet(edges=np.empty((0, 2), dtype=np.int64))
     cutoff = g.support_radius()
     if np.isfinite(cutoff):
-        from scipy.spatial import cKDTree
-        tree = cKDTree(config.points)
-        pairs = tree.query_pairs(r=cutoff, output_type="ndarray")
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs = _close_pairs(config.points, cutoff)
     else:
         ii, jj = np.triu_indices(n, k=1)
         pairs = np.column_stack([ii, jj])
@@ -218,13 +296,20 @@ def build_tubes(config, edges, tube_radius, max_allowed=None):
 
 
 def min_pairwise_distance(config):
-    if config.count < 2:
+    """Smallest distance between two points: the pairs within the mean
+    spacing (box volume / N)^(1/d) are searched, the radius doubling until
+    some pair lies within it."""
+    n = config.count
+    if n < 2:
         raise DegenerateConfigurationError(
             "minimum pairwise distance needs at least two points")
-    from scipy.spatial import cKDTree
-    tree = cKDTree(config.points)
-    d, _ = tree.query(config.points, k=2)
-    return float(d[:, 1].min())
+    p = config.points
+    radius = (config.box.volume / n) ** (1.0 / config.dim)
+    pairs = _close_pairs(p, radius)
+    while not pairs.size:
+        radius *= 2.0
+        pairs = _close_pairs(p, radius)
+    return float(np.sqrt(_pair_dist2(p, *pairs.T).min()))
 
 
 def build_balls(config, radii):
@@ -378,17 +463,30 @@ def rasterize(obstacles, domain, dx):
 def connected_components(config, edges):
     """Partition of point indices into maximal connected sets, ordered by
     their smallest member, members sorted."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components as label_components
     n = config.count
     if n == 0:
         return []
     i, j = edges.edges.T
-    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-    _, labels = label_components(graph, directed=False)
+    # every label is a root (labels[r] == r) at the top of the loop; each
+    # root hooks onto the smallest root across its edges, which keeps every
+    # parent below its child, and pointer jumping flattens the trees again.
+    # A component ends labelled by its smallest member.
+    labels = np.arange(n)
+    while True:
+        li, lj = labels[i], labels[j]
+        low = np.minimum(li, lj)
+        hooked = labels.copy()
+        np.minimum.at(hooked, li, low)
+        np.minimum.at(hooked, lj, low)
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
     members = np.argsort(labels, kind="stable")
-    groups = np.split(members, np.cumsum(np.bincount(labels))[:-1])
-    return sorted(g.tolist() for g in groups)
+    sizes = np.bincount(labels, minlength=n)[labels == np.arange(n)]
+    return [g.tolist() for g in np.split(members, np.cumsum(sizes)[:-1])]
 
 
 def volume_fraction(mask):
@@ -429,8 +527,8 @@ def tube_overlap_count(obstacles):
 
     Purely diagnostic: the overlap set plays no quantitative role, but its
     size is reported with the geometry stats.  Two such segments have
-    midpoints within 2 (largest half-length) + 2 rho, so a k-d tree on the
-    midpoints yields every candidate pair.
+    midpoints within 2 (largest half-length) + 2 rho, so the close pairs of
+    the midpoints are every candidate pair.
     """
     if obstacles.kind != "tubes":
         raise InvalidArgumentError("tube overlaps are defined for tube obstacles")
@@ -441,8 +539,7 @@ def tube_overlap_count(obstacles):
     half = 0.5 * np.sqrt(np.sum((b - a) ** 2, axis=1))
     # widened by a rounding margin: the exact test below decides
     radius = (2.0 * half.max() + reach) * (1.0 + 1e-9)
-    from scipy.spatial import cKDTree
-    i, j = cKDTree(0.5 * (a + b)).query_pairs(radius, output_type="ndarray").T
+    i, j = _close_pairs(0.5 * (a + b), radius).T
     return int(np.count_nonzero(_segment_pair_dist2(a[i], b[i], a[j], b[j]) <= reach * reach))
 
 

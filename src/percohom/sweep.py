@@ -11,7 +11,7 @@ L2 error column.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,8 +115,9 @@ class HomogenizationReport:
     summary: dict
 
 
-def _sweep_row(spec, eps, k, seed, obstacles, config):
-    """Rasterize + solve + norms for one sampled (eps, replica)."""
+def _sweep_row(spec, eps, k, seed, obstacles, config, u_hom):
+    """Rasterize + solve + norms for one sampled (eps, replica), with the L2
+    error against the homogenized field u_hom."""
     dx = spec.dx()
     mask = rasterize(obstacles, spec.domain, dx)
     vf = volume_fraction(mask)
@@ -134,34 +135,41 @@ def _sweep_row(spec, eps, k, seed, obstacles, config):
     bc = math.nan
     if spec.family.kind in ("boolean", "lattice") and obstacles.dim == 3:
         bc, _ = boolean_capacity_constant(obstacles, spec.domain)
-    row = SweepRow(eps=eps, replica=k, seed=seed, volume_fraction=vf,
-                   hole_cells=mask.hole_count, h1=float(np.sqrt(l2 ** 2 + grad)),
-                   gamma=energy_lhs + 2.0 * fu,
-                   energy_lhs=energy_lhs,
-                   energy_rhs=2.0 * l2 * f_norm,
-                   iterations=report.iterations,
-                   residual=report.final_rel_residual,
-                   empty_cell_freq=ecf, boolean_constant=bc)
-    return row, u
+    return SweepRow(eps=eps, replica=k, seed=seed, volume_fraction=vf,
+                    hole_cells=mask.hole_count, h1=float(np.sqrt(l2 ** 2 + grad)),
+                    gamma=energy_lhs + 2.0 * fu,
+                    energy_lhs=energy_lhs,
+                    energy_rhs=2.0 * l2 * f_norm,
+                    l2_error=l2_distance(u, u_hom),
+                    iterations=report.iterations,
+                    residual=report.final_rel_residual,
+                    empty_cell_freq=ecf, boolean_constant=bc)
+
+
+def _sample(spec, ie, k):
+    """One (eps, replica) realization: (eps, replica, seed, obstacles,
+    config, failure), the obstacles None and the failure set when sampling
+    raises."""
+    eps = float(spec.eps_list[ie])
+    seed = substream_seed(spec.master_seed, "geometry", ie, k)
+    try:
+        return (eps, k, seed) + sample_family(spec.family, eps, seed, spec.domain) + ("",)
+    except Exception as exc:  # recorded per row; the sweep continues
+        return eps, k, seed, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def _sweep_job(args):
-    """One (eps, replica), the parallel unit: (row, obstacles, field).  The
-    obstacles are returned whenever sampling succeeded, so the capacity
-    table covers the rows that failed later too; the field only on success."""
-    spec, ie, k = args
-    eps = float(spec.eps_list[ie])
-    seed = substream_seed(spec.master_seed, "geometry", ie, k)
-    obstacles = None
-    try:
-        obstacles, config = sample_family(spec.family, eps, seed, spec.domain)
-        row, u = _sweep_row(spec, eps, k, seed, obstacles, config)
-        return row, obstacles, u
-    except Exception as exc:  # recorded per row; the sweep continues
-        return SweepRow(eps=eps, replica=k, seed=seed, volume_fraction=math.nan,
-                        hole_cells=0, h1=math.nan, gamma=math.nan,
-                        energy_lhs=math.nan, energy_rhs=math.nan,
-                        failure=f"{type(exc).__name__}: {exc}"), obstacles, None
+    """One sampled (eps, replica), the parallel unit: its row only, so no
+    field outlives its row; a failure is recorded in the row."""
+    spec, (eps, k, seed, obstacles, config, failure), u_hom = args
+    if not failure:
+        try:
+            return _sweep_row(spec, eps, k, seed, obstacles, config, u_hom)
+        except Exception as exc:  # recorded per row; the sweep continues
+            failure = f"{type(exc).__name__}: {exc}"
+    return SweepRow(eps=eps, replica=k, seed=seed, volume_fraction=math.nan,
+                    hole_cells=0, h1=math.nan, gamma=math.nan,
+                    energy_lhs=math.nan, energy_rhs=math.nan, failure=failure)
 
 
 def _map(fn, args, threads):
@@ -174,18 +182,19 @@ def _map(fn, args, threads):
 
 def run_sweep(spec, threads=1):
     """Execute the sweep; failures are recorded per row and do not abort.
-    The capacity table runs on the sweep's own realizations."""
+    Every realization is sampled first: the capacity table runs on them,
+    failed rows included, and gives c; then the rows are solved against the
+    homogenized field with reaction + c."""
     diags = spec.validate()
     if diags:
         raise InvalidArgumentError("; ".join(d["message"] for d in diags))
-    jobs = [(spec, ie, k) for ie in range(len(spec.eps_list))
-            for k in range(spec.replicas)]
-    results = _map(_sweep_job, jobs, threads)
+    samples = [_sample(spec, ie, k) for ie in range(len(spec.eps_list))
+               for k in range(spec.replicas)]
     if spec.family.dim == 3:
         center = tuple(0.5 * (lo + hi) for lo, hi in zip(spec.domain.lower,
                                                          spec.domain.upper))
-        st = _strange_table([(row.eps, row.replica, row.seed, obstacles)
-                             for row, obstacles, _ in results if obstacles is not None],
+        st = _strange_table([(eps, k, seed, obstacles)
+                             for eps, k, seed, obstacles, _, failure in samples if not failure],
                             sorted((float(h) for h in spec.h_list), reverse=True),
                             [float(e) for e in spec.eps_list], center,
                             spec.capacity_cells_per_h, tol=spec.tol)
@@ -196,9 +205,7 @@ def run_sweep(spec, threads=1):
                                eps_then_h=(), h_then_eps=())
     u_hom, _ = solve_dirichlet_perforated(hole_free_mask(spec.domain, spec.dx()),
                                           spec.reaction + st.c, spec.source, tol=spec.tol)
-    rows = [row if u is None else
-            SweepRow(**{**asdict(row), "l2_error": l2_distance(u, u_hom)})
-            for row, _, u in results]
+    rows = _map(_sweep_job, [(spec, sample, u_hom) for sample in samples], threads)
     summary = _summarize(spec, rows, st)
     return HomogenizationReport(spec=spec, rows=tuple(rows),
                                 cap_rows=st.rows, c=st.c, c_spread=st.spread,

@@ -417,8 +417,9 @@ def test_artifacts_are_strict_json(tmp_path, command, args):
 
 
 def test_boolean_runs_do_not_import_scipy(tmp_path):
-    # scipy is imported where it is used: a 3D Boolean sweep and a Boolean
-    # ergodic run never load it, and an RCM geometry run still finds it
+    # scipy is imported where it is used: a 3D Boolean sweep, a Boolean
+    # ergodic run, an RCM geometry run and an RCM sweep never load it, and
+    # the density check, run last, shows that the test sees an import
     code = textwrap.dedent(f"""
         import sys
         from percohom.cli import main
@@ -428,9 +429,13 @@ def test_boolean_runs_do_not_import_scipy(tmp_path):
                      "--out", out]) == 0
         assert main(["ergodic", "--preset", "boolean-3d-spot", "--set", "replicas=2",
                      "--out", out]) == 0
+        assert main(["geometry", "--preset", "rcm-2d-demo", "--set", "grid_cells=32",
+                     "--out", out]) == 0
+        assert main(["sweep", "--preset", "rcm-2d", "--set", "replicas=1",
+                     "--set", "grid_cells=32", "--out", out]) == 0
         loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
         assert not loaded, loaded
-        assert main(["geometry", "--preset", "rcm-2d-demo", "--set", "grid_cells=32",
+        assert main(["density-check", "--preset", "tubes-2d", "--set", "grid_cells=16",
                      "--out", out]) == 0
         assert "scipy.spatial" in sys.modules
     """)
