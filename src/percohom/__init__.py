@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DegenerateConfigurationError,
                      InvalidArgumentError, SolverFailureError,
                      UnsupportedDimensionError)
-from .points import (Box, PointConfiguration, empty_cell_frequency, load_points,
-                     sample_poisson, save_points, scale)
+from .points import (Box, PointConfiguration, empty_cell_frequency, sample_poisson,
+                     scale)
 from .geometry import (ConnectivityFunction, EdgeSet, GeometryFamily,
                        ObstacleSet, PerforatedMask, build_balls,
                        build_rcm_edges, build_tubes, connected_components,

@@ -109,28 +109,28 @@ def _electrode(obstacles, outer_radius, dx):
 # ---------------------------------------------------------------------------
 # Local capacity on a cube window of a mask
 
-def _window(lower, shape, dx, center, h):
+def _window(domain, dx, center, h):
     """Snap the cube of side h at `center` to whole cells of the grid of
-    `shape` cells of side dx from `lower`; returns (slices, effective
-    center, effective side)."""
+    spacing dx on `domain`; returns (slices, effective center, effective
+    side)."""
     m = int(round(h / dx))
     if m < 1:
         raise InvalidArgumentError(f"cube side {h} is below one cell")
     slices = []
     eff_center = []
-    for d in range(len(shape)):
-        i0 = int(round((center[d] - h / 2.0 - lower[d]) / dx))
-        if i0 < 0 or i0 + m > shape[d]:
+    for d, n in enumerate(domain.grid_shape(dx)):
+        i0 = int(round((center[d] - h / 2.0 - domain.lower[d]) / dx))
+        if i0 < 0 or i0 + m > n:
             raise InvalidArgumentError("cube must lie inside the mask domain")
         slices.append(slice(i0, i0 + m))
-        eff_center.append(lower[d] + (i0 + m / 2.0) * dx)
+        eff_center.append(domain.lower[d] + (i0 + m / 2.0) * dx)
     return tuple(slices), tuple(eff_center), m * dx
 
 
 def local_capacity(mask, center, h, tol=1e-8):
     """Capacity-type energy of the cube of side h at `center`, snapped to
     whole cells; zero iff no obstacle cells intersect the cube."""
-    slices, _, _ = _window(mask.domain.lower, mask.shape, mask.dx, center, h)
+    slices, _, _ = _window(mask.domain, mask.dx, center, h)
     return capacity_minimizer_on_window(mask, slices, tol=tol)[0]
 
 
@@ -184,7 +184,7 @@ def _affine_cell_problem(mask, window, xi, penalty, tol=1e-10):
     # where the boundary data l sits
     axes = []
     for d in range(n):
-        c = mask.domain.lower[d] + (np.arange(slices[d].start, slices[d].stop) + 0.5) * dx
+        c = mask.axis_centers(d)[slices[d]]
         axes.append(np.concatenate(([c[0] - 0.5 * dx], c, [c[-1] + 0.5 * dx])))
     grids = np.meshgrid(*axes, indexing="ij")
     ell = sum((grids[d] - eff_center[d]) * xi[d] for d in range(n))
@@ -209,7 +209,7 @@ def _penalized_window(mask, z, h, gamma):
     """The snapped cube window and its penalty h^(-2-gamma), gamma in (0, 2)."""
     if not (0.0 < gamma < 2.0):
         raise InvalidArgumentError(f"penalty exponent must be in (0, 2), got {gamma}")
-    window = _window(mask.domain.lower, mask.shape, mask.dx, z, h)
+    window = _window(mask.domain, mask.dx, z, h)
     return window, window[2] ** (-2.0 - gamma)
 
 
@@ -242,7 +242,7 @@ def conductivity_tensor(mask, z, h, gamma, tol=1e-10):
 def affine_dirichlet_energy(mask, z, h, xi, tol=1e-10):
     """Minimum Dirichlet energy with affine data (x - z, xi) on the cube
     boundary and insulating obstacles; the penalty-free conduction value."""
-    window = _window(mask.domain.lower, mask.shape, mask.dx, z, h)
+    window = _window(mask.domain, mask.dx, z, h)
     return _affine_cell_problem(mask, window, xi, 0.0, tol=tol)[0]
 
 
@@ -287,9 +287,10 @@ def _scale_diagnostics(eps_list, h_list, replicas):
     ])
 
 
-def _cube_diagnostics(domain, center, h_list):
-    """The cubes of side h at `center` that escape the domain, as
-    diagnostics dicts."""
+def _cube_diagnostics(domain, h_list, center=None):
+    """The cubes of side h at `center` (the domain's center when None) that
+    escape the domain, as diagnostics dicts."""
+    center = domain.center if center is None else center
     return diagnostics_of([
         (any(c - h / 2.0 < lo - 1e-12 or c + h / 2.0 > hi + 1e-12
              for c, lo, hi in zip(center, domain.lower, domain.upper)),
@@ -306,33 +307,37 @@ def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
     (common random numbers).  Scale ordering is enforced: every eps must
     satisfy eps < h/4 for every h in use.
     """
-    h_list = sorted(float(h) for h in h_list)[::-1]
-    eps_list = sorted(float(e) for e in eps_list)[::-1]
-    diags = _scale_diagnostics(eps_list, h_list, replicas)
-    if diags:
-        raise InvalidArgumentError("; ".join(d["message"] for d in diags))
-    if center is None:
-        center = tuple(0.5 * (lo + hi) for lo, hi in zip(domain.lower, domain.upper))
-    diags = _cube_diagnostics(domain, center, h_list)
+    diags = (_scale_diagnostics(eps_list, h_list, replicas)
+             + _cube_diagnostics(domain, h_list, center))
     if diags:
         raise InvalidArgumentError("; ".join(d["message"] for d in diags))
     realizations = []
-    for ie, eps in enumerate(eps_list):
+    # the seeds are indexed in decreasing eps
+    for ie, eps in enumerate(sorted(map(float, eps_list), reverse=True)):
         for k in range(replicas):
             seed = substream_seed(master_seed, "strange-term", ie, k)
             obstacles, _ = sample_family(family, eps, seed, domain)
             realizations.append((eps, k, seed, obstacles))
-    return _strange_table(realizations, h_list, eps_list, center, cells_per_h,
-                          limsup_bound=limsup_bound, tol=tol)
+    return _strange_table(realizations, h_list, eps_list, domain, cells_per_h,
+                          center=center, limsup_bound=limsup_bound, tol=tol)
 
 
-def _strange_table(realizations, h_list, eps_list, center, cells_per_h,
+def _mean(values):
+    return float(np.mean(values)) if values else math.nan
+
+
+def _strange_table(realizations, h_list, eps_list, domain, cells_per_h, center=None,
                    limsup_bound=None, tol=1e-8):
     """The capacity table of `strange_term` over given (eps, replica, seed,
-    obstacles) realizations, h_list and eps_list decreasing and already
-    checked for scale ordering and for cubes inside the domain."""
+    obstacles) realizations, with h_list and eps_list already checked for
+    scale ordering and the cubes at `center` (the domain's center when None)
+    for lying inside the domain.  `c` and its spread are NaN, undefined,
+    when no realization at the smallest eps is given."""
+    h_list = sorted(map(float, h_list), reverse=True)
+    eps_list = sorted(map(float, eps_list), reverse=True)
+    center = domain.center if center is None else center
     rows = []
-    n = len(center)
+    n = domain.dim
     for eps, k, seed, obstacles in realizations:
         for h in h_list:
             dx_local = h / cells_per_h
@@ -345,19 +350,18 @@ def _strange_table(realizations, h_list, eps_list, center, cells_per_h,
                 h=est.h, eps=eps, replica=k, seed=seed, cap=est.value,
                 cap_per_hn=est.value / est.h ** n,
                 iterations=est.report.iterations, dx=dx_local))
-    h_min = min(r.h for r in rows)
+    h_min = min((r.h for r in rows), default=math.nan)
     eps_min = eps_list[-1]
     at_corner = [r.cap_per_hn for r in rows
                  if r.h == h_min and r.eps == eps_min]
-    c = float(np.mean(at_corner))
-    spread = float(np.std(at_corner))
+    c = _mean(at_corner)
+    spread = float(np.std(at_corner)) if at_corner else math.nan
     eps_then_h = tuple(
-        (h, float(np.mean([r.cap_per_hn for r in rows
-                           if abs(r.h / h - 1) < 1e-9 and r.eps == eps_min])))
+        (h, _mean([r.cap_per_hn for r in rows
+                   if abs(r.h / h - 1) < 1e-9 and r.eps == eps_min]))
         for h in sorted({r.h for r in rows})[::-1])
     h_then_eps = tuple(
-        (eps, float(np.mean([r.cap_per_hn for r in rows
-                             if r.eps == eps and r.h == h_min])))
+        (eps, _mean([r.cap_per_hn for r in rows if r.eps == eps and r.h == h_min]))
         for eps in eps_list)
     flagged = False
     if limsup_bound is not None:

@@ -31,9 +31,9 @@ from .errors import (ConfigError, DegenerateConfigurationError,
                      InvalidArgumentError, SolverFailureError,
                      UnsupportedDimensionError, diagnostics_of)
 from .expressions import source_diagnostics
-from .geometry import (Box, GeometryFamily, _grid_shape, build_balls,
-                       density_ratio_check, hole_free_mask, mask_stats, rasterize,
-                       sample_family, save_mask)
+from .geometry import (Box, GeometryFamily, build_balls, density_ratio_check,
+                       hole_free_mask, mask_stats, rasterize, sample_family,
+                       save_mask)
 from .points import PointConfiguration
 from .reporting import (RunRecord, content_hash, output_directory, write_csv,
                         write_json, write_plot_data)
@@ -307,7 +307,7 @@ class NewtonLadderSpec:
         ])
         for dx in self.dx_list if R > 0 else ():
             try:  # the rasterizer's rule, on the box the run rasterizes
-                _grid_shape(Box((-R,) * 3, (R,) * 3), dx)
+                Box((-R,) * 3, (R,) * 3).grid_shape(dx)
             except InvalidArgumentError:
                 diags.append({"field": "dx_list",
                               "message": f"dx {dx} must be positive and divide the box"})
@@ -367,7 +367,7 @@ class StrangeTermSpec:
                      (not side > 0, "domain_side", "domain_side must be positive"),
                  ]))
         if side > 0:
-            diags += _cube_diagnostics(Box.cube(side, 3), (0.5 * side,) * 3, self.h_list)
+            diags += _cube_diagnostics(Box.cube(side, 3), self.h_list)
         return diags
 
     def run(self, outdir, threads):
@@ -400,19 +400,17 @@ class ConductivitySpec(_FamilyRun):
             (not 0.0 < self.gamma < 2.0, "gamma",
              f"penalty exponent must be in (0, 2), got {self.gamma}"),
         ])
-        n, side, dim = self.grid_cells, self.domain_side, self.dim
-        if n >= 1 and side > 0:
+        if self.grid_cells >= 1 and self.domain_side > 0:
+            domain = self.domain()
             try:  # the run's window: the cube of side h at the domain center
-                _window((0.0,) * dim, (n,) * dim, side / n, (0.5 * side,) * dim, self.h)
+                _window(domain, self.dx(), domain.center, self.h)
             except InvalidArgumentError as exc:
                 diags.append({"field": "h", "message": str(exc)})
         return diags
 
     def run(self, outdir, threads):
         mask = self.mask()
-        center = tuple(0.5 * (lo + hi) for lo, hi in zip(mask.domain.lower,
-                                                         mask.domain.upper))
-        tensor = conductivity_tensor(mask, center, self.h, self.gamma)
+        tensor = conductivity_tensor(mask, mask.domain.center, self.h, self.gamma)
         rows = [(i, j, float(tensor.entries[i, j]))
                 for i in range(mask.dim) for j in range(mask.dim)]
         return _capacity_outputs(outdir, ["i", "j", "a_ij"], rows, {

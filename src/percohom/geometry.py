@@ -381,8 +381,7 @@ class PerforatedMask:
         return int(np.count_nonzero(self.flags == MATERIAL))
 
     def axis_centers(self, axis):
-        n = self.shape[axis]
-        return self.domain.lower[axis] + (np.arange(n) + 0.5) * self.dx
+        return self.domain.axis_centers(axis, self.dx, np.arange(self.shape[axis]))
 
     def cell_centers(self):
         """(N, dim) array of all cell centers in row-major cell order."""
@@ -394,25 +393,10 @@ class PerforatedMask:
                 and self.domain == other.domain)
 
 
-def _grid_shape(domain, dx):
-    """Cells per side of the grid of spacing dx on `domain`: dx must be
-    positive and cut every side into a whole number of cells."""
-    if not dx > 0:
-        raise InvalidArgumentError("dx must be positive")
-    shape = []
-    for side in domain.sides:
-        m = side / dx
-        if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
-            raise InvalidArgumentError(
-                f"dx {dx} does not divide the domain side {side}")
-        shape.append(int(round(m)))
-    return tuple(shape)
-
-
 def rasterize(obstacles, domain, dx):
     """Flag grid cells whose centers fall inside the obstacle set as holes."""
     dx = float(dx)
-    shape = _grid_shape(domain, dx)
+    shape = domain.grid_shape(dx)
     if obstacles.dim != domain.dim:
         raise InvalidArgumentError("obstacle and domain dimensions differ")
     flags = np.zeros(shape, dtype=np.uint8)
@@ -441,7 +425,7 @@ def rasterize(obstacles, domain, dx):
     ab2 = np.where(ab2 == 0.0, np.inf, ab2).reshape(stacked[1:])
     r2 = (r * r).reshape(stacked[1:])
     a, ab = a.T.reshape(stacked), ab.T.reshape(stacked)
-    centers = [lo[d] + (np.arange(shape[d]) + 0.5) * dx for d in range(dim)]
+    centers = [domain.axis_centers(d, dx, np.arange(shape[d])) for d in range(dim)]
     starts = np.flatnonzero(np.diff(i1 - i0, axis=0, prepend=-1).any(axis=1)).tolist()
     for g0, g1 in zip(starts, starts[1:] + [r.size]):
         w = (i1[g0] - i0[g0]).tolist()
@@ -569,13 +553,13 @@ def density_ratio_check(mask, radius, probes, seed):
     total = hole_idx.shape[0] * cell_vol
     if total == 0.0:
         raise DegenerateConfigurationError("hole set has zero volume; ratio undefined")
-    lo = np.asarray(mask.domain.lower)
-    centers = lo + (hole_idx + 0.5) * mask.dx
+    centers = np.stack([mask.domain.axis_centers(d, mask.dx, hole_idx[:, d])
+                        for d in range(n)], axis=1)
     from scipy.spatial import cKDTree
     tree = cKDTree(centers)
     rng = substream(seed, "density-probes")
     sides = np.asarray(mask.domain.sides)
-    xs = lo + rng.random((probes, n)) * sides
+    xs = np.asarray(mask.domain.lower) + rng.random((probes, n)) * sides
     counts = tree.query_ball_point(xs, radius, return_length=True).astype(float)
     ratios = counts * cell_vol / (radius ** n * total)
     return DensityCheck(min_ratio=float(ratios.min()), max_ratio=float(ratios.max()),
@@ -681,7 +665,7 @@ def _read_mask(fh):
 
 
 def hole_free_mask(domain, dx):
-    shape = _grid_shape(domain, dx)
+    shape = domain.grid_shape(dx)
     return PerforatedMask(flags=np.zeros(shape, dtype=np.uint8), dx=float(dx),
                           domain=domain, epsilon=1.0, provenance="hole-free")
 

@@ -13,8 +13,6 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .rng import substream
 
-FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class Box:
@@ -49,10 +47,28 @@ class Box:
     def volume(self):
         return float(np.prod(self.sides))
 
-    def translated(self, shift):
-        shift = tuple(float(s) for s in shift)
-        return Box(tuple(l + s for l, s in zip(self.lower, shift)),
-                   tuple(h + s for h, s in zip(self.upper, shift)))
+    @property
+    def center(self):
+        return tuple(0.5 * (l + h) for l, h in zip(self.lower, self.upper))
+
+    def grid_shape(self, dx):
+        """Cells per side of the grid of spacing dx on the box: dx must be
+        positive and cut every side into a whole number of cells."""
+        if not dx > 0:
+            raise InvalidArgumentError("dx must be positive")
+        shape = []
+        for side in self.sides:
+            m = side / dx
+            if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
+                raise InvalidArgumentError(
+                    f"dx {dx} does not divide the domain side {side}")
+            shape.append(int(round(m)))
+        return tuple(shape)
+
+    def axis_centers(self, axis, dx, index):
+        """Coordinates along `axis` of the centers of the cells `index` (an
+        integer array) of the grid of spacing dx on the box."""
+        return self.lower[axis] + (index + 0.5) * dx
 
     def scaled(self, factor):
         f = float(factor)
@@ -116,17 +132,6 @@ def sample_poisson(box, intensity, seed):
     return PointConfiguration(points=pts, box=box, intensity=float(intensity), seed=int(seed))
 
 
-def translate(config, shift):
-    """Shift all points and the box by the same vector."""
-    shift = np.asarray([float(s) for s in shift])
-    if shift.shape != (config.dim,):
-        raise InvalidArgumentError("shift length must match the dimension")
-    return PointConfiguration(points=config.points + shift,
-                              box=config.box.translated(shift),
-                              intensity=config.intensity,
-                              seed=config.seed)
-
-
 def scale(config, factor):
     """Homothety by `factor` > 0; the stored intensity becomes lambda / factor^n."""
     factor = float(factor)
@@ -155,20 +160,10 @@ def count_in(config, region):
 def empty_cell_frequency(config, cell_size):
     """Fraction of grid cells of side `cell_size` containing zero points.
 
-    The box must split into an integer grid of such cells (relative
-    tolerance 1e-9).
+    The box must split into a whole number of such cells (`Box.grid_shape`).
     """
     cell_size = float(cell_size)
-    if cell_size <= 0:
-        raise InvalidArgumentError("cell_size must be positive")
-    counts_per_axis = []
-    for side in config.box.sides:
-        m = side / cell_size
-        if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
-            raise InvalidArgumentError(
-                f"box side {side} is not an integer multiple of cell_size {cell_size}")
-        counts_per_axis.append(int(round(m)))
-    shape = tuple(counts_per_axis)
+    shape = config.box.grid_shape(cell_size)
     total_cells = int(np.prod(shape))
     if config.count == 0:
         return 1.0
@@ -176,31 +171,6 @@ def empty_cell_frequency(config, cell_size):
     idx = np.floor((config.points - lo) / cell_size).astype(np.int64)
     idx = np.minimum(idx, np.asarray(shape) - 1)  # guard points landing on the top face
     flat = np.ravel_multi_index(tuple(idx.T), shape)
-    occupied = np.unique(flat).size
+    # a count per cell, not np.unique, which imports numpy.ma on first use
+    occupied = np.count_nonzero(np.bincount(flat))
     return float(total_cells - occupied) / total_cells
-
-
-def save_points(config, path):
-    """Line-oriented text format; coordinates at 17 significant digits."""
-    with open(path, "w") as fh:
-        lo = ",".join("%.17g" % v for v in config.box.lower)
-        hi = ",".join("%.17g" % v for v in config.box.upper)
-        fh.write(f"dim {config.dim}; box {lo}..{hi}; "
-                 f"intensity %.17g; seed {config.seed}\n" % config.intensity)
-        for p in config.points:
-            fh.write(" ".join("%.17g" % v for v in p) + "\n")
-
-
-def load_points(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = [p.strip() for p in header.split(";")]
-        dim = int(parts[0].split()[1])
-        lo_s, hi_s = parts[1].split()[1].split("..")
-        box = Box(tuple(float(v) for v in lo_s.split(",")),
-                  tuple(float(v) for v in hi_s.split(",")))
-        intensity = float(parts[2].split()[1])
-        seed = int(parts[3].split()[1])
-        pts = [[float(v) for v in line.split()] for line in fh if line.strip()]
-    pts = np.asarray(pts, dtype=float).reshape(-1, dim)
-    return PointConfiguration(points=pts, box=box, intensity=intensity, seed=seed)

@@ -162,8 +162,9 @@ class _FaceKernel:
     """
 
     def __init__(self, roles, dx, reaction=0.0, data=None, target=None):
-        if reaction < 0:
-            raise InvalidArgumentError("reaction coefficient must be >= 0")
+        if not (math.isfinite(reaction) and reaction >= 0):
+            raise InvalidArgumentError(f"reaction coefficient must be finite and >= 0, "
+                                       f"got {reaction}")
         self.roles = np.pad(roles, 1, constant_values=EXTERIOR)
         self.inner = (slice(1, -1),) * roles.ndim
         self.unknown = roles == MATERIAL
@@ -383,7 +384,7 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None)
     for k in range(1, max_iter + 1):
         Ap = apply_op(p)
         pAp = np.sum(p * Ap)
-        if pAp <= 0.0:
+        if not pAp > 0.0:  # NaN included
             raise SolverFailureError(f"CG breakdown at iteration {k}: <Ap, p> = {pAp}",
                                      history)
         alpha = rz / pAp

@@ -140,7 +140,7 @@ def _sweep_row(spec, eps, k, seed, obstacles, config, u_hom):
                     gamma=energy_lhs + 2.0 * fu,
                     energy_lhs=energy_lhs,
                     energy_rhs=2.0 * l2 * f_norm,
-                    l2_error=l2_distance(u, u_hom),
+                    l2_error=math.nan if u_hom is None else l2_distance(u, u_hom),
                     iterations=report.iterations,
                     residual=report.final_rel_residual,
                     empty_cell_freq=ecf, boolean_constant=bc)
@@ -184,27 +184,27 @@ def run_sweep(spec, threads=1):
     """Execute the sweep; failures are recorded per row and do not abort.
     Every realization is sampled first: the capacity table runs on them,
     failed rows included, and gives c; then the rows are solved against the
-    homogenized field with reaction + c."""
+    homogenized field with reaction + c, unless c is undefined (no
+    realization at the smallest eps was sampled): then no field is solved
+    and every l2_error is NaN."""
     diags = spec.validate()
     if diags:
         raise InvalidArgumentError("; ".join(d["message"] for d in diags))
     samples = [_sample(spec, ie, k) for ie in range(len(spec.eps_list))
                for k in range(spec.replicas)]
     if spec.family.dim == 3:
-        center = tuple(0.5 * (lo + hi) for lo, hi in zip(spec.domain.lower,
-                                                         spec.domain.upper))
         st = _strange_table([(eps, k, seed, obstacles)
                              for eps, k, seed, obstacles, _, failure in samples if not failure],
-                            sorted((float(h) for h in spec.h_list), reverse=True),
-                            [float(e) for e in spec.eps_list], center,
+                            spec.h_list, spec.eps_list, spec.domain,
                             spec.capacity_cells_per_h, tol=spec.tol)
     else:
         # the absorption-constant pipeline is a dimension-3 construction; 2D
         # sweeps exercise the solver and energies only
         st = StrangeTermResult(rows=(), c=0.0, spread=0.0,
                                eps_then_h=(), h_then_eps=())
-    u_hom, _ = solve_dirichlet_perforated(hole_free_mask(spec.domain, spec.dx()),
-                                          spec.reaction + st.c, spec.source, tol=spec.tol)
+    u_hom = None if math.isnan(st.c) else solve_dirichlet_perforated(
+        hole_free_mask(spec.domain, spec.dx()), spec.reaction + st.c, spec.source,
+        tol=spec.tol)[0]
     rows = _map(_sweep_job, [(spec, sample, u_hom) for sample in samples], threads)
     summary = _summarize(spec, rows, st)
     return HomogenizationReport(spec=spec, rows=tuple(rows),
@@ -230,8 +230,10 @@ def _summarize(spec, rows, st):
     bc_vals = [r.boolean_constant for r in ok if not math.isnan(r.boolean_constant)]
     return {
         "format_version": 1,
-        "c_note": ("" if spec.family.dim == 3 else
-                   "absorption pipeline requires dimension 3; c fixed to 0"),
+        "c_note": ("absorption pipeline requires dimension 3; c fixed to 0"
+                   if spec.family.dim != 3 else
+                   "no realization at the smallest eps was sampled; c undefined"
+                   if math.isnan(st.c) else ""),
         "c": st.c,
         "c_spread": st.spread,
         "eps_then_h": [list(t) for t in st.eps_then_h],
@@ -326,8 +328,7 @@ def _ergodic_job(args):
     else:
         from .capacity import affine_dirichlet_energy
         xi = spec.xi if spec.xi is not None else (1.0,) + (0.0,) * (spec.family.dim - 1)
-        center = tuple(0.5 * t for _ in range(spec.family.dim))
-        value = affine_dirichlet_energy(mask, center, t, xi)
+        value = affine_dirichlet_energy(mask, box.center, t, xi)
     return value / t ** spec.family.dim
 
 
@@ -374,12 +375,12 @@ def build_partition_of_unity(domain, h, r, dx):
     if r < 4 * dx:
         raise InvalidArgumentError("grid must resolve the overlap width by >= 4 cells")
     dim = domain.dim
+    shape = domain.grid_shape(dx)
     axis_profiles = []
     for d in range(dim):
         lo, hi = domain.lower[d], domain.upper[d]
         centers, width, overlap = _axis_layout(lo, hi, h, r)
-        n_cells = int(round((hi - lo) / dx))
-        xs = lo + (np.arange(n_cells) + 0.5) * dx
+        xs = domain.axis_centers(d, dx, np.arange(shape[d]))
         profiles = []
         for j, c in enumerate(centers):
             left, right = c - width / 2.0, c + width / 2.0

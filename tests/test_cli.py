@@ -209,6 +209,28 @@ def test_ladder_dx_is_checked_by_the_rasterizer_rule():
     assert mask.shape == (96, 96, 96)
 
 
+def test_every_grid_refuses_a_dx_that_does_not_divide_the_box():
+    # one rule, Box.grid_shape, cuts a box into cells for the rasterizer,
+    # the hole-free mask, the empty-cell count, the partition of unity and
+    # the newton-ladder check
+    side10 = ph.Box.cube(10.0, 2)
+    assert side10.grid_shape(0.25) == (40, 40)
+    balls = ph.build_balls(ph.PointConfiguration(points=[[0.5, 0.5]], box=ph.Box.unit(2),
+                                                 intensity=0.0), 0.2)
+    refusals = [
+        lambda: ph.Box.unit(2).grid_shape(0.3),
+        lambda: ph.rasterize(balls, ph.Box.unit(2), 0.3),
+        lambda: ph.hole_free_mask(ph.Box.unit(2), 0.3),
+        lambda: ph.empty_cell_frequency(ph.sample_poisson(ph.Box.unit(2), 5.0, 1), 0.3),
+        lambda: ph.build_partition_of_unity(side10, 4.0, 1.5, 0.3),  # 33.3 cells a side
+    ]
+    for refusal in refusals:
+        with pytest.raises(ph.InvalidArgumentError, match="dx 0.3 does not divide"):
+            refusal()
+    config = {**PRESETS["capacity"]["ball-oracle"], "dx_list": [0.3]}
+    assert [d["field"] for d in validate_config("capacity", config)] == ["dx_list"]
+
+
 @pytest.mark.parametrize("content", [None, "percohom-field format_version x\n",
                                      "other grid"])
 def test_source_file_is_validated(tmp_path, capsys, content):
@@ -435,6 +457,7 @@ def test_boolean_runs_do_not_import_scipy(tmp_path):
                      "--set", "grid_cells=32", "--out", out]) == 0
         loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
         assert not loaded, loaded
+        assert "numpy.ma" not in sys.modules
         assert main(["density-check", "--preset", "tubes-2d", "--set", "grid_cells=16",
                      "--out", out]) == 0
         assert "scipy.spatial" in sys.modules

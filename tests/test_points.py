@@ -7,7 +7,7 @@ from scipy import stats
 
 import percohom as ph
 from percohom.errors import InvalidArgumentError
-from percohom.points import count_in, translate
+from percohom.points import count_in
 from percohom.rng import substream_seed
 
 UNIT2 = ph.Box.unit(2)
@@ -83,29 +83,6 @@ def test_independence_of_disjoint_counts():
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
-def test_translate_identity_and_covariance(seed):
-    cfg = ph.sample_poisson(UNIT2, 4.0, seed)
-    same = translate(cfg, (0.0, 0.0))
-    assert np.array_equal(same.points, cfg.points)
-    shift = (0.25, -0.5)  # dyadic, so region arithmetic is exact
-    moved = translate(cfg, shift)
-    region = ph.Box((0.25, -0.25), (0.75, 0.25))
-    back = ph.Box((0.0, 0.25), (0.5, 0.75))
-    assert count_in(moved, region) == count_in(cfg, back)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_translate_round_trip(seed):
-    cfg = ph.sample_poisson(UNIT2, 4.0, seed)
-    v = (0.37, 1.21)
-    back = translate(translate(cfg, v), tuple(-x for x in v))
-    assert np.allclose(back.points, cfg.points, atol=1e-12)
-    assert np.allclose(back.box.lower, cfg.box.lower, atol=1e-12)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
 def test_count_additivity_on_halves(seed):
     cfg = ph.sample_poisson(UNIT2, 8.0, seed)
     left = ph.Box((0.0, 0.0), (0.5, 1.0))
@@ -174,18 +151,3 @@ def test_empty_cell_frequency_requires_partition():
     cfg = ph.sample_poisson(ph.Box.cube(1.0, 2), 1.0, 1)
     with pytest.raises(InvalidArgumentError):
         ph.empty_cell_frequency(cfg, 0.3)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_point_file_round_trip(seed):
-    import tempfile
-    cfg = ph.sample_poisson(ph.Box((-1.0, 0.5), (2.0, 1.5)), 3.0, seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/points.txt"
-        ph.save_points(cfg, path)
-        back = ph.load_points(path)
-    assert np.array_equal(back.points, cfg.points)
-    assert back.box == cfg.box
-    assert back.intensity == cfg.intensity
-    assert back.seed == cfg.seed

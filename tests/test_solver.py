@@ -435,6 +435,23 @@ def test_solver_failure_carries_history():
     assert len(err.value.residual_history) > 1
 
 
+def test_reaction_must_be_finite_and_nonnegative():
+    # NaN passes a `< 0` check; the solve then ran every CG step on NaN
+    roles = np.zeros((4, 4), np.uint8)
+    for reaction in (math.nan, math.inf, -1.0):
+        with pytest.raises(InvalidArgumentError, match="finite and >= 0"):
+            solver._FaceKernel(roles, 0.25, reaction)
+    with pytest.raises(InvalidArgumentError, match="finite and >= 0"):
+        ph.solve_dirichlet_perforated(ph.hole_free_mask(ph.Box.unit(3), 1 / 16),
+                                      math.nan, "-1")
+
+
+def test_cg_breaks_down_at_the_first_nan_step():
+    with pytest.raises(SolverFailureError, match="breakdown at iteration 1") as err:
+        cg_solve(lambda p: np.full_like(p, np.nan), np.ones(8))
+    assert len(err.value.residual_history) == 1
+
+
 def test_expression_grammar():
     fn = parse_expression("sin(pi*x)*cos(y)+exp(-x)/2-1")
     out = fn(x=np.array([0.5]), y=np.array([0.0]))

@@ -126,6 +126,43 @@ def test_sweep_records_row_failures_and_continues():
     assert {(r.eps, r.seed) for r in rep.cap_rows} == {(r.eps, r.seed) for r in rep.rows}
 
 
+@pytest.mark.parametrize("failing", [(0.125, 0.0625, 0.03125), (0.03125,)])
+def test_sweep_without_a_realization_at_the_smallest_eps_leaves_c_undefined(
+        monkeypatch, failing):
+    # with no capacity row at the smallest eps, c is undefined: the sweep
+    # solves no homogenized field, and the rows that did solve have no
+    # l2_error, instead of crashing or solving with a NaN reaction
+    from percohom import sweep
+    sample, reactions = sweep.sample_family, []
+
+    def sample_family(family, eps, seed, domain):
+        if eps in failing:
+            raise MemoryError("no room for the points")
+        return sample(family, eps, seed, domain)
+
+    def solve(mask, reaction, f, **kw):
+        reactions.append(reaction)
+        return ph.solve_dirichlet_perforated(mask, reaction, f, **kw)
+
+    monkeypatch.setattr(sweep, "sample_family", sample_family)
+    monkeypatch.setattr(sweep, "solve_dirichlet_perforated", solve)
+    fam = ph.GeometryFamily(kind="boolean", dim=3, intensity=1.0, r0=0.2,
+                            radius_exponent=3.0)
+    spec = ph.SweepSpec(family=fam, domain=UNIT3, eps_list=(0.125, 0.0625, 0.03125),
+                        h_list=(0.75, 0.55), grid_cells=8, capacity_cells_per_h=4)
+    rep = ph.run_sweep(spec)
+    assert math.isnan(rep.c) and math.isnan(rep.c_spread)
+    assert math.isnan(rep.summary["c"]) and math.isnan(rep.summary["c_spread"])
+    assert "c undefined" in rep.summary["c_note"]
+    assert rep.summary["partial"]
+    assert [r.failure for r in rep.rows if r.eps in failing] == [
+        "MemoryError: no room for the points"] * len(failing)
+    solved = [r for r in rep.rows if not r.failure]
+    assert len(solved) == 3 - len(failing)
+    assert all(math.isnan(r.l2_error) for r in solved)
+    assert reactions == [spec.reaction] * len(solved)  # the rows' solves only
+
+
 def test_sweep_tol_reaches_the_capacity_table():
     # one tolerance per sweep: its capacity windows are solved at its tol too
     fam = ph.GeometryFamily(kind="boolean", dim=3, intensity=1.0, r0=0.35,
