@@ -3,9 +3,7 @@ sweeps on regular grids."""
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DegenerateConfigurationError,
-                     InvalidArgumentError, SolverFailureError,
-                     UnsupportedDimensionError)
+from .errors import ConfigError, InvalidArgumentError, SolverFailureError
 from .points import (Box, PointConfiguration, empty_cell_frequency, sample_poisson,
                      scale)
 from .geometry import (ConnectivityFunction, EdgeSet, GeometryFamily,

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, UnsupportedDimensionError,
-                     diagnostics_of)
+from .errors import InvalidArgumentError, diagnostics_of
 from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, rasterize,
                        sample_family)
 from .rng import substream_seed
@@ -43,7 +42,6 @@ from .solver import _INSULATING, GridField, SolveReport, _FaceKernel
 @dataclass(frozen=True)
 class CapacityEstimate:
     value: float
-    h: float
     report: SolveReport = None
 
     def __post_init__(self):
@@ -82,7 +80,7 @@ def newton_capacity(obstacles, outer_radius, dx, tol=1e-7):
     boundary of the cube [-R, R]^3, computed as the local capacity of the
     rasterized cube (module docstring).  Returns (value, SolveReport)."""
     if obstacles.dim != 3:
-        raise UnsupportedDimensionError(
+        raise InvalidArgumentError(
             "Newton capacity requires dimension 3; the two-dimensional "
             "analogue is logarithmic and out of scope")
     emask = _electrode(obstacles, outer_radius, dx)
@@ -144,18 +142,15 @@ def capacity_minimizer_on_window(mask, slices, tol=1e-8):
     """
     sub = mask.flags[slices]
     dx = mask.dx
-    # windows snapped from partitions may be off-cubic by a cell; use the
-    # volume-equivalent side for the h bookkeeping
-    eff_h = float(np.prod([s * dx for s in sub.shape])) ** (1.0 / mask.dim)
     if not np.any(sub != MATERIAL):
-        est = CapacityEstimate(value=0.0, h=eff_h, report=SolveReport(0, 0.0, 0.0))
+        est = CapacityEstimate(value=0.0, report=SolveReport(0, 0.0, 0.0))
         return est, np.ones(sub.shape)
     # data 1 on the window faces; exterior cells are half-cell boundary at 0
     kernel = _FaceKernel(sub, dx, data=np.pad(np.zeros(sub.shape), 1, constant_values=1.0))
     u, report = kernel.minimize(tol=tol)
     vals = np.where(kernel.unknown, u, 0.0)
     value = kernel.energy(vals)
-    return CapacityEstimate(value=value, h=eff_h, report=report), vals
+    return CapacityEstimate(value=value, report=report), vals
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +269,14 @@ class StrangeTermResult:
 
 def _scale_diagnostics(eps_list, h_list, replicas):
     """What an absorption-constant table needs of its scales, as diagnostics
-    dicts: at least 3 eps, 2 cube sizes h and 1 replica, and eps << h, that
-    is eps < min(h)/4 for every eps."""
+    dicts: at least 3 distinct eps, 2 distinct cube sizes h and 1 replica,
+    and eps << h, that is eps < min(h)/4 for every eps."""
     hmin = min(h_list, default=math.inf)
     return diagnostics_of([
         (len(eps_list) < 3, "eps_list", "need at least 3 eps values"),
+        (len(set(eps_list)) < len(eps_list), "eps_list", "eps values must be distinct"),
         (len(h_list) < 2, "h_list", "need at least 2 cube sizes h"),
+        (len(set(h_list)) < len(h_list), "h_list", "cube sizes h must be distinct"),
         (replicas < 1, "replicas", "need at least one replica"),
         *((not e < hmin / 4.0, "eps_list",
            f"scale ordering requires eps << h: eps={e} is not < min(h)/4 = "
@@ -347,8 +344,8 @@ def _strange_table(realizations, h_list, eps_list, domain, cells_per_h, center=N
             est, _ = capacity_minimizer_on_window(
                 cube_mask, tuple(slice(0, m) for m in cube_mask.shape), tol=tol)
             rows.append(StrangeTermRow(
-                h=est.h, eps=eps, replica=k, seed=seed, cap=est.value,
-                cap_per_hn=est.value / est.h ** n,
+                h=h, eps=eps, replica=k, seed=seed, cap=est.value,
+                cap_per_hn=est.value / h ** n,
                 iterations=est.report.iterations, dx=dx_local))
     h_min = min((r.h for r in rows), default=math.nan)
     eps_min = eps_list[-1]
@@ -358,7 +355,7 @@ def _strange_table(realizations, h_list, eps_list, domain, cells_per_h, center=N
     spread = float(np.std(at_corner)) if at_corner else math.nan
     eps_then_h = tuple(
         (h, _mean([r.cap_per_hn for r in rows
-                   if abs(r.h / h - 1) < 1e-9 and r.eps == eps_min]))
+                   if r.h == h and r.eps == eps_min]))
         for h in sorted({r.h for r in rows})[::-1])
     h_then_eps = tuple(
         (eps, _mean([r.cap_per_hn for r in rows if r.eps == eps and r.h == h_min]))
@@ -378,7 +375,7 @@ def boolean_capacity_constant(obstacles, domain):
     if obstacles.kind != "balls":
         raise InvalidArgumentError("capacity constant is defined for ball obstacles")
     if obstacles.dim != 3:
-        raise UnsupportedDimensionError("capacity constant requires dimension 3")
+        raise InvalidArgumentError("capacity constant requires dimension 3")
     c, r = obstacles.points.points, obstacles.ball_radii
     dist = np.minimum(np.min(c - domain.lower, axis=1), np.min(domain.upper - c, axis=1))
     kept = r[dist >= 2.0 * r]

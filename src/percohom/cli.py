@@ -27,9 +27,8 @@ import numpy as np
 from . import presets
 from .capacity import (_cube_diagnostics, _electrode, _scale_diagnostics, _window,
                        conductivity_tensor, newton_capacity, strange_term)
-from .errors import (ConfigError, DegenerateConfigurationError,
-                     InvalidArgumentError, SolverFailureError,
-                     UnsupportedDimensionError, diagnostics_of)
+from .errors import (ConfigError, InvalidArgumentError, SolverFailureError,
+                     diagnostics_of)
 from .expressions import source_diagnostics
 from .geometry import (Box, GeometryFamily, build_balls, density_ratio_check,
                        hole_free_mask, mask_stats, rasterize, sample_family,
@@ -37,7 +36,7 @@ from .geometry import (Box, GeometryFamily, build_balls, density_ratio_check,
 from .points import PointConfiguration
 from .reporting import (RunRecord, content_hash, output_directory, write_csv,
                         write_json, write_plot_data)
-from .solver import (energy_gamma, h1_norm, l2_norm, load_field, save_field,
+from .solver import (energy_gamma, h1_norm, l2_norm, save_field,
                      solve_dirichlet_perforated)
 from .sweep import (DEFAULT_REACTION, DEFAULT_SOURCE, ErgodicSpec, SweepRow,
                     SweepSpec, ergodic_average_experiment, run_sweep)
@@ -45,8 +44,8 @@ from .sweep import (DEFAULT_REACTION, DEFAULT_SOURCE, ErgodicSpec, SweepRow,
 SUBCOMMANDS = ("geometry", "solve", "capacity", "sweep", "ergodic", "density-check")
 
 REQUIRED = MISSING  # the default of a key without one, as in dataclasses
-# the two keys not named after their dataclass field
-_RENAMED = {"master_seed": "seed", "domain": "domain_side"}
+# the key not named after its dataclass field
+_RENAMED = {"master_seed": "seed"}
 
 
 def _is_number(value):
@@ -77,10 +76,9 @@ def _convert(kind, value, field, diags):
 
 def _read(cls, config, diags, prefix=""):
     """The `cls` of a JSON object, in one walk over its fields: each key's
-    value converted to its field's type, defaults filled in, and `domain`
-    the cube of side `domain_side` from the origin.  A None default also
-    accepts null.  Unknown keys, wrong types and missing required keys go to
-    `diags`, and then the result is None."""
+    value converted to its field's type and defaults filled in.  A None
+    default also accepts null.  Unknown keys, wrong types and missing
+    required keys go to `diags`, and then the result is None."""
     keys = {_RENAMED.get(f.name, f.name): f for f in fields(cls)}
     found = len(diags)
     diags += [{"field": prefix + key, "message": f"unknown key {key!r}"}
@@ -88,21 +86,14 @@ def _read(cls, config, diags, prefix=""):
     kwargs = {}
     for key, f in keys.items():
         field = prefix + key
-        kind, default = (float, 1.0) if f.name == "domain" else (f.type, f.default)
-        value = config.get(key, default)
+        value = config.get(key, f.default)
         if value is REQUIRED:
             diags.append({"field": field, "message": f"missing required key {field!r}"})
-        elif key in config and (value is not None or default is not None):
-            value = _convert(kind, value, field, diags)
+        elif key in config and (value is not None or f.default is not None):
+            value = _convert(f.type, value, field, diags)
         kwargs[f.name] = value
     if len(diags) > found:
         return None
-    if "domain" in kwargs:
-        try:
-            kwargs["domain"] = Box.cube(kwargs["domain"], kwargs["family"].dim)
-        except InvalidArgumentError as exc:
-            diags.append({"field": prefix + "domain_side", "message": str(exc)})
-            return None
     return cls(**kwargs)
 
 
@@ -218,33 +209,25 @@ class _Solve(_Grid):
     mode: str
     reaction: float = DEFAULT_REACTION
     source: str = DEFAULT_SOURCE
-    source_file: str = None
     tol: float = 1e-8
     max_iter: int = None
 
     def validate(self):
-        diags = super().validate() + source_diagnostics(self.source, self.dim) + diagnostics_of([
+        diags = super().validate() + diagnostics_of([
             (self.reaction < 0, "reaction", "reaction must be >= 0"),
             (not self.tol > 0, "tol", "tol must be positive"),
             (self.max_iter is not None and self.max_iter < 1, "max_iter",
              "max_iter must be positive or null"),
             (self.dim not in (2, 3), "dim", "dim must be 2 or 3"),
         ])
-        if self.source_file is None or diags:
-            return diags
-        try:  # the field the run loads, on the run's grid
-            loaded = load_field(self.source_file)
-        except (OSError, ValueError, LookupError) as exc:
-            return [{"field": "source_file", "message": f"cannot read a field: {exc}"}]
-        return diagnostics_of([
-            (not loaded.mask.same_grid(hole_free_mask(self.domain(), self.dx())),
-             "source_file", "source field grid does not match the solve grid"),
-        ])
+        if self.grid_cells >= 1 and self.domain_side > 0 and self.dim in (2, 3):
+            # the source on the run's grid, whose cell centers the mask shares
+            diags += source_diagnostics(self.source, hole_free_mask(self.domain(), self.dx()))
+        return diags
 
     def run(self, outdir, threads):
         mask = self.mask()
-        source = self.source if self.source_file is None else load_field(self.source_file).values
-        u, rep = solve_dirichlet_perforated(mask, self.reaction, source, tol=self.tol,
+        u, rep = solve_dirichlet_perforated(mask, self.reaction, self.source, tol=self.tol,
                                             max_iter=self.max_iter)
         field_path = os.path.join(outdir, "field.txt")
         save_field(u, field_path)
@@ -254,7 +237,7 @@ class _Solve(_Grid):
             "final_rel_residual": rep.final_rel_residual,
             "l2_norm": l2_norm(u),
             "h1_norm": h1_norm(u),
-            "gamma": energy_gamma(u, self.reaction, source),
+            "gamma": energy_gamma(u, self.reaction, self.source),
             "hole_cells": mask.hole_count,
         }
         report_path = os.path.join(outdir, "report.json")
@@ -593,8 +576,7 @@ def main(argv=None):
             print(f"config error at {d.get('field', '?')}: {d.get('message')}",
                   file=sys.stderr)
         return 2
-    except (InvalidArgumentError, DegenerateConfigurationError,
-            UnsupportedDimensionError) as exc:
+    except InvalidArgumentError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
     except SolverFailureError as exc:

@@ -6,14 +6,6 @@ class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class DegenerateConfigurationError(ValueError):
-    """The input geometry is too degenerate for the requested operation."""
-
-
-class UnsupportedDimensionError(ValueError):
-    """The operation is only defined in certain space dimensions."""
-
-
 class SolverFailureError(RuntimeError):
     """Iterative solve did not reach the requested tolerance.
 

@@ -31,15 +31,19 @@ def parse_expression(text):
     return evaluate
 
 
-def source_diagnostics(text, dim):
-    """Why `text` cannot be a run's source in `dim` dimensions, as
+def source_diagnostics(text, mask):
+    """Why `text` cannot be a run's source on the cells of `mask`, as
     diagnostics dicts: it is outside the grammar, names a coordinate the
-    dimension lacks, or divides by a constant zero."""
+    dimension lacks, divides by a constant zero, or is not finite at some
+    cell center."""
     try:
-        with np.errstate(all="ignore"):  # a zero only at some points is no error
-            parse_expression(text)(**{c: np.full(1, 0.5) for c in _COORDS[:dim]})
+        with np.errstate(all="ignore"):  # a value that is not finite is reported below
+            values = evaluate_on_mask(text, mask)
     except (InvalidArgumentError, ArithmeticError) as exc:
         return [{"field": "source", "message": f"source {text!r}: {exc}"}]
+    if not np.all(np.isfinite(values)):
+        return [{"field": "source",
+                 "message": f"source {text!r} is not finite at some cell center"}]
     return []
 
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateConfigurationError, InvalidArgumentError,
-                     diagnostics_of)
+from .errors import InvalidArgumentError, diagnostics_of
 from .points import Box, PointConfiguration, sample_poisson, scale as scale_points
 from .rng import substream
 
@@ -301,7 +300,7 @@ def min_pairwise_distance(config):
     some pair lies within it."""
     n = config.count
     if n < 2:
-        raise DegenerateConfigurationError(
+        raise InvalidArgumentError(
             "minimum pairwise distance needs at least two points")
     p = config.points
     radius = (config.box.volume / n) ** (1.0 / config.dim)
@@ -552,7 +551,7 @@ def density_ratio_check(mask, radius, probes, seed):
     cell_vol = mask.dx ** n
     total = hole_idx.shape[0] * cell_vol
     if total == 0.0:
-        raise DegenerateConfigurationError("hole set has zero volume; ratio undefined")
+        raise InvalidArgumentError("hole set has zero volume; ratio undefined")
     centers = np.stack([mask.domain.axis_centers(d, mask.dx, hole_idx[:, d])
                         for d in range(n)], axis=1)
     from scipy.spatial import cKDTree

@@ -409,14 +409,15 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None)
 
 
 def as_source(f, mask):
-    """Accept an expression string, a scalar, or a full array."""
-    if isinstance(f, str):
-        return evaluate_on_mask(f, mask)
-    arr = np.asarray(f, dtype=float)
+    """Accept an expression string, a scalar, or a full array; every value
+    must be finite."""
+    arr = evaluate_on_mask(f, mask) if isinstance(f, str) else np.asarray(f, dtype=float)
     if arr.ndim == 0:
-        return np.full(mask.shape, float(arr))
+        arr = np.full(mask.shape, float(arr))
     if arr.shape != mask.shape:
         raise InvalidArgumentError("source array shape does not match the grid")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("source is not finite at some cell center")
     return arr
 
 

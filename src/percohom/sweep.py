@@ -35,10 +35,10 @@ class SweepSpec:
     """Everything needed to reproduce a sweep from its master seed."""
 
     family: GeometryFamily
-    domain: Box
     eps_list: tuple
     h_list: tuple
     grid_cells: int               # cells per domain side for the PDE grid
+    domain_side: float = 1.0      # the domain is the cube [0, domain_side]^dim
     reaction: float = DEFAULT_REACTION
     source: str = DEFAULT_SOURCE
     capacity_cells_per_h: int = 32
@@ -46,21 +46,22 @@ class SweepSpec:
     master_seed: int = 0
     tol: float = 1e-8
 
+    def domain(self):
+        return Box.cube(self.domain_side, self.family.dim)
+
     def dx(self):
-        return self.domain.sides[0] / self.grid_cells
+        return self.domain_side / self.grid_cells
 
     def validate(self):
         """All violated invariants at once, as diagnostics dicts."""
         eps = [float(e) for e in self.eps_list]
-        sides = self.domain.sides
-        diags = self.family.validate() + source_diagnostics(self.source, self.family.dim)
-        return diags + _scale_diagnostics(eps, self.h_list, self.replicas) + diagnostics_of([
+        diags = self.family.validate() + _scale_diagnostics(eps, self.h_list, self.replicas)
+        diags += diagnostics_of([
             (any(e <= 0 for e in eps), "eps_list", "eps must be positive"),
             (any(b >= a for a, b in zip(eps, eps[1:])), "eps_list",
              "eps list must be strictly decreasing"),
-            (any(abs(s - sides[0]) > 1e-12 for s in sides), "domain",
-             "domain must be a cube"),
-            (max(self.h_list, default=0.0) >= min(sides), "h_list",
+            (not self.domain_side > 0, "domain_side", "domain_side must be positive"),
+            (max(self.h_list, default=0.0) >= self.domain_side, "h_list",
              "cube sizes must fit inside the domain"),
             (self.reaction < 0, "reaction", "reaction must be >= 0"),
             (self.grid_cells < 4, "grid_cells", "grid too coarse"),
@@ -68,6 +69,9 @@ class SweepSpec:
              "capacity_cells_per_h must be >= 1"),
             (not self.tol > 0, "tol", "tol must be positive"),
         ])
+        if self.domain_side > 0 and self.grid_cells >= 4:  # the source on the run's grid
+            diags += source_diagnostics(self.source, hole_free_mask(self.domain(), self.dx()))
+        return diags
 
     def resolution_warnings(self):
         warns = []
@@ -119,7 +123,7 @@ def _sweep_row(spec, eps, k, seed, obstacles, config, u_hom):
     """Rasterize + solve + norms for one sampled (eps, replica), with the L2
     error against the homogenized field u_hom."""
     dx = spec.dx()
-    mask = rasterize(obstacles, spec.domain, dx)
+    mask = rasterize(obstacles, spec.domain(), dx)
     vf = volume_fraction(mask)
     f_arr = as_source(spec.source, mask)
     u, report = solve_dirichlet_perforated(mask, spec.reaction, f_arr, tol=spec.tol)
@@ -134,7 +138,7 @@ def _sweep_row(spec, eps, k, seed, obstacles, config, u_hom):
             ecf = empty_cell_frequency(config, 1.0)
     bc = math.nan
     if spec.family.kind in ("boolean", "lattice") and obstacles.dim == 3:
-        bc, _ = boolean_capacity_constant(obstacles, spec.domain)
+        bc, _ = boolean_capacity_constant(obstacles, spec.domain())
     return SweepRow(eps=eps, replica=k, seed=seed, volume_fraction=vf,
                     hole_cells=mask.hole_count, h1=float(np.sqrt(l2 ** 2 + grad)),
                     gamma=energy_lhs + 2.0 * fu,
@@ -153,7 +157,7 @@ def _sample(spec, ie, k):
     eps = float(spec.eps_list[ie])
     seed = substream_seed(spec.master_seed, "geometry", ie, k)
     try:
-        return (eps, k, seed) + sample_family(spec.family, eps, seed, spec.domain) + ("",)
+        return (eps, k, seed) + sample_family(spec.family, eps, seed, spec.domain()) + ("",)
     except Exception as exc:  # recorded per row; the sweep continues
         return eps, k, seed, None, None, f"{type(exc).__name__}: {exc}"
 
@@ -195,7 +199,7 @@ def run_sweep(spec, threads=1):
     if spec.family.dim == 3:
         st = _strange_table([(eps, k, seed, obstacles)
                              for eps, k, seed, obstacles, _, failure in samples if not failure],
-                            spec.h_list, spec.eps_list, spec.domain,
+                            spec.h_list, spec.eps_list, spec.domain(),
                             spec.capacity_cells_per_h, tol=spec.tol)
     else:
         # the absorption-constant pipeline is a dimension-3 construction; 2D
@@ -203,7 +207,7 @@ def run_sweep(spec, threads=1):
         st = StrangeTermResult(rows=(), c=0.0, spread=0.0,
                                eps_then_h=(), h_then_eps=())
     u_hom = None if math.isnan(st.c) else solve_dirichlet_perforated(
-        hole_free_mask(spec.domain, spec.dx()), spec.reaction + st.c, spec.source,
+        hole_free_mask(spec.domain(), spec.dx()), spec.reaction + st.c, spec.source,
         tol=spec.tol)[0]
     rows = _map(_sweep_job, [(spec, sample, u_hom) for sample in samples], threads)
     summary = _summarize(spec, rows, st)
@@ -265,24 +269,36 @@ class ErgodicSpec:
     def validate(self):
         """All violated invariants at once, as diagnostics dicts."""
         dim = self.family.dim
-        return self.family.validate() + diagnostics_of([
+        sizes_ok = all(math.isfinite(t) and t > 0 for t in self.t_list)
+        diags = self.family.validate() + diagnostics_of([
             (self.functional not in ("local_capacity", "affine_energy"), "functional",
              "functional must be local_capacity or affine_energy"),
             (len(self.t_list) < 1, "t_list", "need at least one cube size"),
-            (not all(math.isfinite(t) and t > 0 for t in self.t_list), "t_list",
-             "cube sizes must be positive and finite"),
+            (not sizes_ok, "t_list", "cube sizes must be positive and finite"),
+            (len(set(self.t_list)) < len(self.t_list), "t_list",
+             "cube sizes must be distinct"),
             (self.replicas < 2, "replicas", "spread needs at least two replicas"),
             (not self.dx > 0, "dx", "dx must be positive"),
             (self.xi is not None
              and not (len(self.xi) == dim and all(map(math.isfinite, self.xi))), "xi",
              f"xi must be {dim} finite numbers, one per dimension"),
         ])
+        for t in self.t_list if sizes_ok and self.dx > 0 else ():
+            try:  # the grid each cube is rasterized on
+                cells = Box.cube(t, dim).grid_shape(self.dx)[0]
+            except InvalidArgumentError as exc:
+                diags.append({"field": "dx", "message": f"at t {t}: {exc}"})
+                continue
+            if cells < 4:
+                diags.append({"field": "dx", "message":
+                              f"dx {self.dx} cuts the cube of side {t} into {cells} "
+                              "cells a side; need at least 4"})
+        return diags
 
 
 @dataclass(frozen=True)
 class ErgodicResult:
     rows: tuple                # (t, mean, rel_std)
-    values: dict               # t -> tuple of per-replica values
     decays: bool
 
 
@@ -307,9 +323,7 @@ def ergodic_average_experiment(spec, threads=1):
         rel = float(arr.std() / abs(mean)) if mean != 0 else 0.0
         rows.append((t, mean, rel))
     decays = rows[-1][2] < rows[0][2] if len(rows) >= 2 else True
-    return ErgodicResult(rows=tuple(rows),
-                         values={t: tuple(v) for t, v in values.items()},
-                         decays=decays)
+    return ErgodicResult(rows=tuple(rows), decays=decays)
 
 
 def _ergodic_job(args):
@@ -318,9 +332,7 @@ def _ergodic_job(args):
     seed = substream_seed(spec.master_seed, "ergodic", it, k)
     box = Box.cube(t, spec.family.dim)
     obstacles, _ = sample_family(spec.family, 1.0, seed, box)
-    cells = max(int(round(t / spec.dx)), 4)
-    dx = t / cells
-    mask = rasterize(obstacles, box, dx)
+    mask = rasterize(obstacles, box, spec.dx)
     window = tuple(slice(0, n) for n in mask.shape)
     if spec.functional == "local_capacity":
         est, _ = capacity_minimizer_on_window(mask, window)
@@ -337,7 +349,6 @@ def _ergodic_job(args):
 
 @dataclass(frozen=True)
 class PartitionWeight:
-    center: tuple
     slices: tuple
     weights: np.ndarray
 
@@ -390,12 +401,11 @@ def build_partition_of_unity(domain, h, r, dx):
             if j < len(centers) - 1:
                 prof = prof * _smoothstep((right - xs) / overlap)
             prof = np.where((xs >= left - 1e-12) & (xs <= right + 1e-12), prof, 0.0)
-            profiles.append((c, prof))
+            profiles.append(prof)
         axis_profiles.append(profiles)
     weights = []
     for idx in np.ndindex(*[len(p) for p in axis_profiles]):
-        center = tuple(axis_profiles[d][idx[d]][0] for d in range(dim))
-        profs = [axis_profiles[d][idx[d]][1] for d in range(dim)]
+        profs = [axis_profiles[d][idx[d]] for d in range(dim)]
         nz = [np.nonzero(p > 0.0)[0] for p in profs]
         if any(len(z) == 0 for z in nz):
             continue
@@ -403,7 +413,7 @@ def build_partition_of_unity(domain, h, r, dx):
         local = profs[0][slices[0]]
         for d in range(1, dim):
             local = np.multiply.outer(local, profs[d][slices[d]])
-        weights.append(PartitionWeight(center=center, slices=slices, weights=local))
+        weights.append(PartitionWeight(slices=slices, weights=local))
     return weights
 
 

@@ -93,7 +93,7 @@ def ergodic_2d(workdir):
 @pytest.fixture(scope="module")
 def rcm_sweep_2d():
     fam = ph.GeometryFamily(kind="rcm", dim=2, intensity=1.0, c1=0.5, c2=1.0)
-    spec = ph.SweepSpec(family=fam, domain=UNIT2,
+    spec = ph.SweepSpec(family=fam,
                         eps_list=(0.125, 0.0625, 0.03125), h_list=(0.75, 0.55),
                         reaction=1.0, source="-1", grid_cells=256, replicas=2,
                         master_seed=31)

@@ -5,7 +5,7 @@ import pytest
 
 import percohom as ph
 from percohom.capacity import capacity_minimizer_on_window
-from percohom.errors import InvalidArgumentError, UnsupportedDimensionError
+from percohom.errors import InvalidArgumentError
 from percohom.geometry import HOLE
 from percohom.rng import substream, substream_seed
 from percohom.solver import _FaceKernel, cg_solve
@@ -30,7 +30,7 @@ def balls_at(centers, r, box):
 
 def test_newton_requires_dimension_three():
     obs = ball_at((0.0, 0.0), 0.1, dim=2)
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(InvalidArgumentError):
         ph.newton_capacity(obs, 0.5, 1.0 / 32)
 
 
@@ -283,6 +283,18 @@ def test_strange_term_limsup_flag():
     assert not relaxed.limsup_flagged
 
 
+def test_strange_term_rows_carry_the_requested_h():
+    # a cube root of the window volume gives back 0.44999999999999996 and
+    # 0.30000000000000004; the table keys its rows by the h it was asked for
+    fam = _critical_family(r0=1.0, radius_exponent=1.0)
+    res = ph.strange_term(fam, [0.45, 0.3], [0.07, 0.06, 0.05], 1, 0, UNIT3,
+                          cells_per_h=12)
+    assert {r.h for r in res.rows} == {0.45, 0.3}
+    assert all(r.cap_per_hn == r.cap / r.h ** 3 for r in res.rows)
+    assert [h for h, _ in res.eps_then_h] == [0.45, 0.3]
+    assert all(math.isfinite(m) and m > 0 for _, m in res.eps_then_h)
+
+
 def test_strange_term_lattice_bracketed_by_single_cell_oracle():
     # deterministic lattice: the per-cell capacity density is a rigorous
     # upper bound (glue the cell minimizers), one center ball a lower bound,
@@ -339,10 +351,10 @@ def test_boolean_capacity_constant():
     c, counted = ph.boolean_capacity_constant(obs, UNIT3)
     assert counted == 1
     assert math.isclose(c, 4 * math.pi * 0.1, rel_tol=1e-12)
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(InvalidArgumentError):
         ph.boolean_capacity_constant(ball_at((0.5, 0.5), 0.1, dim=2), ph.Box.unit(2))
 
 
 def test_capacity_estimate_rejects_negative():
     with pytest.raises(InvalidArgumentError):
-        ph.CapacityEstimate(value=-1.0, h=0.5)
+        ph.CapacityEstimate(value=-1.0)

@@ -186,6 +186,17 @@ def test_nonpositive_grid_cells_is_validation_error(tmp_path, capsys, command,
     ("sweep", "rcm-2d", "reaction", "Infinity"),
     ("geometry", "boolean-3d-demo", "family.r0", "Infinity"),
     ("ergodic", "periodic-2d", "dx", "Infinity"),
+    # an ergodic dx that does not cut every cube into at least 4 whole cells
+    ("ergodic", "boolean-2d", "dx", "0.3"),
+    ("ergodic", "boolean-2d", "dx", "1"),
+    # repeated scales
+    ("capacity", "strange-3d", "eps_list", "[0.1,0.1,0.05]"),
+    ("capacity", "strange-3d", "h_list", "[0.75,0.75]"),
+    ("sweep", "boolean-critical-3d", "h_list", "[0.75,0.75]"),
+    ("ergodic", "boolean-2d", "t_list", "[2,2]"),
+    # a source that overflows on the run's grid
+    ("solve", "mms-2d", "source", '"exp(1000*x)"'),
+    ("sweep", "rcm-2d", "source", '"exp(1000*x)"'),
 ])
 def test_degenerate_values_are_validation_errors(tmp_path, capsys, command, preset,
                                                  key, value):
@@ -229,22 +240,6 @@ def test_every_grid_refuses_a_dx_that_does_not_divide_the_box():
             refusal()
     config = {**PRESETS["capacity"]["ball-oracle"], "dx_list": [0.3]}
     assert [d["field"] for d in validate_config("capacity", config)] == ["dx_list"]
-
-
-@pytest.mark.parametrize("content", [None, "percohom-field format_version x\n",
-                                     "other grid"])
-def test_source_file_is_validated(tmp_path, capsys, content):
-    # a source field that is missing, malformed or on another grid
-    path = tmp_path / "source.txt"
-    if content == "other grid":
-        ph.save_field(ph.GridField.constant(
-            ph.hole_free_mask(ph.Box.unit(2), 1.0 / 32), -1.0), str(path))
-    elif content is not None:
-        path.write_text(content)
-    args = ("--preset", "mms-2d", "--set", f'source_file="{path}"')
-    assert run_cli("validate", "--command", "solve", *args) == 0
-    assert [d["field"] for d in json.loads(capsys.readouterr().out)] == ["source_file"]
-    assert run_cli("solve", *args, "--out", str(tmp_path / "runs")) == 2
 
 
 @pytest.mark.parametrize("source", ["--set", "list", "not-json", "missing"])
@@ -309,24 +304,6 @@ def test_capacity_ball_oracle_extrapolation(tmp_path):
     summary = json.load(open(os.path.join(d, "summary.json")))
     exact = 4 * math.pi / (1 / 0.1 - 1 / 1.0)
     assert abs(summary["extrapolated"] - exact) / exact < 0.10
-
-
-def test_solve_with_grid_source_file(tmp_path):
-    import percohom as ph_mod
-    mask = ph_mod.hole_free_mask(ph_mod.Box.unit(2), 1.0 / 32)
-    src = ph_mod.GridField.constant(mask, -1.0)
-    src_path = str(tmp_path / "src.txt")
-    ph_mod.save_field(src, src_path)
-    cfg = {"mode": "hole-free", "dim": 2, "grid_cells": 32, "domain_side": 1.0,
-           "reaction": 1.0, "source_file": src_path, "seed": 0}
-    path = tmp_path / "solve.json"
-    path.write_text(json.dumps(cfg))
-    out = str(tmp_path / "runs")
-    assert run_cli("solve", "--config", str(path), "--out", out) == 0
-    d = only_dir(out, "solve")
-    u_file = ph_mod.load_field(os.path.join(d, "field.txt"))
-    u_expr, _ = ph_mod.solve_dirichlet_perforated(mask, 1.0, "-1")
-    assert ph_mod.l2_distance(u_file, u_expr) == 0.0
 
 
 def test_capacity_strange_term_csv_columns(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import percohom as ph
-from percohom.errors import DegenerateConfigurationError, InvalidArgumentError
+from percohom.errors import InvalidArgumentError
 from percohom.geometry import HOLE, MATERIAL, PerforatedMask
 from percohom.rng import substream, substream_seed
 
@@ -181,7 +181,7 @@ def test_iid_capped_radii_never_overlap():
 
 
 def test_min_distance_rule_needs_two_points():
-    with pytest.raises(DegenerateConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         ph.min_pairwise_distance(_config([[0.5, 0.5]]))
 
 
@@ -464,7 +464,7 @@ def test_density_ratio_whole_domain_and_empty():
     assert math.isclose(check.min_ratio, r**-2, rel_tol=1e-12)
     assert math.isclose(check.max_ratio, r**-2, rel_tol=1e-12)
     hole_free = ph.hole_free_mask(UNIT2, 1.0 / 64)
-    with pytest.raises(DegenerateConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         ph.density_ratio_check(hole_free, radius=0.5, probes=10, seed=0)
 
 

@@ -12,12 +12,11 @@ from percohom.sweep import (ErgodicSpec, build_partition_of_unity,
                             local_minimizers_for_partition, partition_sum)
 
 UNIT2 = ph.Box.unit(2)
-UNIT3 = ph.Box.unit(3)
 
 
 def _rcm_spec(**kw):
     fam = ph.GeometryFamily(kind="rcm", dim=2, intensity=1.0, c1=0.5, c2=1.0)
-    base = dict(family=fam, domain=UNIT2, eps_list=(0.125, 0.0625, 0.03125),
+    base = dict(family=fam, eps_list=(0.125, 0.0625, 0.03125),
                 h_list=(0.75, 0.55), reaction=1.0, source="-1",
                 grid_cells=128, replicas=1, master_seed=31)
     base.update(kw)
@@ -57,7 +56,7 @@ def test_ergodic_spec_validation_collects_all_diagnostics():
 def test_sweep_zero_intensity_matches_homogenized_exactly():
     fam = ph.GeometryFamily(kind="boolean", dim=3, intensity=0.0, r0=0.2,
                             radius_exponent=3.0)
-    spec = ph.SweepSpec(family=fam, domain=UNIT3,
+    spec = ph.SweepSpec(family=fam,
                         eps_list=(0.125, 0.0625, 0.03125), h_list=(0.75, 0.55),
                         grid_cells=24, replicas=1, master_seed=3)
     rep = ph.run_sweep(spec)
@@ -116,7 +115,7 @@ def test_sweep_records_row_failures_and_continues():
     # cells and must fail per row without aborting the sweep
     fam = ph.GeometryFamily(kind="boolean", dim=3, intensity=2.0, r0=5.0,
                             radius_exponent=1.0)
-    spec = ph.SweepSpec(family=fam, domain=UNIT3,
+    spec = ph.SweepSpec(family=fam,
                         eps_list=(0.125, 0.0625, 0.03125), h_list=(0.75, 0.55),
                         grid_cells=16, replicas=1, master_seed=4)
     rep = ph.run_sweep(spec)
@@ -148,7 +147,7 @@ def test_sweep_without_a_realization_at_the_smallest_eps_leaves_c_undefined(
     monkeypatch.setattr(sweep, "solve_dirichlet_perforated", solve)
     fam = ph.GeometryFamily(kind="boolean", dim=3, intensity=1.0, r0=0.2,
                             radius_exponent=3.0)
-    spec = ph.SweepSpec(family=fam, domain=UNIT3, eps_list=(0.125, 0.0625, 0.03125),
+    spec = ph.SweepSpec(family=fam, eps_list=(0.125, 0.0625, 0.03125),
                         h_list=(0.75, 0.55), grid_cells=8, capacity_cells_per_h=4)
     rep = ph.run_sweep(spec)
     assert math.isnan(rep.c) and math.isnan(rep.c_spread)
@@ -169,7 +168,7 @@ def test_sweep_tol_reaches_the_capacity_table():
                             radius_exponent=1.0)
 
     def cap_iterations(tol):
-        spec = ph.SweepSpec(family=fam, domain=UNIT3, eps_list=(0.125, 0.1, 0.0625),
+        spec = ph.SweepSpec(family=fam, eps_list=(0.125, 0.1, 0.0625),
                             h_list=(0.75, 0.55), grid_cells=16, capacity_cells_per_h=16,
                             master_seed=1, tol=tol)
         return [r.iterations for r in ph.run_sweep(spec).cap_rows]
