@@ -18,7 +18,9 @@ Two quadratic minimizations, kept strictly separate:
 * `penalized_functional` / `conductivity_tensor`: the conduction-type
   functional with affine data (x - z, xi) on the cube boundary, an
   h^(-2-gamma) penalty pinning the field to that affine profile, and
-  insulating (no-flux) obstacle cells.  On a hole-free cube its minimizer is
+  insulating (no-flux) obstacle cells.  Without the penalty, material that
+  no path of material joins to the cube boundary is insulated too; the
+  geometry's grid labeller finds it.  On a hole-free cube its minimizer is
   the affine profile itself, exactly, so the tensor reduces to h^n times the
   identity.
 
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, diagnostics_of
-from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, rasterize,
-                       sample_family)
+from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, _boundary_connected,
+                       rasterize, sample_family)
 from .rng import substream_seed
 from .solver import _INSULATING, GridField, SolveReport, _FaceKernel
 
@@ -186,12 +188,7 @@ def _affine_cell_problem(mask, window, xi, penalty, tol=1e-10):
 
     # material pockets sealed off from the border have nothing anchoring them
     # when penalty == 0; they contribute zero energy with any constant value
-    free = mat
-    if penalty == 0.0:
-        from scipy import ndimage
-        border = np.ones(mat.shape, dtype=bool)
-        border[(slice(1, -1),) * n] = False
-        free = ndimage.binary_propagation(mat & border, mask=mat)
+    free = mat if penalty else _boundary_connected(mat)
 
     kernel = _FaceKernel(np.where(free, MATERIAL, _INSULATING), dx,
                          penalty, data=ell, target=ell[(slice(1, -1),) * n])

@@ -161,7 +161,8 @@ class _FamilyRun(_Grid):
         return self.realization()[2]
 
     def validate(self):
-        return super().validate() + self.family.validate() + diagnostics_of([
+        family = self.family.validate(self.domain_side, self.eps)
+        return super().validate() + family + diagnostics_of([
             (not self.eps > 0, "eps", "eps must be positive"),
         ])
 
@@ -339,7 +340,7 @@ class StrangeTermSpec:
 
     def validate(self):
         side = self.domain_side
-        diags = (self.family.validate()
+        diags = (self.family.validate(side, min(self.eps_list, default=0.0))
                  + _scale_diagnostics(self.eps_list, self.h_list, self.replicas)
                  + diagnostics_of([
                      (self.family.dim != 3, "family.dim",

@@ -99,7 +99,8 @@ def evaluate_on_mask(expr_text, mask):
     """Evaluate an expression at all cell centers of a mask; returns the full grid."""
     fn = parse_expression(expr_text)
     axes = [mask.axis_centers(a) for a in range(mask.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
+    # one axis per coordinate, broadcast by the arithmetic to the grid
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
     coords = dict(zip(_COORDS[:mask.dim], grids))
     out = fn(**coords)
     return np.broadcast_to(np.asarray(out, dtype=float), mask.shape).copy()

@@ -14,15 +14,16 @@ Obstacles scale homothetically and carry enough provenance to reproduce
 themselves from a seed.  One cell-list search in numpy finds the point
 pairs within a distance: the candidate edges of the random connection
 model, the minimum pairwise distance and the candidate pairs of the
-overlapping-tube count, a diagnostic that is always reported.  Graph
-components come from min-label hooking with pointer jumping.  scipy is
-left only in `density_ratio_check`, which imports it when called.
+overlapping-tube count, a diagnostic that is always reported.  Min-label
+hooking labels the graph components and the grid cells joined to a grid's
+outer layer; probe balls count hole cells by the rasterizer's own rule.
 """
 
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -35,6 +36,9 @@ _FLAG_CHARS = {MATERIAL: "m", HOLE: "h", EXTERIOR: "x"}
 _CHAR_FLAGS = {v: k for k, v in _FLAG_CHARS.items()}
 MASK_FORMAT_VERSION = 1
 _BATCH_CELLS = 1 << 16  # window cells per rasterization batch: its temporaries stay cache-sized
+# the most points one realization may expect: far above every preset (the
+# largest, boolean-critical-3d, expects 32768), far below a failed allocation
+MAX_POINTS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -443,13 +447,43 @@ def rasterize(obstacles, domain, dx):
                           provenance=prov, warnings=tuple(notes))
 
 
+@cache  # called on every operator apply
+def _faces(ndim):
+    """Per axis, the index pair (lo, hi) selecting the two cells of every face
+    along that axis."""
+    return [((slice(None),) * axis + (slice(None, -1),),
+             (slice(None),) * axis + (slice(1, None),)) for axis in range(ndim)]
+
+
+def _boundary_connected(cells):
+    """The cells of a boolean grid joined face to face, through cells, to its
+    outer layer: wrapped in one more layer of cells, all joined, they are
+    the component of the wrapping's corner, the node labelled 0."""
+    wrapped = np.pad(cells, 1, constant_values=True)
+    index = np.arange(wrapped.size).reshape(wrapped.shape)
+    ends = []
+    for lo, hi in _faces(wrapped.ndim):
+        both = wrapped[lo] & wrapped[hi]
+        ends.append((index[lo][both], index[hi][both]))
+    labels = _component_labels(wrapped.size, *map(np.concatenate, zip(*ends)))
+    return (labels == 0).reshape(wrapped.shape)[(slice(1, -1),) * cells.ndim]
+
+
 def connected_components(config, edges):
     """Partition of point indices into maximal connected sets, ordered by
     their smallest member, members sorted."""
     n = config.count
     if n == 0:
         return []
-    i, j = edges.edges.T
+    labels = _component_labels(n, *edges.edges.T)
+    members = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n)[labels == np.arange(n)]
+    return [g.tolist() for g in np.split(members, np.cumsum(sizes)[:-1])]
+
+
+def _component_labels(n, i, j):
+    """The label of each of n nodes joined by the edges (i[k], j[k]): the
+    smallest node of its connected set."""
     # every label is a root (labels[r] == r) at the top of the loop; each
     # root hooks onto the smallest root across its edges, which keeps every
     # parent below its child, and pointer jumping flattens the trees again.
@@ -465,11 +499,8 @@ def connected_components(config, edges):
         while not np.array_equal(jumped, hooked):
             hooked, jumped = jumped, jumped[jumped]
         if np.array_equal(hooked, labels):
-            break
+            return labels
         labels = hooked
-    members = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=n)[labels == np.arange(n)]
-    return [g.tolist() for g in np.split(members, np.cumsum(sizes)[:-1])]
 
 
 def volume_fraction(mask):
@@ -540,26 +571,26 @@ def density_ratio_check(mask, radius, probes, seed):
 
     For `probes` random centers x in the domain, computes
     |B(x, r) \\cap F| / (r^n |F|) from the rasterized hole cells and returns
-    the extremes.  A zero minimum flags a density-condition failure.
+    the extremes.  A zero minimum flags a density-condition failure.  The
+    ball holds the hole cells that `rasterize` flags for a ball of radius r
+    at x, so each probe costs a pass over the grid: O(probes x grid cells).
     """
     if probes < 1:
         raise InvalidArgumentError("need at least one probe")
     if not radius > 0:
         raise InvalidArgumentError(f"probe radius must be positive, got {radius}")
-    hole_idx = np.argwhere(mask.flags == HOLE)
+    hole = mask.flags == HOLE
     n = mask.dim
     cell_vol = mask.dx ** n
-    total = hole_idx.shape[0] * cell_vol
+    total = np.count_nonzero(hole) * cell_vol
     if total == 0.0:
         raise InvalidArgumentError("hole set has zero volume; ratio undefined")
-    centers = np.stack([mask.domain.axis_centers(d, mask.dx, hole_idx[:, d])
-                        for d in range(n)], axis=1)
-    from scipy.spatial import cKDTree
-    tree = cKDTree(centers)
     rng = substream(seed, "density-probes")
     sides = np.asarray(mask.domain.sides)
     xs = np.asarray(mask.domain.lower) + rng.random((probes, n)) * sides
-    counts = tree.query_ball_point(xs, radius, return_length=True).astype(float)
+    counts = np.array([np.count_nonzero(hole & (rasterize(build_balls(
+        PointConfiguration(points=x, box=mask.domain, intensity=0.0), radius),
+        mask.domain, mask.dx).flags == HOLE)) for x in xs], dtype=float)
     ratios = counts * cell_vol / (radius ** n * total)
     return DensityCheck(min_ratio=float(ratios.min()), max_ratio=float(ratios.max()),
                         failed=bool(ratios.min() == 0.0), probes=probes,
@@ -702,9 +733,16 @@ class GeometryFamily:
         if self.dim not in (2, 3):
             raise InvalidArgumentError("dimension must be 2 or 3")
 
-    def validate(self):
+    def validate(self, side, eps):
         """All violated parameter ranges at once, as diagnostics dicts at
-        the `family.<field>` keys of a run's config."""
+        the `family.<field>` keys of a run's config.  A realization at scale
+        eps on a cube of side `side` may expect at most MAX_POINTS points:
+        intensity (side/eps)^n, or (side/(lattice_spacing eps))^n."""
+        lattice = self.kind == "lattice"
+        spacing = self.lattice_spacing if lattice else 1.0
+        with np.errstate(all="ignore"):  # a count past the floats is inf, refused
+            expected = (np.float64(side) / eps / spacing) ** self.dim * (
+                1.0 if lattice else self.intensity)
         return diagnostics_of([
             (not (math.isfinite(self.intensity) and self.intensity >= 0), "family.intensity",
              "intensity must be finite and >= 0"),
@@ -715,6 +753,10 @@ class GeometryFamily:
              "tube_radius must be positive or null"),
             (not self.lattice_spacing > 0, "family.lattice_spacing",
              "lattice_spacing must be positive"),
+            (side > 0 and eps > 0 and spacing > 0 and expected > MAX_POINTS,
+             "family.lattice_spacing" if lattice else "family.intensity",
+             f"a realization expects {expected:.3g} points; at most {MAX_POINTS:.0e} "
+             "are allowed"),
         ])
 
     @property

@@ -49,13 +49,13 @@ energy is  gamma(u) = E(u) + 2<f, u>.
 import math
 import time
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgumentError, SolverFailureError
 from .expressions import evaluate_on_mask
-from .geometry import EXTERIOR, MATERIAL, PerforatedMask, hole_free_mask
+from .geometry import EXTERIOR, MATERIAL, PerforatedMask, _faces, hole_free_mask
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,6 @@ _FACE_WEIGHT = np.array([[1, 1, 2, 0],    # MATERIAL
                          [2, 2, 0, 0],    # EXTERIOR
                          [0, 0, 0, 0]],   # _INSULATING
                         dtype=np.uint8)
-
-
-@cache  # called on every operator apply
-def _faces(ndim):
-    """Per axis, the index pair (lo, hi) selecting the two cells of every face
-    along that axis."""
-    return [((slice(None),) * axis + (slice(None, -1),),
-             (slice(None),) * axis + (slice(1, None),)) for axis in range(ndim)]
 
 
 def _neighbour_sum(v, weights):

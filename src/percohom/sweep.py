@@ -55,7 +55,8 @@ class SweepSpec:
     def validate(self):
         """All violated invariants at once, as diagnostics dicts."""
         eps = [float(e) for e in self.eps_list]
-        diags = self.family.validate() + _scale_diagnostics(eps, self.h_list, self.replicas)
+        diags = (self.family.validate(self.domain_side, min(eps, default=0.0))
+                 + _scale_diagnostics(eps, self.h_list, self.replicas))
         diags += diagnostics_of([
             (any(e <= 0 for e in eps), "eps_list", "eps must be positive"),
             (any(b >= a for a, b in zip(eps, eps[1:])), "eps_list",
@@ -270,7 +271,8 @@ class ErgodicSpec:
         """All violated invariants at once, as diagnostics dicts."""
         dim = self.family.dim
         sizes_ok = all(math.isfinite(t) and t > 0 for t in self.t_list)
-        diags = self.family.validate() + diagnostics_of([
+        largest = max(self.t_list, default=0.0) if sizes_ok else 0.0
+        diags = self.family.validate(largest, 1.0) + diagnostics_of([
             (self.functional not in ("local_capacity", "affine_energy"), "functional",
              "functional must be local_capacity or affine_energy"),
             (len(self.t_list) < 1, "t_list", "need at least one cube size"),

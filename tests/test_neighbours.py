@@ -1,7 +1,9 @@
-"""Oracles for the geometry's neighbour search and graph components: the
-cell-list pair search against an O(N^2) scan and scipy's k-d tree, the
-components against breadth-first search, and the random-connection edges
-against a k-d-tree copy of the same construction."""
+"""Oracles for the geometry's neighbour search and labelling: the cell-list
+pair search against an O(N^2) scan and scipy's k-d tree, the components
+against breadth-first search, the random-connection edges against a
+k-d-tree copy of the same construction, the boundary-connected cells
+against scipy's binary propagation, and the density check against hole
+cells counted in a k-d tree."""
 
 import itertools
 import time
@@ -9,10 +11,12 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 import percohom as ph
-from percohom.geometry import _close_pairs, connected_components, min_pairwise_distance
+from percohom.geometry import (HOLE, MATERIAL, _boundary_connected, _close_pairs,
+                               connected_components, min_pairwise_distance)
 from percohom.rng import substream
 
 
@@ -171,6 +175,60 @@ def test_components_of_a_long_path_are_fast():
     elapsed = time.perf_counter() - start
     assert groups == [list(range(n))]
     assert elapsed < 2.0, elapsed
+
+
+def _propagated(cells):
+    border = np.ones(cells.shape, dtype=bool)
+    border[(slice(1, -1),) * cells.ndim] = False
+    return ndimage.binary_propagation(cells & border, mask=cells)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_boundary_connected_cells_match_binary_propagation(dim):
+    rng = np.random.default_rng(40 + dim)
+    most = 40 if dim == 2 else 14
+    for trial in range(150):
+        shape = tuple(int(m) for m in rng.integers(1, most, size=dim))
+        if trial % 5 == 0:  # a window one cell thick
+            shape = shape[:trial % dim] + (1,) + shape[trial % dim + 1:]
+        cells = rng.random(shape) < rng.random()
+        assert np.array_equal(_boundary_connected(cells), _propagated(cells)), shape
+    for shape in [(1, 1), (1, 7), (9, 1), (6, 6), (1, 1, 1), (1, 5, 4), (5, 5, 5)]:
+        for fill in (False, True):
+            cells = np.full(shape, fill)
+            assert np.array_equal(_boundary_connected(cells), _propagated(cells))
+
+
+# ------------------------------------------------------------ density check
+
+def _kdtree_density_extremes(mask, radius, probes, seed):
+    """min and max of the density ratios, in the check's arithmetic, with the
+    hole cells in a ball counted by a k-d tree over the hole-cell centers."""
+    holes = np.argwhere(mask.flags == HOLE)
+    centers = np.stack([mask.domain.axis_centers(d, mask.dx, holes[:, d])
+                        for d in range(mask.dim)], axis=1)
+    rng = substream(seed, "density-probes")
+    xs = (np.asarray(mask.domain.lower)
+          + rng.random((probes, mask.dim)) * np.asarray(mask.domain.sides))
+    counts = cKDTree(centers).query_ball_point(xs, radius, return_length=True)
+    cell_vol = mask.dx ** mask.dim
+    total = holes.shape[0] * cell_vol
+    ratios = counts.astype(float) * cell_vol / (radius ** mask.dim * total)
+    return float(ratios.min()), float(ratios.max())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_density_ratios_match_kdtree_counts(dim):
+    rng = np.random.default_rng(50 + dim)
+    domain = ph.Box((-0.5, 0.25, 1.0)[:dim], (0.5, 1.25, 2.0)[:dim])
+    cells = 40 if dim == 2 else 16
+    for trial in range(12):
+        flags = np.where(rng.random((cells,) * dim) < rng.uniform(0.05, 0.6), HOLE, MATERIAL)
+        mask = ph.PerforatedMask(flags=flags, dx=1.0 / cells, domain=domain)
+        for radius in (0.05, 0.2, 0.5, 1.0):
+            check = ph.density_ratio_check(mask, radius, probes=20, seed=trial)
+            assert (check.min_ratio, check.max_ratio) == _kdtree_density_extremes(
+                mask, radius, 20, trial), (trial, radius)
 
 
 # ----------------------------------------------------------- nearest pair

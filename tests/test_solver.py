@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import ndimage
 import percohom as ph
 from percohom import capacity, solver
 from percohom.errors import InvalidArgumentError, SolverFailureError
-from percohom.expressions import parse_expression
+from percohom.expressions import evaluate_on_mask, parse_expression
 from percohom.geometry import EXTERIOR, HOLE, MATERIAL
 from percohom.rng import substream, substream_seed
 from percohom.solver import as_source, cg_solve, operator_diagonal
@@ -461,6 +462,27 @@ def test_expression_grammar():
             parse_expression(bad)
     with pytest.raises(InvalidArgumentError):
         parse_expression("z")(x=np.zeros(2), y=np.zeros(2))
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 1024), (3, 96)])
+def test_sources_evaluate_on_sparse_coordinates(dim, cells):
+    # coordinates broadcast from one axis each: a constant source allocates
+    # about its result, and every source equals a dense evaluation
+    mask = ph.hole_free_mask(ph.Box.unit(dim), 1 / cells)
+    tracemalloc.start()
+    try:
+        values = evaluate_on_mask("-1", mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * values.nbytes, (peak, values.nbytes)
+    mask = ph.hole_free_mask(ph.Box((0.0, -1.0, 0.5)[:dim], (1.0, 0.5, 2.0)[:dim]), 1 / 8)
+    grids = np.meshgrid(*[mask.axis_centers(a) for a in range(dim)], indexing="ij")
+    for text in ("-1", "pi", "y", "x*y-1", "sin(pi*x)*sin(pi*y)",
+                 "-(2*pi*pi+1)*sin(pi*x)*sin(pi*y)", "sin(pi*x)*cos(y)+exp(-x)/2-1"):
+        dense = parse_expression(text)(**dict(zip("xyz", grids)))
+        assert np.array_equal(evaluate_on_mask(text, mask),
+                              np.broadcast_to(np.asarray(dense, dtype=float), mask.shape)), text
 
 
 def test_field_round_trip(tmp_path):
