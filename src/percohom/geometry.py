@@ -21,6 +21,7 @@ outer layer; probe balls count hole cells by the rasterizer's own rule.
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -34,6 +35,17 @@ from .rng import substream
 MATERIAL, HOLE, EXTERIOR = 0, 1, 2
 _FLAG_CHARS = {MATERIAL: "m", HOLE: "h", EXTERIOR: "x"}
 _CHAR_FLAGS = {v: k for k, v in _FLAG_CHARS.items()}
+# The rle stream of a mask file is tokens of a flag character and a count,
+# one space apart.  A fault in it is a character that is none of these, a
+# stream that does not start with a flag or end with a digit, a flag not
+# followed by a digit, a digit followed by a flag, or a space not followed by
+# a flag; searching for one keeps no state per token, as matching the token
+# grammar would (6 MB on a 2M-cell mask).  The tables turn the stream into
+# its flags, one character each, or into its counts alone.
+_RLE_FAULT = re.compile(r"[^{0}0-9 ]|\A[^{0}]|[^0-9]\Z|[{0}][^0-9]|[0-9][{0}]| [^{0}]".format(
+    "".join(_CHAR_FLAGS)))
+_RLE_FLAGS = str.maketrans("".join(_CHAR_FLAGS), "".join(map(chr, _FLAG_CHARS)), "0123456789 ")
+_RLE_COUNTS = str.maketrans("".join(_CHAR_FLAGS), " " * len(_CHAR_FLAGS))
 MASK_FORMAT_VERSION = 1
 _BATCH_CELLS = 1 << 16  # window cells per rasterization batch: its temporaries stay cache-sized
 # the most points one realization may expect: far above every preset (the
@@ -642,14 +654,12 @@ def _write_mask(mask, fh):
     for w in mask.warnings:
         fh.write(f"warning {w}\n")
     flat = mask.flags.ravel()
-    tokens = []
+    starts = np.flatnonzero(np.diff(flat)) + 1
     if flat.size:
-        change = np.flatnonzero(np.diff(flat)) + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [flat.size]])
-        for s, e in zip(starts, ends):
-            tokens.append(f"{_FLAG_CHARS[int(flat[s])]}{e - s}")
-    fh.write("rle " + " ".join(tokens) + "\n")
+        starts = np.concatenate([[0], starts])
+    kinds = [_FLAG_CHARS[flag] for flag in flat[starts].tolist()]
+    counts = np.diff(starts, append=flat.size).tolist()
+    fh.write("rle " + " ".join(map("{}{}".format, kinds, counts)) + "\n")
 
 
 def load_mask(path):
@@ -680,16 +690,16 @@ def _read_mask(fh):
     provenance = expect("provenance")
     n_warn = int(expect("warnings"))
     warns = tuple(expect("warning") for _ in range(n_warn))
-    rle = expect("rle").split()
-    flat = np.empty(int(np.prod(shape)), dtype=np.uint8)
-    pos = 0
-    for tok in rle:
-        flag = _CHAR_FLAGS[tok[0]]
-        count = int(tok[1:])
-        flat[pos:pos + count] = flag
-        pos += count
-    if pos != flat.size:
+    rle = expect("rle")
+    if _RLE_FAULT.search(rle):
+        raise InvalidArgumentError(f"malformed rle stream in mask file: {rle[:40]!r}")
+    flags = np.frombuffer(rle.translate(_RLE_FLAGS).encode("latin-1"), np.uint8)
+    # counts too large for int64 read as its maximum, which the bound refuses
+    counts = np.fromstring(rle.translate(_RLE_COUNTS), dtype=np.int64, sep=" ")
+    size = math.prod(shape)
+    if not (np.all(counts >= 1) and np.all(counts <= size) and counts.sum() == size):
         raise InvalidArgumentError("rle stream does not cover the grid")
+    flat = np.repeat(flags, counts)
     return PerforatedMask(flags=flat.reshape(shape), dx=dx, domain=domain,
                           epsilon=epsilon, provenance=provenance, warnings=warns)
 

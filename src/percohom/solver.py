@@ -41,6 +41,20 @@ solutions are byte-identical at any thread count.  The iteration count
 grows slowly with the grid (21/30/44 on 32^2/64^2/128^2, against Jacobi's
 95/193/392).
 
+Cost model.  On a 64^3 grid one float64 array is 2 MiB, as large as a
+core's L2 cache, so a pass over whole arrays runs from L3.  The passes that
+touch neighbours (the apply, and the fine level's two residuals in the
+V-cycle) therefore walk axis 0 in slabs of _SLAB_CELLS cells: each slab's
+multiply, six neighbour shifts, masking and Jacobi update run in L2, and a
+slab reads its two outer neighbour planes from the slabs beside it.  A CG
+iteration makes no temporary of the grid's size: CG keeps x, r, p and one
+scratch array for its products, and the apply output and the V-cycle's
+result share one array made per solve.  Only the coarse levels (an eighth of
+the cells and less) allocate per call.  Every reduction is np.sum over the
+scratch array, never BLAS (np.dot and friends sum in a thread-dependent
+order).  Each cell sees the same floating-point operations in the same
+order as on whole arrays, so the slabs change no bit of any result.
+
 The sign convention is  lap(u) - reaction*u = f  with reaction >= 0; the
 assembled SPD system is  (-lap_h + reaction) u = -f, and the Dirichlet
 energy is  gamma(u) = E(u) + 2<f, u>.
@@ -49,7 +63,8 @@ energy is  gamma(u) = E(u) + 2<f, u>.
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from types import MethodType
 
 import numpy as np
 
@@ -122,15 +137,28 @@ def _neighbour_sum(v, weights):
     return out
 
 
-def _subtract_neighbours(out, u):
-    """out -= the sum of the neighbours of every cell in u, nothing past the
-    array edge; `out` is C-contiguous.  Along each axis the neighbour is one
-    shift of the flattened arrays, which runs at the speed of a contiguous
-    copy even on the last axis; the shift wraps onto the cells at the far
-    edge of the axis, which are saved before and restored after, so the
-    result is bitwise that of the sliced differences."""
-    flat_out, flat_u = out.reshape(-1), u.reshape(-1)
-    for axis in range(u.ndim):
+def _subtract_neighbours(out, u, start=0, below=None):
+    """out -= the sum of the neighbours of every cell of the slab
+    u[start:start + len(out)], nothing past the edges of u; `out` is
+    C-contiguous.  Along axis 0 the neighbours are the planes of u beside
+    each plane of the slab, so a slab reads its two outer neighbour planes
+    from the slabs next to it; `below`, if given, stands in for the plane
+    u[start - 1].  Along every other axis the neighbour is one shift of the
+    flattened slab, which runs at the speed of a contiguous copy even on the
+    last axis; the shift wraps onto the cells at the far edge of the axis,
+    which are saved before and restored after.  The result is bitwise that
+    of the sliced differences on the whole array."""
+    stop, n = start + len(out), len(u)
+    hi = min(stop, n - 1)
+    out[:hi - start] -= u[start + 1:hi + 1]
+    if below is None:
+        lo = max(start, 1)
+        out[lo - start:] -= u[lo - 1:stop - 1]
+    else:
+        out[0] -= below
+        out[1:] -= u[start:stop - 1]
+    flat_out, flat_u = out.reshape(-1), u[start:stop].reshape(-1)
+    for axis in range(1, u.ndim):
         step = math.prod(u.shape[axis + 1:])
         for edge, dst, src in ((-1, slice(None, -step), slice(step, None)),
                                (0, slice(step, None), slice(None, -step))):
@@ -138,6 +166,12 @@ def _subtract_neighbours(out, u):
             keep = out[far].copy()
             flat_out[dst] -= flat_u[src]
             out[far] = keep
+
+
+# Cells per slab of the blocked passes: 8 planes of 64^2, 256 KiB of
+# float64, so a slab's arrays (the field and its neighbour planes, the
+# diagonal, the output, the residual) stay in a core's L2 cache together.
+_SLAB_CELLS = 8 * 64 * 64
 
 
 class _FaceKernel:
@@ -173,22 +207,69 @@ class _FaceKernel:
     def diag(self):
         """Jacobi diagonal: the face weights of each unknown cell / dx^2 plus
         the reaction; 1 off the unknown cells."""
-        faces = _neighbour_sum(np.ones(self.roles.shape), self.weights)[self.inner]
+        faces = _neighbour_sum(np.ones(self.roles.shape, np.uint8), self.weights)[self.inner]
         return np.where(self.unknown, faces / self.dx ** 2 + self.reaction, 1.0)
 
-    def apply(self, u):
-        """diag*u - (sum of the neighbours)/dx^2 on the unknown cells.  Every
-        face between two unknown cells has weight 1, and u vanishes off the
-        unknown cells (as every CG iterate does), so zero-filled neighbours
-        serve absorbing and insulating holes alike.  Computed in place as
-        (diag*u*dx^2 - neighbours)/dx^2, with no zero-filled temporary."""
-        out = np.empty(u.shape)
-        np.multiply(self.diag, u, out=out)
+    @cached_property
+    def _slabs(self):
+        """The slabs of the blocked passes along axis 0: an even number of
+        planes of at most _SLAB_CELLS cells (at least two planes), so no
+        aggregate of the multigrid straddles two slabs.  A grid of at most
+        one slab is a single slab."""
+        n, plane = self.unknown.shape[0], math.prod(self.unknown.shape[1:])
+        planes = max(2, _SLAB_CELLS // plane // 2 * 2)
+        return [slice(start, min(start + planes, n)) for start in range(0, n, planes)]
+
+    def _apply_slab(self, out, u, slab, below=None):
+        """The apply of u on the planes `slab`, into `out`, in place as
+        (diag*u*dx^2 - neighbours)/dx^2; `below` as in _subtract_neighbours."""
+        np.multiply(self.diag[slab], u[slab], out=out)
         out *= self.dx ** 2
-        _subtract_neighbours(out, u)
+        _subtract_neighbours(out, u, slab.start, below)
         out *= 1.0 / self.dx ** 2
-        out *= self.unknown
+        out *= self.unknown[slab]
         return out
+
+    def apply(self, u, out=None):
+        """diag*u - (sum of the neighbours)/dx^2 on the unknown cells, into
+        `out` if given.  Every face between two unknown cells has weight 1,
+        and u vanishes off the unknown cells (as every CG iterate does), so
+        zero-filled neighbours serve absorbing and insulating holes alike.
+        Computed slab by slab (_slabs), with no temporary of the grid's
+        size."""
+        if out is None:
+            out = np.empty(u.shape)
+        for slab in self._slabs:
+            self._apply_slab(out[slab], u, slab)
+        return out
+
+    def _slab_buffer(self):
+        return np.empty((self._slabs[0].stop,) + self.unknown.shape[1:])
+
+    def restrict_residual(self, r, x, axes):
+        """_pair_sum(r - apply(x), axes), the aggregated residual of the
+        multigrid, slab by slab."""
+        coarse = np.empty([(n + 1) // 2 if axis in axes else n
+                           for axis, n in enumerate(r.shape)])
+        buffer = self._slab_buffer()
+        for slab in self._slabs:
+            res = self._apply_slab(buffer[:slab.stop - slab.start], x, slab)
+            np.subtract(r[slab], res, out=res)
+            coarse[slab.start // 2:(slab.stop + 1) // 2] = _pair_sum(res, axes)
+        return coarse
+
+    def smooth(self, r, x):
+        """The damped-Jacobi sweep x += _JACOBI_WEIGHT * (r - apply(x)) / diag,
+        slab by slab in place: each slab's apply reads the plane below it as
+        it was before the sweep moved it."""
+        buffer, below = self._slab_buffer(), None
+        for slab in self._slabs:
+            res = self._apply_slab(buffer[:slab.stop - slab.start], x, slab, below)
+            below = x[slab.stop - 1].copy()
+            np.subtract(r[slab], res, out=res)
+            res /= self.diag[slab]
+            res *= _JACOBI_WEIGHT
+            x[slab] += res
 
     def rhs(self):
         """The data and target terms of the right-hand side."""
@@ -201,20 +282,32 @@ class _FaceKernel:
         """The minimizer of the energy over the unknown cells: CG on this
         system with right-hand side `b`, by default `rhs()`, preconditioned
         by one multigrid V-cycle on the kernel's aggregation hierarchy
-        (`_vcycle`).  Returns (solution, SolveReport)."""
-        return cg_solve(self.apply, self.rhs() if b is None else b, tol=tol,
-                        max_iter=max_iter, precondition=self._precondition)
+        (`_vcycle`).  The apply output and the preconditioned residual, of
+        which CG never holds both at once, share one array made once per
+        solve.  Returns (solution, SolveReport)."""
+        b = self.rhs() if b is None else b
+        levels = self._coarse_levels  # built before CG's arrays exist: a lower peak
+        out = np.empty(self.unknown.shape)
+        # still a method of this kernel: callers of cg_solve find the kernel
+        # as apply_op.__self__
+        apply_op = MethodType(partial(_FaceKernel.apply, out=out), self)
+        return cg_solve(apply_op, b, tol=tol, max_iter=max_iter,
+                        precondition=partial(_vcycle, [self, *levels], out=out))
 
     def energy(self, u, other=None, v=None):
         """Symmetric bilinear energy of u, with this kernel's data, against v,
         with the data of `other` (same roles and reaction); energy(u) is the
         form the solve minimizes: sum_faces w da db dx^(n-2) plus the
         reaction term."""
+        a = self._values(u)
         if other is None:
-            other, v = self, u
-        a, b = self._values(u), other._values(v)
-        energy = sum(np.sum(w * (a[hi] - a[lo]) * (b[hi] - b[lo]))
-                     for w, (lo, hi) in zip(self.weights, _faces(a.ndim)))
+            other, v, b = self, u, a
+        else:
+            b = other._values(v)
+        energy = 0
+        for w, (lo, hi) in zip(self.weights, _faces(a.ndim)):
+            da = a[hi] - a[lo]
+            energy += np.sum(w * da * (da if b is a else b[hi] - b[lo]))
         energy *= self.dx ** (u.ndim - 2)
         if self.reaction:
             ra = u if self.target is None else u - self.target
@@ -229,9 +322,6 @@ class _FaceKernel:
         if self.data is not None:
             values += self.data
         return values
-
-    def _precondition(self, r):
-        return _vcycle([self, *self._coarse_levels], r)
 
     @cached_property
     def _coarse_levels(self):
@@ -307,32 +397,60 @@ class _Level:
             out[hi] -= w * u[lo]
         return out
 
+    def restrict_residual(self, r, x, axes):
+        res = self.apply(x)
+        np.subtract(r, res, out=res)
+        return _pair_sum(res, axes)
 
-def _vcycle(levels, r, k=0):
-    """One V-cycle for levels[k] x = r: a damped-Jacobi sweep, the coarse
-    correction of the aggregated residual, and the same sweep again; exact
-    on the single-cell coarsest level.  Symmetric, with the same sweep on
-    both sides, and positive definite (_JACOBI_WEIGHT)."""
+    def smooth(self, r, x):
+        res = self.apply(x)
+        np.subtract(r, res, out=res)
+        res /= self.diag
+        res *= _JACOBI_WEIGHT
+        x += res
+
+
+def _prolong_add(x, e, axes):
+    """x += P e: each coarse value of e added to the cells of its block.  If
+    every axis of `axes` has even length, e is repeated along the last axis
+    (whose block pairs lie side by side) and broadcast onto the blocks of a
+    view of x along the others; an odd axis repeats e along every axis and
+    cuts the last block."""
+    if any(x.shape[axis] % 2 for axis in axes):
+        for axis in axes:
+            e = np.repeat(e, 2, axis=axis)
+        x += e[tuple(slice(0, n) for n in x.shape)]
+        return
+    last = x.ndim - 1
+    if last in axes:
+        e = np.repeat(e, 2, axis=last)
+    blocks, coarse = [], []
+    for axis, n in enumerate(x.shape):
+        split = axis in axes and axis != last
+        blocks += [n // 2, 2] if split else [n]
+        coarse += [n // 2, 1] if split else [n]
+    view = x.reshape(blocks)  # a view: x is C-contiguous, as _vcycle makes it
+    view += e.reshape(coarse)
+
+
+def _vcycle(levels, r, k=0, out=None):
+    """One V-cycle for levels[k] x = r, with x written into `out` if given:
+    a damped-Jacobi sweep, the coarse correction of the aggregated
+    residual, and the same sweep again; exact on the single-cell coarsest
+    level.  Symmetric, with the same sweep on both sides, and positive
+    definite (_JACOBI_WEIGHT).  The fine level runs its residuals slab by
+    slab, so a V-cycle makes no array of the fine grid's size."""
     level = levels[k]
-    x = r / level.diag
+    x = np.divide(r, level.diag, out=out)
     if k == len(levels) - 1:
         return x
     x *= _JACOBI_WEIGHT
-    res = level.apply(x)
-    np.subtract(r, res, out=res)
     axes = _coarse_axes(r.shape)
-    e = _vcycle(levels, _pair_sum(res, axes), k + 1)
-    del res
-    for axis in axes:
-        e = np.repeat(e, 2, axis=axis)
-    x += e[tuple(slice(0, n) for n in r.shape)]
+    e = _vcycle(levels, level.restrict_residual(r, x, axes), k + 1)
+    _prolong_add(x, e, axes)
     del e
     x *= level.unknown  # x was 0 off the unknowns
-    res = level.apply(x)
-    np.subtract(r, res, out=res)
-    res /= level.diag
-    res *= _JACOBI_WEIGHT
-    x += res
+    level.smooth(r, x)
     return x
 
 
@@ -349,48 +467,56 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None)
     """Preconditioned conjugate gradients with a fixed summation order.
 
     The preconditioner is `precondition(r)` if given, else the Jacobi
-    division r / diag if `diag` is given, else none.  All reductions go
-    through np.sum (pairwise, single-threaded), so the iteration path and
-    result are bit-stable across thread counts.  Returns (solution,
-    SolveReport); raises SolverFailureError with the residual history on
-    non-convergence.  The iteration starts from zero, and at most
+    division r / diag if `diag` is given, else none.  `apply_op` and
+    `precondition` may return the same array on every call, even the same
+    array as each other: the loop consumes each result before it calls
+    either again.  Every product of two vectors (p.Ap, alpha*p, r.r, r.z)
+    goes into one scratch array made once per solve, and every reduction is
+    np.sum over it (pairwise, single-threaded, never BLAS), so the iteration
+    path and result are bit-stable across thread counts.  Returns
+    (solution, SolveReport); raises SolverFailureError with the residual
+    history on non-convergence.  The iteration starts from zero, and at most
     20 * max(b.shape) iterations are made unless `max_iter` says otherwise.
     """
     t0 = time.perf_counter()
-    b_norm = np.sqrt(np.sum(b * b))
+    scratch = np.multiply(b, b)
+    b_norm = np.sqrt(np.sum(scratch))
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, time.perf_counter() - t0)
     if max_iter is None:
         max_iter = 20 * max(b.shape)
     if precondition is None:
         precondition = (lambda r: r) if diag is None else (lambda r: r / diag)
+
+    def dot(u, v):
+        return np.sum(np.multiply(u, v, out=scratch))
+
     x = np.zeros_like(b)
     r = b.copy()
     z = precondition(r)
     p = z.copy()
-    rz = np.sum(r * z)
+    rz = dot(r, z)
     del z
-    history = [float(np.sqrt(np.sum(r * r)) / b_norm)]
+    history = [float(np.sqrt(dot(r, r)) / b_norm)]
     if history[-1] <= tol:
         return x, SolveReport(0, history[-1], time.perf_counter() - t0)
     for k in range(1, max_iter + 1):
         Ap = apply_op(p)
-        pAp = np.sum(p * Ap)
+        pAp = dot(p, Ap)
         if not pAp > 0.0:  # NaN included
             raise SolverFailureError(f"CG breakdown at iteration {k}: <Ap, p> = {pAp}",
                                      history)
         alpha = rz / pAp
-        x += alpha * p
+        x += np.multiply(alpha, p, out=scratch)
         Ap *= alpha
         r -= Ap
-        # drop each full-size temporary before the next one is made
         del Ap
-        rel = float(np.sqrt(np.sum(r * r)) / b_norm)
+        rel = float(np.sqrt(dot(r, r)) / b_norm)
         history.append(rel)
         if rel <= tol:
             return x, SolveReport(k, rel, time.perf_counter() - t0)
         z = precondition(r)
-        rz_new = np.sum(r * z)
+        rz_new = dot(r, z)
         p *= rz_new / rz
         p += z
         del z

@@ -505,6 +505,40 @@ def test_mask_round_trip(seed):
     assert back.warnings == mask.warnings
 
 
+@pytest.mark.parametrize("shape", [(13, 7), (6, 5, 4), (24, 24, 24)])
+def test_mask_file_round_trip_is_byte_identical(shape, tmp_path):
+    # all three roles, in runs of every length from 1 up
+    rng = substream(51, f"mask-bytes-{shape}")
+    flags = np.repeat(rng.integers(0, 3, size=math.prod(shape)),
+                      rng.integers(1, 6, size=math.prod(shape)))[:math.prod(shape)]
+    flags = flags.reshape(shape).astype(np.uint8)
+    box = ph.Box(tuple(0.0 for _ in shape), tuple(n / 8 for n in shape))
+    mask = PerforatedMask(flags=flags, dx=1.0 / 8, domain=box)
+    ph.save_mask(mask, tmp_path / "a.txt")
+    back = ph.load_mask(tmp_path / "a.txt")
+    ph.save_mask(back, tmp_path / "b.txt")
+    assert np.array_equal(back.flags, flags)
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    line = (tmp_path / "a.txt").read_text().splitlines()[-1]
+    runs = np.flatnonzero(np.diff(flags.ravel())).size + 1
+    assert len(line.split()) == runs + 1
+
+
+@pytest.mark.parametrize("rle", ["m16 h-4 m4", "m16 h0", "m8 h0 m8", "q16", "m1.5 m15",
+                                 "m16x", "m 16", "m16 ", " m16", "m8  m8", "m", "16", "m17", "m15", "",
+                                 "m8 h4 m99999999999999999999999"])
+def test_mask_file_refuses_a_malformed_rle_stream(rle, tmp_path):
+    # a 4 x 4 mask: counts must be integers >= 1 with flags m, h or x, one
+    # space apart, summing to 16
+    path = tmp_path / "m.txt"
+    ph.save_mask(ph.hole_free_mask(ph.Box.unit(2), 0.25), path)
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "rle m16"
+    path.write_text("\n".join(lines[:-1] + ["rle " + rle]) + "\n")
+    with pytest.raises(InvalidArgumentError):
+        ph.load_mask(path)
+
+
 def _segment_segment_dist2(p1, q1, p2, q2):
     # scalar reference: closest distance between two segments by Ericson's
     # clamped parameters, one pair at a time

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -269,6 +270,131 @@ def test_flat_shift_stencil_matches_sliced_differences(shape):
         assert np.array_equal(out, sliced)
 
 
+def _planes_per_slab(plane):
+    """Planes per slab of the blocked passes, for planes of shape `plane`."""
+    long = solver._FaceKernel(np.zeros((10 ** 6 // math.prod(plane), *plane), np.uint8), 0.1)
+    assert len(long._slabs) > 2
+    return long._slabs[0].stop
+
+
+def _slab_kernel(dim, length):
+    """A kernel whose axis 0 is `length` planes of a fixed plane shape, with
+    every role, and a random field."""
+    plane = (24,) if dim == 2 else (12, 10)
+    rng = substream(47, f"slab-{dim}-{length}")
+    roles = rng.choice([MATERIAL] * 4 + [HOLE, EXTERIOR, solver._INSULATING],
+                       size=(length, *plane)).astype(np.uint8)
+    return solver._FaceKernel(roles, 0.1, 0.7), rng.standard_normal(roles.shape)
+
+
+def _sliced_apply(kernel, u):
+    """The apply by sliced differences on the whole array, in the blocked
+    apply's order of operations."""
+    out = kernel.diag * u * kernel.dx ** 2
+    for lo, hi in solver._faces(u.ndim):
+        out[lo] -= u[hi]
+        out[hi] -= u[lo]
+    return out * (1.0 / kernel.dx ** 2) * kernel.unknown
+
+
+_SLAB_LENGTHS = [("one", lambda s: 1), ("slab-1", lambda s: s - 1), ("slab", lambda s: s),
+                 ("slab+1", lambda s: s + 1), ("2slab+3", lambda s: 2 * s + 3)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("length", [f for _, f in _SLAB_LENGTHS],
+                         ids=[name for name, _ in _SLAB_LENGTHS])
+def test_blocked_passes_match_whole_array_passes(dim, length):
+    # axis-0 lengths around the slab length; every result bitwise equal to
+    # the sliced differences on the whole array
+    slab = _planes_per_slab((24,) if dim == 2 else (12, 10))
+    kernel, u = _slab_kernel(dim, length(slab))
+    expected = _sliced_apply(kernel, u)
+    out = np.full(u.shape, np.nan)
+    assert kernel.apply(u, out=out) is out
+    assert np.array_equal(out, expected)
+    assert np.array_equal(kernel.apply(u), expected)
+    assert np.array_equal(kernel.apply(np.asfortranarray(u)), expected)
+    # the multigrid's fine-level residual and sweep, slab by slab
+    r = np.where(kernel.unknown, substream(48, "slab-r").standard_normal(u.shape), 0.0)
+    axes = solver._coarse_axes(u.shape)
+    assert np.array_equal(kernel.restrict_residual(r, u, axes),
+                          solver._pair_sum(r - expected, axes))
+    swept = u.copy()
+    kernel.smooth(r, swept)
+    assert np.array_equal(swept, u + (r - expected) / kernel.diag * solver._JACOBI_WEIGHT)
+
+
+def test_blocked_apply_on_a_thin_window():
+    flags = _random_mask(44, cells=24).flags[None]
+    kernel = solver._FaceKernel(flags, 1.0 / 24, 0.3)
+    u = substream(49, "thin").standard_normal(flags.shape)
+    assert len(kernel._slabs) == 1
+    assert np.array_equal(kernel.apply(u), _sliced_apply(kernel, u))
+
+
+@pytest.mark.parametrize("shape", [(16, 8, 6), (15, 8, 6), (1, 24, 24), (7, 10)])
+def test_prolongation_adds_each_coarse_value_to_its_block(shape):
+    # the broadcast path (every coarse axis even) and the repeat path (an
+    # odd axis) against an explicit loop over the cells
+    rng = substream(50, "prolong")
+    axes = solver._coarse_axes(shape)
+    x = rng.standard_normal(shape)
+    e = rng.standard_normal([(n + 1) // 2 if a in axes else n for a, n in enumerate(shape)])
+    expected = x.copy()
+    for index in np.ndindex(shape):
+        expected[index] += e[tuple(i // 2 if a in axes else i for a, i in enumerate(index))]
+    solver._prolong_add(x, e, axes)
+    assert np.array_equal(x, expected)
+
+
+def _reusing(fn, out):
+    """fn with its result copied into `out`, which it returns every call."""
+    def reused(v):
+        out[...] = fn(v)
+        return out
+    return reused
+
+
+def test_cg_accepts_one_reused_result_array():
+    # apply_op and precondition returning one array, as minimize's do, give
+    # bitwise the solve of fresh arrays
+    n = 8
+    A = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    b = np.zeros(n)
+    b[0] = 1.0
+    diag = np.diag(A).copy()
+    cases = [(lambda v: A @ v, lambda r: r / diag, b)]
+    kernel, rhs = _kernel_and_rhs(_absorbing_holes)
+    cases.append((kernel.apply, partial(_vcycle, kernel), rhs))
+    for apply_op, precondition, b in cases:
+        x, rep = cg_solve(apply_op, b, tol=1e-12, precondition=precondition)
+        shared = np.empty_like(b)
+        x_shared, rep_shared = cg_solve(_reusing(apply_op, shared), b, tol=1e-12,
+                                        precondition=_reusing(precondition, shared))
+        assert rep_shared.iterations == rep.iterations > 1
+        assert np.array_equal(x_shared, x)
+    x_min, rep_min = kernel.minimize(rhs, tol=1e-12)
+    assert rep_min.iterations == rep.iterations
+    assert np.array_equal(x_min, x)
+
+
+def test_warm_minimize_holds_no_more_than_six_grid_arrays():
+    # x, r, p, CG's scratch and the shared apply/preconditioner output, plus
+    # the slab and coarse-level arrays of the V-cycle
+    mask = ph.hole_free_mask(ph.Box.unit(3), 1.0 / 48)
+    kernel = solver._FaceKernel(mask.flags, mask.dx, 1.0)
+    b = np.where(kernel.unknown, 1.0, 0.0)
+    kernel.minimize(b, tol=1e-8)
+    tracemalloc.start()
+    try:
+        kernel.minimize(b, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * b.nbytes, peak / b.nbytes
+
+
 def test_cg_identity_one_iteration():
     b = np.arange(1.0, 10.0)
     x, rep = cg_solve(lambda v: v, b, tol=1e-12, max_iter=10)
@@ -376,6 +502,11 @@ KERNEL_IDS = ["absorbing-holes-18^3", "exterior-25x24", "insulating-penalty",
               "sealed-pocket-penalty-0", "thin-window-1x24x24", "reaction-475-27^2"]
 
 
+def _vcycle(kernel, r):
+    """One V-cycle of the kernel's multigrid preconditioner on r."""
+    return solver._vcycle([kernel, *kernel._coarse_levels], r)
+
+
 def _kernel_and_rhs(case):
     kernel = case()
     b = kernel.rhs()
@@ -391,7 +522,7 @@ def test_vcycle_is_symmetric_positive_definite(case):
     for _ in range(5):
         x, y = (np.where(kernel.unknown, rng.standard_normal(kernel.unknown.shape), 0.0)
                 for _ in range(2))
-        mx, my = kernel._precondition(x), kernel._precondition(y)
+        mx, my = _vcycle(kernel, x), _vcycle(kernel, y)
         assert np.all(mx[~kernel.unknown] == 0.0)
         assert abs(np.sum(mx * y) - np.sum(x * my)) <= 1e-13 * math.sqrt(
             np.sum(mx * mx) * np.sum(y * y))
