@@ -69,10 +69,6 @@ class ConductivityTensor:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    def quadratic_form(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return float(xi @ self.entries @ xi)
-
 
 # ---------------------------------------------------------------------------
 # Newton capacity (condenser with grounded cubic truncation)
@@ -290,6 +286,16 @@ def _cube_diagnostics(domain, h_list, center=None):
              for c, lo, hi in zip(center, domain.lower, domain.upper)),
          "h_list", f"capacity cube of side {h} escapes the domain")
         for h in h_list])
+
+
+def _cells_diagnostics(field, cells, dim, side=1.0):
+    """The grid rule's refusal (`Box.grid_shape`) of a cube of side `side`
+    cut into `cells` cells a side, as diagnostics dicts at `field`."""
+    try:
+        Box.cube(side, dim).grid_shape(side / cells)
+    except InvalidArgumentError as exc:
+        return [{"field": field, "message": str(exc)}]
+    return []
 
 
 def strange_term(family, h_list, eps_list, replicas, master_seed, domain,

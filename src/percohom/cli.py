@@ -25,8 +25,9 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import presets
-from .capacity import (_cube_diagnostics, _electrode, _scale_diagnostics, _window,
-                       conductivity_tensor, newton_capacity, strange_term)
+from .capacity import (_cells_diagnostics, _cube_diagnostics, _electrode,
+                       _scale_diagnostics, _window, conductivity_tensor, newton_capacity,
+                       strange_term)
 from .errors import (ConfigError, InvalidArgumentError, SolverFailureError,
                      diagnostics_of)
 from .expressions import source_diagnostics
@@ -133,10 +134,15 @@ class _Grid:
         return self.domain_side / self.grid_cells
 
     def validate(self):
-        return diagnostics_of([
+        """The grid's checks: the run's grid exists when they all pass."""
+        diags = diagnostics_of([
             (self.grid_cells < 1, "grid_cells", "grid_cells must be positive"),
             (not self.domain_side > 0, "domain_side", "domain_side must be positive"),
         ])
+        if not diags and self.dim in (2, 3):
+            diags = _cells_diagnostics("grid_cells", self.grid_cells, self.dim,
+                                       self.domain_side)
+        return diags
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -214,14 +220,15 @@ class _Solve(_Grid):
     max_iter: int = None
 
     def validate(self):
-        diags = super().validate() + diagnostics_of([
+        grid = super().validate()
+        diags = grid + diagnostics_of([
             (self.reaction < 0, "reaction", "reaction must be >= 0"),
             (not self.tol > 0, "tol", "tol must be positive"),
             (self.max_iter is not None and self.max_iter < 1, "max_iter",
              "max_iter must be positive or null"),
             (self.dim not in (2, 3), "dim", "dim must be 2 or 3"),
         ])
-        if self.grid_cells >= 1 and self.domain_side > 0 and self.dim in (2, 3):
+        if not grid and self.dim in (2, 3):
             # the source on the run's grid, whose cell centers the mask shares
             diags += source_diagnostics(self.source, hole_free_mask(self.domain(), self.dx()))
         return diags
@@ -292,9 +299,8 @@ class NewtonLadderSpec:
         for dx in self.dx_list if R > 0 else ():
             try:  # the rasterizer's rule, on the box the run rasterizes
                 Box((-R,) * 3, (R,) * 3).grid_shape(dx)
-            except InvalidArgumentError:
-                diags.append({"field": "dx_list",
-                              "message": f"dx {dx} must be positive and divide the box"})
+            except InvalidArgumentError as exc:
+                diags.append({"field": "dx_list", "message": f"at dx {dx}: {exc}"})
         if diags:
             return diags
         ball = self.ball()
@@ -350,6 +356,8 @@ class StrangeTermSpec:
                      (self.cells_per_h < 1, "cells_per_h", "cells_per_h must be >= 1"),
                      (not side > 0, "domain_side", "domain_side must be positive"),
                  ]))
+        if self.cells_per_h >= 1:  # each capacity window's grid
+            diags += _cells_diagnostics("cells_per_h", self.cells_per_h, 3)
         if side > 0:
             diags += _cube_diagnostics(Box.cube(side, 3), self.h_list)
         return diags
@@ -384,7 +392,7 @@ class ConductivitySpec(_FamilyRun):
             (not 0.0 < self.gamma < 2.0, "gamma",
              f"penalty exponent must be in (0, 2), got {self.gamma}"),
         ])
-        if self.grid_cells >= 1 and self.domain_side > 0:
+        if not _Grid.validate(self):
             domain = self.domain()
             try:  # the run's window: the cube of side h at the domain center
                 _window(domain, self.dx(), domain.center, self.h)

@@ -398,11 +398,6 @@ class PerforatedMask:
     def axis_centers(self, axis):
         return self.domain.axis_centers(axis, self.dx, np.arange(self.shape[axis]))
 
-    def cell_centers(self):
-        """(N, dim) array of all cell centers in row-major cell order."""
-        grids = np.meshgrid(*[self.axis_centers(a) for a in range(self.dim)], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
     def same_grid(self, other):
         return (self.shape == other.shape and self.dx == other.dx
                 and self.domain == other.domain)

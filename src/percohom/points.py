@@ -6,12 +6,18 @@ half-open product [lower, upper), so partitioning a box into cells gives
 exhaustive, disjoint counts.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .rng import substream
+
+
+# the most cells one grid may have: about 48 times a 128^3 grid, and
+# 0.8 GB for one float64 array of its size
+MAX_CELLS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -53,9 +59,17 @@ class Box:
 
     def grid_shape(self, dx):
         """Cells per side of the grid of spacing dx on the box: dx must be
-        positive and cut every side into a whole number of cells."""
+        positive and cut every side into a whole number of cells, at most
+        MAX_CELLS in all."""
         if not dx > 0:
             raise InvalidArgumentError("dx must be positive")
+        # counted in floats, so an infinite count a side is refused before it
+        # is rounded; where dx divides every side (to 1e-9 relative), the
+        # float count is within 0.5 of the whole one near MAX_CELLS
+        cells = math.prod(side / dx for side in self.sides)
+        if cells > MAX_CELLS + 0.5:
+            raise InvalidArgumentError(f"a grid of {cells:.6g} cells at dx {dx}; "
+                                       f"at most {MAX_CELLS:.0e} are allowed")
         shape = []
         for side in self.sides:
             m = side / dx
@@ -141,20 +155,6 @@ def scale(config, factor):
                               box=config.box.scaled(factor),
                               intensity=config.intensity / factor ** config.dim,
                               seed=config.seed)
-
-
-def count_in(config, region):
-    """Number of points in `region` (closed lower faces, open upper faces)."""
-    lo = np.asarray(region.lower)
-    hi = np.asarray(region.upper)
-    blo = np.asarray(config.box.lower)
-    bhi = np.asarray(config.box.upper)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(bhi - blo))))
-    if np.any(lo < blo - tol) or np.any(hi > bhi + tol):
-        raise InvalidArgumentError("region must be contained in the configuration box")
-    if config.count == 0:
-        return 0
-    return int(np.count_nonzero(np.all((config.points >= lo) & (config.points < hi), axis=1)))
 
 
 def empty_cell_frequency(config, cell_size):

@@ -43,14 +43,15 @@ grows slowly with the grid (21/30/44 on 32^2/64^2/128^2, against Jacobi's
 
 Cost model.  On a 64^3 grid one float64 array is 2 MiB, as large as a
 core's L2 cache, so a pass over whole arrays runs from L3.  The passes that
-touch neighbours (the apply, and the fine level's two residuals in the
-V-cycle) therefore walk axis 0 in slabs of _SLAB_CELLS cells: each slab's
-multiply, six neighbour shifts, masking and Jacobi update run in L2, and a
-slab reads its two outer neighbour planes from the slabs beside it.  A CG
+touch neighbours (the apply, and each level's two residuals in the
+V-cycle) therefore walk axis 0 in slabs: of _SLAB_CELLS cells on the fine
+level, whose multiply, six neighbour shifts, masking and Jacobi update run
+in L2, a slab reading its two outer neighbour planes from the slabs beside
+it; a coarse level (an eighth of the cells and less) is one slab.  A CG
 iteration makes no temporary of the grid's size: CG keeps x, r, p and one
 scratch array for its products, and the apply output and the V-cycle's
-result share one array made per solve.  Only the coarse levels (an eighth of
-the cells and less) allocate per call.  Every reduction is np.sum over the
+result share one array made per solve; beyond a slab buffer, only the
+coarse levels allocate per call.  Every reduction is np.sum over the
 scratch array, never BLAS (np.dot and friends sum in a thread-dependent
 order).  Each cell sees the same floating-point operations in the same
 order as on whole arrays, so the slabs change no bit of any result.
@@ -64,7 +65,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
-from types import MethodType
 
 import numpy as np
 
@@ -109,10 +109,6 @@ class GridField:
     @staticmethod
     def constant(mask, value):
         return GridField(mask, np.full(mask.shape, float(value)))
-
-    @staticmethod
-    def from_expression(mask, expr_text):
-        return GridField(mask, evaluate_on_mask(expr_text, mask))
 
 
 _INSULATING = 3  # a cell role beside MATERIAL, HOLE and EXTERIOR: no flux
@@ -243,33 +239,10 @@ class _FaceKernel:
             self._apply_slab(out[slab], u, slab)
         return out
 
-    def _slab_buffer(self):
-        return np.empty((self._slabs[0].stop,) + self.unknown.shape[1:])
-
-    def restrict_residual(self, r, x, axes):
-        """_pair_sum(r - apply(x), axes), the aggregated residual of the
-        multigrid, slab by slab."""
-        coarse = np.empty([(n + 1) // 2 if axis in axes else n
-                           for axis, n in enumerate(r.shape)])
-        buffer = self._slab_buffer()
-        for slab in self._slabs:
-            res = self._apply_slab(buffer[:slab.stop - slab.start], x, slab)
-            np.subtract(r[slab], res, out=res)
-            coarse[slab.start // 2:(slab.stop + 1) // 2] = _pair_sum(res, axes)
-        return coarse
-
-    def smooth(self, r, x):
-        """The damped-Jacobi sweep x += _JACOBI_WEIGHT * (r - apply(x)) / diag,
-        slab by slab in place: each slab's apply reads the plane below it as
-        it was before the sweep moved it."""
-        buffer, below = self._slab_buffer(), None
-        for slab in self._slabs:
-            res = self._apply_slab(buffer[:slab.stop - slab.start], x, slab, below)
-            below = x[slab.stop - 1].copy()
-            np.subtract(r[slab], res, out=res)
-            res /= self.diag[slab]
-            res *= _JACOBI_WEIGHT
-            x[slab] += res
+    def residual(self, out, r, x, slab, below=None):
+        """r - apply(x) on the planes `slab`, into `out`; `below` as in
+        _subtract_neighbours."""
+        return np.subtract(r[slab], self._apply_slab(out, x, slab, below), out=out)
 
     def rhs(self):
         """The data and target terms of the right-hand side."""
@@ -288,10 +261,7 @@ class _FaceKernel:
         b = self.rhs() if b is None else b
         levels = self._coarse_levels  # built before CG's arrays exist: a lower peak
         out = np.empty(self.unknown.shape)
-        # still a method of this kernel: callers of cg_solve find the kernel
-        # as apply_op.__self__
-        apply_op = MethodType(partial(_FaceKernel.apply, out=out), self)
-        return cg_solve(apply_op, b, tol=tol, max_iter=max_iter,
+        return cg_solve(partial(self.apply, out=out), b, tol=tol, max_iter=max_iter,
                         precondition=partial(_vcycle, [self, *levels], out=out))
 
     def energy(self, u, other=None, v=None):
@@ -382,32 +352,22 @@ def _coarsen(weights, sink):
 class _Level:
     """A coarse level: the operator diag*u - sum_faces w*(neighbour), on
     cells that aggregate unknowns; every other cell is decoupled, with
-    diagonal 1 and values that stay 0."""
+    diagonal 1 and values that stay 0.  Small enough to be one slab."""
 
     def __init__(self, weights, sink):
         self.weights = weights
         diag = _neighbour_sum(np.ones(sink.shape), weights) + sink
         self.unknown = diag > 0
         self.diag = np.where(self.unknown, diag, 1.0)
+        self._slabs = [slice(0, len(sink))]
 
-    def apply(self, u):
-        out = self.diag * u
-        for w, (lo, hi) in zip(self.weights, _faces(u.ndim)):
-            out[lo] -= w * u[hi]
-            out[hi] -= w * u[lo]
-        return out
-
-    def restrict_residual(self, r, x, axes):
-        res = self.apply(x)
-        np.subtract(r, res, out=res)
-        return _pair_sum(res, axes)
-
-    def smooth(self, r, x):
-        res = self.apply(x)
-        np.subtract(r, res, out=res)
-        res /= self.diag
-        res *= _JACOBI_WEIGHT
-        x += res
+    def residual(self, out, r, x, slab, below=None):
+        """r - A x on the whole level (its one slab), into `out`."""
+        np.multiply(self.diag, x, out=out)
+        for w, (lo, hi) in zip(self.weights, _faces(x.ndim)):
+            out[lo] -= w * x[hi]
+            out[hi] -= w * x[lo]
+        return np.subtract(r, out, out=out)
 
 
 def _prolong_add(x, e, axes):
@@ -438,19 +398,32 @@ def _vcycle(levels, r, k=0, out=None):
     a damped-Jacobi sweep, the coarse correction of the aggregated
     residual, and the same sweep again; exact on the single-cell coarsest
     level.  Symmetric, with the same sweep on both sides, and positive
-    definite (_JACOBI_WEIGHT).  The fine level runs its residuals slab by
-    slab, so a V-cycle makes no array of the fine grid's size."""
+    definite (_JACOBI_WEIGHT).  Restricts and smooths every level: both
+    passes walk the level's slabs through one buffer, and the in-place sweep
+    hands each slab the plane below as it was before the sweep moved it."""
     level = levels[k]
     x = np.divide(r, level.diag, out=out)
     if k == len(levels) - 1:
         return x
     x *= _JACOBI_WEIGHT
     axes = _coarse_axes(r.shape)
-    e = _vcycle(levels, level.restrict_residual(r, x, axes), k + 1)
+    buffer = np.empty((level._slabs[0].stop,) + r.shape[1:])
+    coarse = np.empty([(n + 1) // 2 if axis in axes else n for axis, n in enumerate(r.shape)])
+    for slab in level._slabs:
+        res = level.residual(buffer[:slab.stop - slab.start], r, x, slab)
+        coarse[slab.start // 2:(slab.stop + 1) // 2] = _pair_sum(res, axes)
+    e = _vcycle(levels, coarse, k + 1)
+    del coarse
     _prolong_add(x, e, axes)
     del e
     x *= level.unknown  # x was 0 off the unknowns
-    level.smooth(r, x)
+    below = None
+    for slab in level._slabs:
+        res = level.residual(buffer[:slab.stop - slab.start], r, x, slab, below)
+        below = x[slab.stop - 1].copy()
+        res /= level.diag[slab]
+        res *= _JACOBI_WEIGHT
+        x[slab] += res
     return x
 
 
@@ -621,9 +594,16 @@ def load_field(path):
             raise InvalidArgumentError("unsupported field format version")
         mask = _read_mask(fh)
         count = int(fh.readline().split()[1])
+        if count != mask.material_count:
+            raise InvalidArgumentError(f"field file has {count} values for "
+                                       f"{mask.material_count} material cells")
         vals = []
         while len(vals) < count:
-            vals.extend(float(t) for t in fh.readline().split())
+            line = fh.readline()
+            if not line:
+                raise InvalidArgumentError(f"field file ends after {len(vals)} of "
+                                           f"its {count} values")
+            vals.extend(float(t) for t in line.split())
     full = np.zeros(mask.shape)
     full[mask.material] = np.asarray(vals[:count])
     return GridField(mask, full)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (StrangeTermResult, _scale_diagnostics, _strange_table,
-                       boolean_capacity_constant, capacity_minimizer_on_window)
+from .capacity import (StrangeTermResult, _cells_diagnostics, _scale_diagnostics,
+                       _strange_table, boolean_capacity_constant,
+                       capacity_minimizer_on_window)
 from .errors import InvalidArgumentError, diagnostics_of
 from .expressions import source_diagnostics
 from .geometry import (Box, GeometryFamily, hole_free_mask, rasterize,
@@ -70,8 +71,14 @@ class SweepSpec:
              "capacity_cells_per_h must be >= 1"),
             (not self.tol > 0, "tol", "tol must be positive"),
         ])
-        if self.domain_side > 0 and self.grid_cells >= 4:  # the source on the run's grid
-            diags += source_diagnostics(self.source, hole_free_mask(self.domain(), self.dx()))
+        if self.capacity_cells_per_h >= 1:  # each capacity window's grid
+            diags += _cells_diagnostics("capacity_cells_per_h", self.capacity_cells_per_h,
+                                        self.family.dim)
+        if self.domain_side > 0 and self.grid_cells >= 4:  # the run's grid, the source on it
+            grid = _cells_diagnostics("grid_cells", self.grid_cells, self.family.dim,
+                                      self.domain_side)
+            diags += grid or source_diagnostics(self.source,
+                                                hole_free_mask(self.domain(), self.dx()))
         return diags
 
     def resolution_warnings(self):
@@ -417,13 +424,6 @@ def build_partition_of_unity(domain, h, r, dx):
             local = np.multiply.outer(local, profs[d][slices[d]])
         weights.append(PartitionWeight(slices=slices, weights=local))
     return weights
-
-
-def partition_sum(partition, shape):
-    total = np.zeros(shape)
-    for w in partition:
-        total[w.slices] += w.weights
-    return total
 
 
 def local_minimizers_for_partition(mask, partition, tol=1e-10):

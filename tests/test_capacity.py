@@ -203,7 +203,7 @@ def test_tensor_quadratic_form_identity():
     for _ in range(20):
         xi = rng.standard_normal(3)
         p, _ = ph.penalized_functional(mask, (0.5,) * 3, h, 1.0, xi, tol=1e-12)
-        assert abs(p - tensor.quadratic_form(xi)) <= 1e-6 * float(xi @ xi) * h**3
+        assert abs(p - float(xi @ tensor.entries @ xi)) <= 1e-6 * float(xi @ xi) * h**3
 
 
 def test_tensor_symmetric_psd_on_random_obstacles():

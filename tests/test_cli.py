@@ -9,6 +9,7 @@ import pytest
 
 import percohom as ph
 from percohom.cli import main, validate_config
+from percohom.expressions import evaluate_on_mask
 from percohom.presets import PRESETS
 
 
@@ -205,6 +206,15 @@ def test_nonpositive_grid_cells_is_validation_error(tmp_path, capsys, command,
     # a source that overflows on the run's grid
     ("solve", "mms-2d", "source", '"exp(1000*x)"'),
     ("sweep", "rcm-2d", "source", '"exp(1000*x)"'),
+    # a grid past MAX_CELLS, refused before any grid is built
+    ("solve", "mms-2d", "grid_cells", "100000000"),
+    ("geometry", "boolean-3d-demo", "grid_cells", "100000"),
+    ("sweep", "rcm-2d", "grid_cells", "10000000"),
+    ("sweep", "rcm-2d", "capacity_cells_per_h", "100000"),
+    ("ergodic", "boolean-2d", "dx", "1e-7"),
+    ("ergodic", "boolean-2d", "dx", "5e-324"),  # an infinite count of cells a side
+    ("capacity", "strange-3d", "cells_per_h", "100000"),
+    ("capacity", "ball-oracle", "dx_list", "[1e-5]"),
 ])
 def test_degenerate_values_are_validation_errors(tmp_path, capsys, command, preset,
                                                  key, value):
@@ -289,7 +299,7 @@ def test_solve_run_and_field_round_trip(tmp_path):
     assert run_cli("solve", "--preset", "mms-2d", "--out", out) == 0
     d = only_dir(out, "solve")
     field = ph.load_field(os.path.join(d, "field.txt"))
-    exact = ph.GridField.from_expression(field.mask, "sin(pi*x)*sin(pi*y)")
+    exact = ph.GridField(field.mask, evaluate_on_mask("sin(pi*x)*sin(pi*y)", field.mask))
     assert ph.l2_distance(field, exact) < 5e-4
     report = json.load(open(os.path.join(d, "report.json")))
     assert report["final_rel_residual"] <= 1e-10

@@ -7,11 +7,16 @@ from scipy import stats
 
 import percohom as ph
 from percohom.errors import InvalidArgumentError
-from percohom.points import count_in
 from percohom.rng import substream_seed
 
 UNIT2 = ph.Box.unit(2)
 UNIT3 = ph.Box.unit(3)
+
+
+def _count_in(config, region):
+    """Number of points in `region` (closed lower faces, open upper faces)."""
+    inside = (config.points >= region.lower) & (config.points < region.upper)
+    return int(np.count_nonzero(np.all(inside, axis=1)))
 
 
 def test_zero_intensity_is_empty():
@@ -76,7 +81,7 @@ def test_independence_of_disjoint_counts():
     pairs = []
     for i in range(10**4):
         cfg = ph.sample_poisson(UNIT2, 2.0, substream_seed(8, i))
-        pairs.append((count_in(cfg, left), count_in(cfg, right)))
+        pairs.append((_count_in(cfg, left), _count_in(cfg, right)))
     rho = np.corrcoef(np.asarray(pairs).T)[0, 1]
     assert abs(rho) < 0.05
 
@@ -87,14 +92,17 @@ def test_count_additivity_on_halves(seed):
     cfg = ph.sample_poisson(UNIT2, 8.0, seed)
     left = ph.Box((0.0, 0.0), (0.5, 1.0))
     right = ph.Box((0.5, 0.0), (1.0, 1.0))
-    assert count_in(cfg, left) + count_in(cfg, right) == cfg.count
-    assert count_in(cfg, cfg.box) == cfg.count
+    assert _count_in(cfg, left) + _count_in(cfg, right) == cfg.count
+    assert _count_in(cfg, cfg.box) == cfg.count
 
 
-def test_count_in_region_escaping_box():
-    cfg = ph.sample_poisson(UNIT2, 1.0, 3)
-    with pytest.raises(InvalidArgumentError):
-        count_in(cfg, ph.Box((0.5, 0.5), (1.5, 1.0)))
+def test_grid_shape_ceiling():
+    # exactly MAX_CELLS cells is a grid and one row more is not; a dx whose
+    # count of cells a side overflows the floats is refused, not rounded
+    assert UNIT2.grid_shape(1e-4) == (10000, 10000)
+    for box, dx in ((ph.Box((0.0, 0.0), (1.0001, 1.0)), 1e-4), (UNIT3, 5e-324)):
+        with pytest.raises(InvalidArgumentError, match="at most 1e\\+08"):
+            box.grid_shape(dx)
 
 
 def test_scale_identity_and_distance_scaling():
