@@ -10,7 +10,9 @@ Two quadratic minimizations, kept strictly separate:
   a window, and `strange_term` (the absorption-constant table) and the sweeps
   call it on whole cube masks and partition windows.  The table runs on
   given obstacle realizations, so a sweep measures the capacity of the very
-  realizations it solves on.  `newton_capacity`, the condenser energy of an
+  realizations it solves on.  The rules for its inputs are written once,
+  in `_table_diagnostics` (dimension 3 in `_strange_term_diagnostics`).
+  `newton_capacity`, the condenser energy of an
   obstacle held at potential 1 inside a grounded outer cube (3D only; the
   truncation of the whole-space problem), is the same problem: u -> 1 - u
   maps the condenser potential onto the local-capacity minimizer of the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, diagnostics_of
+from .errors import InvalidArgumentError, diagnostics_of, raise_diagnostics, refusal
 from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, _boundary_connected,
                        rasterize, sample_family)
 from .rng import substream_seed
@@ -260,57 +262,59 @@ class StrangeTermResult:
     limsup_flagged: bool = False
 
 
-def _scale_diagnostics(eps_list, h_list, replicas):
-    """What an absorption-constant table needs of its scales, as diagnostics
-    dicts: at least 3 distinct eps, 2 distinct cube sizes h and 1 replica,
-    and eps << h, that is eps < min(h)/4 for every eps."""
+def _table_diagnostics(family, eps_list, h_list, replicas, cells_per_h, domain,
+                       center=None, cells_field="cells_per_h"):
+    """Every rule for an absorption-constant table's inputs, as diagnostics
+    dicts at the keys of a run's config, `cells_per_h` at `cells_field`.
+    `domain` is None for a config whose domain_side is not positive."""
     hmin = min(h_list, default=math.inf)
-    return diagnostics_of([
+    side = 0.0 if domain is None else max(domain.sides)
+    diags = family.validate(side, min(eps_list, default=0.0)) + diagnostics_of([
         (len(eps_list) < 3, "eps_list", "need at least 3 eps values"),
         (len(set(eps_list)) < len(eps_list), "eps_list", "eps values must be distinct"),
+        (not all(e > 0 for e in eps_list), "eps_list", "eps values must be positive"),
         (len(h_list) < 2, "h_list", "need at least 2 cube sizes h"),
         (len(set(h_list)) < len(h_list), "h_list", "cube sizes h must be distinct"),
         (replicas < 1, "replicas", "need at least one replica"),
         *((not e < hmin / 4.0, "eps_list",
            f"scale ordering requires eps << h: eps={e} is not < min(h)/4 = "
            f"{hmin / 4.0}") for e in eps_list),
+        (not cells_per_h >= 1, cells_field, f"{cells_field} must be >= 1"),
+        (domain is None, "domain_side", "domain_side must be positive"),
     ])
+    if cells_per_h >= 1:
+        diags += refusal(cells_field, Box.cube(1.0, family.dim).grid_shape, 1.0 / cells_per_h)
+    if domain is not None:
+        center = domain.center if center is None else center
+        diags += diagnostics_of([
+            (any(c - h / 2.0 < lo - 1e-12 or c + h / 2.0 > hi + 1e-12
+                 for c, lo, hi in zip(center, domain.lower, domain.upper)),
+             "h_list", f"capacity cube of side {h} escapes the domain")
+            for h in h_list])
+    return diags
 
 
-def _cube_diagnostics(domain, h_list, center=None):
-    """The cubes of side h at `center` (the domain's center when None) that
-    escape the domain, as diagnostics dicts."""
-    center = domain.center if center is None else center
+def _strange_term_diagnostics(family, eps_list, h_list, replicas, cells_per_h, domain,
+                              center=None):
+    """`_table_diagnostics` where the table runs: in dimension 3 only."""
     return diagnostics_of([
-        (any(c - h / 2.0 < lo - 1e-12 or c + h / 2.0 > hi + 1e-12
-             for c, lo, hi in zip(center, domain.lower, domain.upper)),
-         "h_list", f"capacity cube of side {h} escapes the domain")
-        for h in h_list])
-
-
-def _cells_diagnostics(field, cells, dim, side=1.0):
-    """The grid rule's refusal (`Box.grid_shape`) of a cube of side `side`
-    cut into `cells` cells a side, as diagnostics dicts at `field`."""
-    try:
-        Box.cube(side, dim).grid_shape(side / cells)
-    except InvalidArgumentError as exc:
-        return [{"field": field, "message": str(exc)}]
-    return []
+        (family.dim != 3 or (domain is not None and domain.dim != 3), "family.dim",
+         "the absorption-constant pipeline requires dimension 3"),
+    ]) + _table_diagnostics(family, eps_list, h_list, replicas, cells_per_h, domain, center)
 
 
 def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
-                 cells_per_h=32, center=None, limsup_bound=None, tol=1e-8):
+                 cells_per_h=32, center=None, limsup_bound=None):
     """Table of local capacity densities cap(x, h, eps) / h^n and the
     iterated-limit estimate of the effective absorption constant.
 
     Samples one realization per (eps, replica) and shares it across all h
-    (common random numbers).  Scale ordering is enforced: every eps must
-    satisfy eps < h/4 for every h in use.
+    (common random numbers).  Refuses the inputs `_strange_term_diagnostics`
+    refuses, among them an eps not < h/4, a cube outside the domain and a
+    dimension other than 3.
     """
-    diags = (_scale_diagnostics(eps_list, h_list, replicas)
-             + _cube_diagnostics(domain, h_list, center))
-    if diags:
-        raise InvalidArgumentError("; ".join(d["message"] for d in diags))
+    raise_diagnostics(_strange_term_diagnostics(family, eps_list, h_list, replicas,
+                                                cells_per_h, domain, center))
     realizations = []
     # the seeds are indexed in decreasing eps
     for ie, eps in enumerate(sorted(map(float, eps_list), reverse=True)):
@@ -319,7 +323,7 @@ def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
             obstacles, _ = sample_family(family, eps, seed, domain)
             realizations.append((eps, k, seed, obstacles))
     return _strange_table(realizations, h_list, eps_list, domain, cells_per_h,
-                          center=center, limsup_bound=limsup_bound, tol=tol)
+                          center=center, limsup_bound=limsup_bound)
 
 
 def _mean(values):
@@ -329,10 +333,9 @@ def _mean(values):
 def _strange_table(realizations, h_list, eps_list, domain, cells_per_h, center=None,
                    limsup_bound=None, tol=1e-8):
     """The capacity table of `strange_term` over given (eps, replica, seed,
-    obstacles) realizations, with h_list and eps_list already checked for
-    scale ordering and the cubes at `center` (the domain's center when None)
-    for lying inside the domain.  `c` and its spread are NaN, undefined,
-    when no realization at the smallest eps is given."""
+    obstacles) realizations, whose inputs `_table_diagnostics` accepts.
+    `c` and its spread are NaN, undefined, when no realization at the
+    smallest eps is given."""
     h_list = sorted(map(float, h_list), reverse=True)
     eps_list = sorted(map(float, eps_list), reverse=True)
     center = domain.center if center is None else center

@@ -25,11 +25,10 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import presets
-from .capacity import (_cells_diagnostics, _cube_diagnostics, _electrode,
-                       _scale_diagnostics, _window, conductivity_tensor, newton_capacity,
-                       strange_term)
+from .capacity import (_electrode, _strange_term_diagnostics, _window,
+                       conductivity_tensor, newton_capacity, strange_term)
 from .errors import (ConfigError, InvalidArgumentError, SolverFailureError,
-                     diagnostics_of)
+                     diagnostics_of, refusal)
 from .expressions import source_diagnostics
 from .geometry import (Box, GeometryFamily, build_balls, density_ratio_check,
                        hole_free_mask, mask_stats, rasterize, sample_family,
@@ -140,8 +139,7 @@ class _Grid:
             (not self.domain_side > 0, "domain_side", "domain_side must be positive"),
         ])
         if not diags and self.dim in (2, 3):
-            diags = _cells_diagnostics("grid_cells", self.grid_cells, self.dim,
-                                       self.domain_side)
+            diags = refusal("grid_cells", self.domain().grid_shape, self.dx())
         return diags
 
 
@@ -296,19 +294,14 @@ class NewtonLadderSpec:
             (not self.tol > 0, "tol", "tol must be positive"),
             (not self.dx_list, "dx_list", "dx_list must not be empty"),
         ])
-        for dx in self.dx_list if R > 0 else ():
-            try:  # the rasterizer's rule, on the box the run rasterizes
-                Box((-R,) * 3, (R,) * 3).grid_shape(dx)
-            except InvalidArgumentError as exc:
-                diags.append({"field": "dx_list", "message": f"at dx {dx}: {exc}"})
+        for dx in self.dx_list if R > 0 else ():  # the box the run rasterizes
+            diags += refusal("dx_list", Box((-R,) * 3, (R,) * 3).grid_shape, dx,
+                             context=f"at dx {dx}: ")
         if diags:
             return diags
         ball = self.ball()
         for dx in self.dx_list:  # the ball as the run rasterizes it
-            try:
-                _electrode(ball, R, dx)
-            except InvalidArgumentError as exc:
-                diags.append({"field": "radius", "message": f"at dx {dx}: {exc}"})
+            diags += refusal("radius", _electrode, ball, R, dx, context=f"at dx {dx}: ")
         return diags
 
     def run(self, outdir, threads):
@@ -346,21 +339,9 @@ class StrangeTermSpec:
 
     def validate(self):
         side = self.domain_side
-        diags = (self.family.validate(side, min(self.eps_list, default=0.0))
-                 + _scale_diagnostics(self.eps_list, self.h_list, self.replicas)
-                 + diagnostics_of([
-                     (self.family.dim != 3, "family.dim",
-                      "the absorption-constant pipeline requires dimension 3"),
-                     (not all(e > 0 for e in self.eps_list), "eps_list",
-                      "eps must be positive"),
-                     (self.cells_per_h < 1, "cells_per_h", "cells_per_h must be >= 1"),
-                     (not side > 0, "domain_side", "domain_side must be positive"),
-                 ]))
-        if self.cells_per_h >= 1:  # each capacity window's grid
-            diags += _cells_diagnostics("cells_per_h", self.cells_per_h, 3)
-        if side > 0:
-            diags += _cube_diagnostics(Box.cube(side, 3), self.h_list)
-        return diags
+        return _strange_term_diagnostics(
+            self.family, self.eps_list, self.h_list, self.replicas, self.cells_per_h,
+            Box.cube(side, self.family.dim) if side > 0 else None)
 
     def run(self, outdir, threads):
         res = strange_term(self.family, self.h_list, self.eps_list, self.replicas,
@@ -392,12 +373,9 @@ class ConductivitySpec(_FamilyRun):
             (not 0.0 < self.gamma < 2.0, "gamma",
              f"penalty exponent must be in (0, 2), got {self.gamma}"),
         ])
-        if not _Grid.validate(self):
+        if not _Grid.validate(self):  # the run's window: the cube of side h at the center
             domain = self.domain()
-            try:  # the run's window: the cube of side h at the domain center
-                _window(domain, self.dx(), domain.center, self.h)
-            except InvalidArgumentError as exc:
-                diags.append({"field": "h", "message": str(exc)})
+            diags += refusal("h", _window, domain, self.dx(), domain.center, self.h)
         return diags
 
     def run(self, outdir, threads):

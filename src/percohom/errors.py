@@ -30,3 +30,19 @@ def diagnostics_of(checks):
     """The diagnostics dicts of the (violated, field, message) checks."""
     return [{"field": field, "message": message}
             for violated, field, message in checks if violated]
+
+
+def refusal(field, call, *args, context=""):
+    """The diagnostics of `call(*args)`: none when it returns, else its
+    InvalidArgumentError's message, after `context`, at `field`."""
+    try:
+        call(*args)
+    except InvalidArgumentError as exc:
+        return [{"field": field, "message": f"{context}{exc}"}]
+    return []
+
+
+def raise_diagnostics(diags):
+    """Raise the diagnostics dicts, if any, as one InvalidArgumentError."""
+    if diags:
+        raise InvalidArgumentError("; ".join(d["message"] for d in diags))

@@ -662,30 +662,40 @@ def load_mask(path):
         return _read_mask(fh)
 
 
-def _read_mask(fh):
-    def expect(name):
-        line = fh.readline().rstrip("\n")
-        key, _, rest = line.partition(" ")
-        if key != name:
-            raise InvalidArgumentError(f"expected {name!r} in mask file, got {line!r}")
-        return rest
+def _expect(fh, name, convert=str):
+    """The value after `name` on the next line of the file, converted; a
+    line with another key or a value that does not convert is refused."""
+    line = fh.readline().rstrip("\n")
+    key, _, rest = line.partition(" ")
+    if key != name:
+        raise InvalidArgumentError(f"expected {name!r} in {fh.name}, got {line!r}")
+    try:
+        return convert(rest)
+    except (ValueError, IndexError) as exc:
+        raise InvalidArgumentError(f"malformed line in {fh.name}: {line!r} ({exc})") from exc
 
-    version = int(expect("percohom-mask").split()[-1])
+
+def _box(text):
+    """The Box of a mask file's `domain` value, lo,lo..hi,hi."""
+    lo, hi = text.split("..")
+    return Box(tuple(map(float, lo.split(","))), tuple(map(float, hi.split(","))))
+
+
+def _read_mask(fh):
+    version = _expect(fh, "percohom-mask", lambda rest: int(rest.split()[-1]))
     if version != MASK_FORMAT_VERSION:
         raise InvalidArgumentError(f"unsupported mask format version {version}")
-    dim = int(expect("dim"))
-    shape = tuple(int(s) for s in expect("shape").split())
+    dim = _expect(fh, "dim", int)
+    shape = _expect(fh, "shape", lambda rest: tuple(int(s) for s in rest.split()))
     if len(shape) != dim:
         raise InvalidArgumentError("shape rank does not match dim")
-    dx = float(expect("dx"))
-    lo_s, hi_s = expect("domain").split("..")
-    domain = Box(tuple(float(v) for v in lo_s.split(",")),
-                 tuple(float(v) for v in hi_s.split(",")))
-    epsilon = float(expect("epsilon"))
-    provenance = expect("provenance")
-    n_warn = int(expect("warnings"))
-    warns = tuple(expect("warning") for _ in range(n_warn))
-    rle = expect("rle")
+    dx = _expect(fh, "dx", float)
+    domain = _expect(fh, "domain", _box)
+    epsilon = _expect(fh, "epsilon", float)
+    provenance = _expect(fh, "provenance")
+    n_warn = _expect(fh, "warnings", int)
+    warns = tuple(_expect(fh, "warning") for _ in range(n_warn))
+    rle = _expect(fh, "rle")
     if _RLE_FAULT.search(rle):
         raise InvalidArgumentError(f"malformed rle stream in mask file: {rle[:40]!r}")
     flags = np.frombuffer(rle.translate(_RLE_FLAGS).encode("latin-1"), np.uint8)

@@ -102,14 +102,6 @@ class GridField:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @staticmethod
-    def zeros(mask):
-        return GridField(mask, np.zeros(mask.shape))
-
-    @staticmethod
-    def constant(mask, value):
-        return GridField(mask, np.full(mask.shape, float(value)))
-
 
 _INSULATING = 3  # a cell role beside MATERIAL, HOLE and EXTERIOR: no flux
 
@@ -398,25 +390,29 @@ def _vcycle(levels, r, k=0, out=None):
     a damped-Jacobi sweep, the coarse correction of the aggregated
     residual, and the same sweep again; exact on the single-cell coarsest
     level.  Symmetric, with the same sweep on both sides, and positive
-    definite (_JACOBI_WEIGHT).  Restricts and smooths every level: both
-    passes walk the level's slabs through one buffer, and the in-place sweep
-    hands each slab the plane below as it was before the sweep moved it."""
+    definite (_JACOBI_WEIGHT).  Restricts and smooths every level: each
+    pass walks the level's slabs through a slab buffer of its own, so none
+    is held through the coarse correction, and the in-place sweep hands
+    each slab the plane below as it was before the sweep moved it."""
     level = levels[k]
     x = np.divide(r, level.diag, out=out)
     if k == len(levels) - 1:
         return x
     x *= _JACOBI_WEIGHT
     axes = _coarse_axes(r.shape)
-    buffer = np.empty((level._slabs[0].stop,) + r.shape[1:])
+    slab_shape = (level._slabs[0].stop,) + r.shape[1:]
+    buffer = np.empty(slab_shape)
     coarse = np.empty([(n + 1) // 2 if axis in axes else n for axis, n in enumerate(r.shape)])
     for slab in level._slabs:
         res = level.residual(buffer[:slab.stop - slab.start], r, x, slab)
         coarse[slab.start // 2:(slab.stop + 1) // 2] = _pair_sum(res, axes)
+    del buffer, res  # a coarse level's buffer is the whole level
     e = _vcycle(levels, coarse, k + 1)
     del coarse
     _prolong_add(x, e, axes)
     del e
     x *= level.unknown  # x was 0 off the unknowns
+    buffer = np.empty(slab_shape)
     below = None
     for slab in level._slabs:
         res = level.residual(buffer[:slab.stop - slab.start], r, x, slab, below)
@@ -585,15 +581,14 @@ def save_field(field, path):
 
 
 def load_field(path):
-    from .geometry import _read_mask
+    from .geometry import _expect, _read_mask
     with open(path) as fh:
-        header = fh.readline().split()
-        if header[:2] != ["percohom-field", "format_version"]:
-            raise InvalidArgumentError("not a field file")
-        if int(header[2]) != FIELD_FORMAT_VERSION:
+        version = _expect(fh, "percohom-field",
+                          lambda rest: int(rest.removeprefix("format_version ")))
+        if version != FIELD_FORMAT_VERSION:
             raise InvalidArgumentError("unsupported field format version")
         mask = _read_mask(fh)
-        count = int(fh.readline().split()[1])
+        count = _expect(fh, "values", int)
         if count != mask.material_count:
             raise InvalidArgumentError(f"field file has {count} values for "
                                        f"{mask.material_count} material cells")
@@ -603,7 +598,10 @@ def load_field(path):
             if not line:
                 raise InvalidArgumentError(f"field file ends after {len(vals)} of "
                                            f"its {count} values")
-            vals.extend(float(t) for t in line.split())
+            try:
+                vals.extend(float(t) for t in line.split())
+            except ValueError as exc:
+                raise InvalidArgumentError(f"malformed line in {path}: {line!r}") from exc
     full = np.zeros(mask.shape)
     full[mask.material] = np.asarray(vals[:count])
     return GridField(mask, full)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (StrangeTermResult, _cells_diagnostics, _scale_diagnostics,
-                       _strange_table, boolean_capacity_constant,
-                       capacity_minimizer_on_window)
-from .errors import InvalidArgumentError, diagnostics_of
+from .capacity import (StrangeTermResult, _strange_table, _table_diagnostics,
+                       boolean_capacity_constant, capacity_minimizer_on_window)
+from .errors import InvalidArgumentError, diagnostics_of, raise_diagnostics, refusal
 from .expressions import source_diagnostics
 from .geometry import (Box, GeometryFamily, hole_free_mask, rasterize,
                        sample_family, volume_fraction)
@@ -54,31 +53,24 @@ class SweepSpec:
         return self.domain_side / self.grid_cells
 
     def validate(self):
-        """All violated invariants at once, as diagnostics dicts."""
-        eps = [float(e) for e in self.eps_list]
-        diags = (self.family.validate(self.domain_side, min(eps, default=0.0))
-                 + _scale_diagnostics(eps, self.h_list, self.replicas))
+        """All violated invariants at once, as diagnostics dicts.  A 2D sweep
+        runs no capacity table but keeps to the table's rules all the same."""
+        side_ok = self.domain_side > 0
+        diags = _table_diagnostics(self.family, self.eps_list, self.h_list, self.replicas,
+                                   self.capacity_cells_per_h,
+                                   self.domain() if side_ok else None,
+                                   cells_field="capacity_cells_per_h")
         diags += diagnostics_of([
-            (any(e <= 0 for e in eps), "eps_list", "eps must be positive"),
-            (any(b >= a for a, b in zip(eps, eps[1:])), "eps_list",
+            (any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])), "eps_list",
              "eps list must be strictly decreasing"),
-            (not self.domain_side > 0, "domain_side", "domain_side must be positive"),
-            (max(self.h_list, default=0.0) >= self.domain_side, "h_list",
-             "cube sizes must fit inside the domain"),
             (self.reaction < 0, "reaction", "reaction must be >= 0"),
             (self.grid_cells < 4, "grid_cells", "grid too coarse"),
-            (self.capacity_cells_per_h < 1, "capacity_cells_per_h",
-             "capacity_cells_per_h must be >= 1"),
             (not self.tol > 0, "tol", "tol must be positive"),
         ])
-        if self.capacity_cells_per_h >= 1:  # each capacity window's grid
-            diags += _cells_diagnostics("capacity_cells_per_h", self.capacity_cells_per_h,
-                                        self.family.dim)
-        if self.domain_side > 0 and self.grid_cells >= 4:  # the run's grid, the source on it
-            grid = _cells_diagnostics("grid_cells", self.grid_cells, self.family.dim,
-                                      self.domain_side)
-            diags += grid or source_diagnostics(self.source,
-                                                hole_free_mask(self.domain(), self.dx()))
+        if side_ok and self.grid_cells >= 4:  # the run's grid, the source on it
+            diags += (refusal("grid_cells", self.domain().grid_shape, self.dx())
+                      or source_diagnostics(self.source,
+                                            hole_free_mask(self.domain(), self.dx())))
         return diags
 
     def resolution_warnings(self):
@@ -199,9 +191,7 @@ def run_sweep(spec, threads=1):
     homogenized field with reaction + c, unless c is undefined (no
     realization at the smallest eps was sampled): then no field is solved
     and every l2_error is NaN."""
-    diags = spec.validate()
-    if diags:
-        raise InvalidArgumentError("; ".join(d["message"] for d in diags))
+    raise_diagnostics(spec.validate())
     samples = [_sample(spec, ie, k) for ie in range(len(spec.eps_list))
                for k in range(spec.replicas)]
     if spec.family.dim == 3:
@@ -293,15 +283,11 @@ class ErgodicSpec:
              f"xi must be {dim} finite numbers, one per dimension"),
         ])
         for t in self.t_list if sizes_ok and self.dx > 0 else ():
-            try:  # the grid each cube is rasterized on
-                cells = Box.cube(t, dim).grid_shape(self.dx)[0]
-            except InvalidArgumentError as exc:
-                diags.append({"field": "dx", "message": f"at t {t}: {exc}"})
-                continue
-            if cells < 4:
-                diags.append({"field": "dx", "message":
-                              f"dx {self.dx} cuts the cube of side {t} into {cells} "
-                              "cells a side; need at least 4"})
+            # the grid each cube is rasterized on, at least 4 cells a side
+            diags += (refusal("dx", Box.cube(t, dim).grid_shape, self.dx, context=f"at t {t}: ")
+                      or diagnostics_of([(round(t / self.dx) < 4, "dx",
+                                          f"dx {self.dx} cuts the cube of side {t} into "
+                                          f"{round(t / self.dx)} cells a side; need at least 4")]))
         return diags
 
 
@@ -315,9 +301,7 @@ def ergodic_average_experiment(spec, threads=1):
     """Per-volume functional on growing cubes: mean and relative spread
     across replicas, and whether the spread decays from the smallest to the
     largest cube."""
-    diags = spec.validate()
-    if diags:
-        raise InvalidArgumentError("; ".join(d["message"] for d in diags))
+    raise_diagnostics(spec.validate())
     jobs = [(spec, it, k) for it in range(len(spec.t_list)) for k in range(spec.replicas)]
     values = {}
     for (_, it, _), v in zip(jobs, _map(_ergodic_job, jobs, threads)):

@@ -270,6 +270,18 @@ def test_strange_term_ordering_enforced():
         ph.strange_term(fam, [0.75], [0.12, 0.11, 0.1], 1, 0, UNIT3)
     with pytest.raises(InvalidArgumentError):
         ph.strange_term(fam, [0.75, 0.55], [0.12, 0.11], 1, 0, UNIT3)
+    # the rules the CLI's strange-term mode and the sweep check, kept by the
+    # library too: a window grid, a 3D family on a 3D domain, a valid family
+    with pytest.raises(InvalidArgumentError, match="cells_per_h must be >= 1"):
+        ph.strange_term(fam, [0.75, 0.55], [0.12, 0.11, 0.1], 1, 0, UNIT3, cells_per_h=0)
+    flat = _critical_family(dim=2)
+    for domain in (ph.Box.unit(2), UNIT3):
+        with pytest.raises(InvalidArgumentError, match="requires dimension 3"):
+            ph.strange_term(flat, [0.75, 0.55], [0.12, 0.11, 0.1], 1, 0, domain,
+                            cells_per_h=8)
+    with pytest.raises(InvalidArgumentError, match="points"):
+        ph.strange_term(_critical_family(intensity=1e12), [0.75, 0.55], [0.12, 0.11, 0.1],
+                        1, 0, UNIT3, cells_per_h=8)
 
 
 def test_strange_term_limsup_flag():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -532,16 +533,25 @@ def test_mask_file_round_trip_is_byte_identical(shape, tmp_path):
 
 @pytest.mark.parametrize("rle", ["m16 h-4 m4", "m16 h0", "m8 h0 m8", "q16", "m1.5 m15",
                                  "m16x", "m 16", "m16 ", " m16", "m8  m8", "m", "16", "m17", "m15", "",
-                                 "m8 h4 m99999999999999999999999"])
+                                 "m8 h4 m99999999999999999999999",
+                                 # header lines, each in place of its own line
+                                 "dim two", "dx abc", "domain 0,0", "warnings x"])
 def test_mask_file_refuses_a_malformed_rle_stream(rle, tmp_path):
     # a 4 x 4 mask: counts must be integers >= 1 with flags m, h or x, one
-    # space apart, summing to 16
+    # space apart, summing to 16; a header value that does not parse is
+    # refused too, naming its line
     path = tmp_path / "m.txt"
     ph.save_mask(ph.hole_free_mask(ph.Box.unit(2), 0.25), path)
     lines = path.read_text().splitlines()
     assert lines[-1] == "rle m16"
-    path.write_text("\n".join(lines[:-1] + ["rle " + rle]) + "\n")
-    with pytest.raises(InvalidArgumentError):
+    keys = [line.split(" ")[0] for line in lines[:-1]]
+    header = rle.split(" ")[0] in keys
+    if header:
+        lines[keys.index(rle.split(" ")[0])] = rle
+    else:
+        lines[-1] = "rle " + rle
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgumentError, match=re.escape(rle) if header else None):
         ph.load_mask(path)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -76,8 +77,8 @@ def test_homogenized_large_absorption_sup_bound():
 
 def test_l2_distance_trivia_and_oracle():
     mask = ph.hole_free_mask(UNIT2, 1.0 / 32)
-    ones = ph.GridField.constant(mask, 1.0)
-    zero = ph.GridField.zeros(mask)
+    ones = ph.GridField(mask, np.ones(mask.shape))
+    zero = ph.GridField(mask, np.zeros(mask.shape))
     assert ph.l2_distance(ones, ones) == 0.0
     assert math.isclose(ph.l2_distance(ones, zero), 1.0, rel_tol=1e-14)
     rng = substream(9, "l2")
@@ -91,15 +92,16 @@ def test_l2_distance_trivia_and_oracle():
 
 
 def test_l2_distance_grid_mismatch():
-    u = ph.GridField.zeros(ph.hole_free_mask(UNIT2, 1.0 / 32))
-    v = ph.GridField.zeros(ph.hole_free_mask(UNIT2, 1.0 / 16))
+    fine, coarse = ph.hole_free_mask(UNIT2, 1.0 / 32), ph.hole_free_mask(UNIT2, 1.0 / 16)
+    u = ph.GridField(fine, np.zeros(fine.shape))
+    v = ph.GridField(coarse, np.zeros(coarse.shape))
     with pytest.raises(InvalidArgumentError):
         ph.l2_distance(u, v)
 
 
 def test_gamma_trivia_and_minimizer_inequalities():
     mask = _random_mask(11)
-    zero = ph.GridField.zeros(mask)
+    zero = ph.GridField(mask, np.zeros(mask.shape))
     assert ph.energy_gamma(zero, 1.0, "-1") == 0.0
     u, _ = ph.solve_dirichlet_perforated(mask, 1.0, "-1", tol=1e-10)
     gamma = ph.energy_gamma(u, 1.0, "-1")
@@ -227,7 +229,7 @@ def test_nested_masks_energy_comparison():
 
 def test_h1_norm_and_friedrichs():
     mask = ph.hole_free_mask(UNIT2, 1.0 / 64)
-    assert ph.h1_norm(ph.GridField.zeros(mask)) == 0.0
+    assert ph.h1_norm(ph.GridField(mask, np.zeros(mask.shape))) == 0.0
     c_d = ph.friedrichs_constant(UNIT2, 1.0 / 64)
     # smallest Dirichlet eigenvalue of the unit square is 2 pi^2
     assert abs(1.0 / c_d**2 - 2 * math.pi**2) / (2 * math.pi**2) < 0.02
@@ -689,6 +691,15 @@ def test_truncated_or_miscounted_field_file_is_refused(tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(InvalidArgumentError, match="material cells"):
         ph.load_field(path)
+    # a header without its number, a values line without its count, and a
+    # value that is not a number, each refused naming its line
+    ph.save_field(u, path)
+    lines = path.read_text().splitlines(keepends=True)
+    for i, bad in [(0, "percohom-field format_version"), (values_line, "values"),
+                   (values_line + 1, "0.5 x")]:
+        path.write_text("".join(lines[:i] + [bad + "\n"] + lines[i + 1:]))
+        with pytest.raises(InvalidArgumentError, match=re.escape(bad)):
+            ph.load_field(path)
 
 
 def test_jacobi_diagonal_positive():

@@ -90,3 +90,16 @@ def test_validate_is_total(case):
         for artifact in glob.glob(os.path.join(tmp, "runs", "*", "*.json")):
             with open(artifact) as fh:
                 json.loads(fh.read(), parse_constant=_reject_constant)
+
+
+def test_a_cube_as_large_as_the_domain_is_one_rule_for_sweep_and_strange_term(tmp_path):
+    # both build the same centred cube through the one capacity table, so a
+    # cube of side domain_side fits in both, and both run it
+    for command, name in (("sweep", "boolean-critical-3d"), ("capacity", "strange-3d")):
+        config = {**PRESETS[command][name], **_SMALL[name], "h_list": [1.0, 0.55]}
+        assert validate_config(command, config) == []
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "runs")])
+        assert code == 0
