@@ -195,10 +195,15 @@ def _affine_cell_problem(mask, window, xi, penalty, tol=1e-10):
     return kernel.energy(u), u, kernel
 
 
-def _penalized_window(mask, z, h, gamma):
-    """The snapped cube window and its penalty h^(-2-gamma), gamma in (0, 2)."""
+def _check_gamma(gamma):
+    """Refuses a penalty exponent gamma outside (0, 2)."""
     if not (0.0 < gamma < 2.0):
         raise InvalidArgumentError(f"penalty exponent must be in (0, 2), got {gamma}")
+
+
+def _penalized_window(mask, z, h, gamma):
+    """The snapped cube window and its penalty h^(-2-gamma) (_check_gamma)."""
+    _check_gamma(gamma)
     window = _window(mask.domain, mask.dx, z, h)
     return window, window[2] ** (-2.0 - gamma)
 
@@ -266,7 +271,7 @@ def _table_diagnostics(family, eps_list, h_list, replicas, cells_per_h, domain,
                        center=None, cells_field="cells_per_h"):
     """Every rule for an absorption-constant table's inputs, as diagnostics
     dicts at the keys of a run's config, `cells_per_h` at `cells_field`.
-    `domain` is None for a config whose domain_side is not positive."""
+    `domain` is None for a config whose domain `Box` refuses, and is reported."""
     hmin = min(h_list, default=math.inf)
     side = 0.0 if domain is None else max(domain.sides)
     diags = family.validate(side, min(eps_list, default=0.0)) + diagnostics_of([
@@ -280,7 +285,6 @@ def _table_diagnostics(family, eps_list, h_list, replicas, cells_per_h, domain,
            f"scale ordering requires eps << h: eps={e} is not < min(h)/4 = "
            f"{hmin / 4.0}") for e in eps_list),
         (not cells_per_h >= 1, cells_field, f"{cells_field} must be >= 1"),
-        (domain is None, "domain_side", "domain_side must be positive"),
     ])
     if cells_per_h >= 1:
         diags += refusal(cells_field, Box.cube(1.0, family.dim).grid_shape, 1.0 / cells_per_h)

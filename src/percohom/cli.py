@@ -10,9 +10,11 @@ by the content hash of (config, seed, version).  Exit codes: 0 success,
 Each subcommand, and each mode of `solve` and `capacity`, reads its config
 through one frozen dataclass, its spec.  The spec's fields are the keys the
 run reads, with their types and defaults; any other key is rejected.  Its
-`validate()` holds the run's checks, and its `run` writes the artifacts.
-The specs of `sweep` and `ergodic` add their `run` to the library's
-SweepSpec and ErgodicSpec.
+`run` writes the artifacts.  Its `validate()` reports each rule from the
+library function that enforces it, through a `*_diagnostics` function,
+`sweep._CubeGrid` or `errors.refusal`; a spec writes only the rules that no
+library call makes.  The specs of `sweep` and `ergodic` add their `run` to
+the library's SweepSpec and ErgodicSpec.
 """
 
 import argparse
@@ -25,21 +27,20 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import presets
-from .capacity import (_electrode, _strange_term_diagnostics, _window,
+from .capacity import (_check_gamma, _electrode, _strange_term_diagnostics, _window,
                        conductivity_tensor, newton_capacity, strange_term)
 from .errors import (ConfigError, InvalidArgumentError, SolverFailureError,
                      diagnostics_of, refusal)
-from .expressions import source_diagnostics
-from .geometry import (Box, GeometryFamily, build_balls, density_ratio_check,
-                       hole_free_mask, mask_stats, rasterize, sample_family,
-                       save_mask)
-from .points import PointConfiguration
+from .geometry import (Box, GeometryFamily, _probe_diagnostics, build_balls,
+                       density_ratio_check, hole_free_mask, mask_stats, rasterize,
+                       sample_family, save_mask)
+from .points import PointConfiguration, _positive
 from .reporting import (RunRecord, content_hash, output_directory, write_csv,
                         write_json, write_plot_data)
-from .solver import (energy_gamma, h1_norm, l2_norm, save_field,
+from .solver import (_solve_diagnostics, energy_gamma, h1_norm, l2_norm, save_field,
                      solve_dirichlet_perforated)
-from .sweep import (DEFAULT_REACTION, DEFAULT_SOURCE, ErgodicSpec, SweepRow,
-                    SweepSpec, ergodic_average_experiment, run_sweep)
+from .sweep import (DEFAULT_REACTION, DEFAULT_SOURCE, ErgodicSpec, SweepRow, SweepSpec,
+                    _CubeGrid, ergodic_average_experiment, run_sweep)
 
 SUBCOMMANDS = ("geometry", "solve", "capacity", "sweep", "ergodic", "density-check")
 
@@ -119,40 +120,11 @@ def _capacity_outputs(outdir, columns, rows, summary):
 # The specs: one per subcommand, and per mode of solve and capacity
 
 @dataclass(frozen=True, kw_only=True)
-class _Grid:
-    """A run on the cube [0, domain_side]^dim, grid_cells cells per side."""
-
-    grid_cells: int
-    domain_side: float = 1.0
-    master_seed: int = 0
-
-    def domain(self):
-        return Box.cube(self.domain_side, self.dim)
-
-    def dx(self):
-        return self.domain_side / self.grid_cells
-
-    def validate(self):
-        """The grid's checks: the run's grid exists when they all pass."""
-        diags = diagnostics_of([
-            (self.grid_cells < 1, "grid_cells", "grid_cells must be positive"),
-            (not self.domain_side > 0, "domain_side", "domain_side must be positive"),
-        ])
-        if not diags and self.dim in (2, 3):
-            diags = refusal("grid_cells", self.domain().grid_shape, self.dx())
-        return diags
-
-
-@dataclass(frozen=True, kw_only=True)
-class _FamilyRun(_Grid):
+class _FamilyRun(_CubeGrid):
     """A run on one realization of a geometry family at scale eps."""
 
     family: GeometryFamily
     eps: float
-
-    @property
-    def dim(self):
-        return self.family.dim
 
     def realization(self):
         """Sample the family on the domain and rasterize it on the grid;
@@ -166,9 +138,7 @@ class _FamilyRun(_Grid):
 
     def validate(self):
         family = self.family.validate(self.domain_side, self.eps)
-        return super().validate() + family + diagnostics_of([
-            (not self.eps > 0, "eps", "eps must be positive"),
-        ])
+        return super().validate() + family + refusal("eps", _positive, self.eps, "eps")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -192,12 +162,9 @@ class DensityCheckSpec(_FamilyRun):
     probes: int
 
     def validate(self):
-        return super().validate() + diagnostics_of([
-            (not self.radius > 0, "radius", "radius must be positive"),
-            (self.radius > self.domain_side, "radius",
-             "radius must not exceed domain_side: a larger ball measures nothing"),
-            (self.probes < 1, "probes", "need at least one probe"),
-        ])
+        return super().validate() + _probe_diagnostics(self.radius, self.probes, self.dim) + (
+            diagnostics_of([(self.radius > self.domain_side, "radius", "radius must not "
+                             "exceed domain_side: a larger ball measures nothing")]))
 
     def run(self, outdir, threads):
         check = density_ratio_check(self.mask(), self.radius, self.probes,
@@ -208,7 +175,7 @@ class DensityCheckSpec(_FamilyRun):
 
 
 @dataclass(frozen=True, kw_only=True)
-class _Solve(_Grid):
+class _Solve(_CubeGrid):
     """solve: the perforated Dirichlet problem on the mask of the mode."""
 
     mode: str
@@ -218,18 +185,7 @@ class _Solve(_Grid):
     max_iter: int = None
 
     def validate(self):
-        grid = super().validate()
-        diags = grid + diagnostics_of([
-            (self.reaction < 0, "reaction", "reaction must be >= 0"),
-            (not self.tol > 0, "tol", "tol must be positive"),
-            (self.max_iter is not None and self.max_iter < 1, "max_iter",
-             "max_iter must be positive or null"),
-            (self.dim not in (2, 3), "dim", "dim must be 2 or 3"),
-        ])
-        if not grid and self.dim in (2, 3):
-            # the source on the run's grid, whose cell centers the mask shares
-            diags += source_diagnostics(self.source, hole_free_mask(self.domain(), self.dx()))
-        return diags
+        return self._run_diagnostics(self.max_iter)[1]
 
     def run(self, outdir, threads):
         mask = self.mask()
@@ -291,17 +247,13 @@ class NewtonLadderSpec:
         diags = diagnostics_of([
             (not self.radius > 0, "radius", "radius must be positive"),
             (not R > 0, "outer_radius", "outer_radius must be positive"),
-            (not self.tol > 0, "tol", "tol must be positive"),
             (not self.dx_list, "dx_list", "dx_list must not be empty"),
-        ])
+        ]) + _solve_diagnostics(tol=self.tol)
         for dx in self.dx_list if R > 0 else ():  # the box the run rasterizes
             diags += refusal("dx_list", Box((-R,) * 3, (R,) * 3).grid_shape, dx,
                              context=f"at dx {dx}: ")
-        if diags:
-            return diags
-        ball = self.ball()
-        for dx in self.dx_list:  # the ball as the run rasterizes it
-            diags += refusal("radius", _electrode, ball, R, dx, context=f"at dx {dx}: ")
+        for dx in () if diags else self.dx_list:  # the ball as the run rasterizes it
+            diags += refusal("radius", _electrode, self.ball(), R, dx, context=f"at dx {dx}: ")
         return diags
 
     def run(self, outdir, threads):
@@ -338,10 +290,11 @@ class StrangeTermSpec:
     master_seed: int = 0
 
     def validate(self):
-        side = self.domain_side
-        return _strange_term_diagnostics(
+        cube = (self.domain_side, self.family.dim)
+        side = refusal("domain_side", Box.cube, *cube)
+        return side + _strange_term_diagnostics(
             self.family, self.eps_list, self.h_list, self.replicas, self.cells_per_h,
-            Box.cube(side, self.family.dim) if side > 0 else None)
+            None if side else Box.cube(*cube))
 
     def run(self, outdir, threads):
         res = strange_term(self.family, self.h_list, self.eps_list, self.replicas,
@@ -369,12 +322,9 @@ class ConductivitySpec(_FamilyRun):
     gamma: float = 1.0
 
     def validate(self):
-        diags = super().validate() + diagnostics_of([
-            (not 0.0 < self.gamma < 2.0, "gamma",
-             f"penalty exponent must be in (0, 2), got {self.gamma}"),
-        ])
-        if not _Grid.validate(self):  # the run's window: the cube of side h at the center
-            domain = self.domain()
+        diags = super().validate() + refusal("gamma", _check_gamma, self.gamma)
+        domain, grid = self._grid_diagnostics()
+        if not grid:  # the run's window: the cube of side h at the center
             diags += refusal("h", _window, domain, self.dx(), domain.center, self.h)
         return diags
 

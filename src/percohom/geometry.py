@@ -28,8 +28,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, diagnostics_of
-from .points import Box, PointConfiguration, sample_poisson, scale as scale_points
+from .errors import InvalidArgumentError, diagnostics_of, raise_diagnostics
+from .points import Box, PointConfiguration, _positive, sample_poisson, scale as scale_points
 from .rng import substream
 
 MATERIAL, HOLE, EXTERIOR = 0, 1, 2
@@ -342,10 +342,8 @@ def build_balls(config, radii):
 
 def scale_obstacles(obstacles, eps):
     """Homothety of the whole obstacle set (centers, radii, edge geometry)."""
-    eps = float(eps)
-    if not np.isfinite(eps) or eps <= 0:
-        raise InvalidArgumentError(f"scale factor must be positive, got {eps}")
     pts = scale_points(obstacles.points, eps)
+    eps = float(eps)
     if obstacles.kind == "tubes":
         return ObstacleSet(kind="tubes", points=pts, edges=obstacles.edges,
                            tube_radius=obstacles.tube_radius * eps,
@@ -573,6 +571,18 @@ class DensityCheck:
     radius: float
 
 
+def _probe_diagnostics(radius, probes, dim):
+    """The rules for the probes of `density_ratio_check` in dimension dim,
+    as diagnostics dicts at the keys of a run's config."""
+    with np.errstate(over="ignore"):  # r^dim is the ratio's volume
+        finite = radius > 0 and np.isfinite(np.float64(radius) ** dim)
+    return diagnostics_of([
+        (probes < 1, "probes", "need at least one probe"),
+        (not finite, "radius",
+         f"probe radius r must be > 0 with r^{dim} a finite float, got {radius}"),
+    ])
+
+
 def density_ratio_check(mask, radius, probes, seed):
     """Uniform-density diagnostic for the hole set.
 
@@ -582,10 +592,7 @@ def density_ratio_check(mask, radius, probes, seed):
     ball holds the hole cells that `rasterize` flags for a ball of radius r
     at x, so each probe costs a pass over the grid: O(probes x grid cells).
     """
-    if probes < 1:
-        raise InvalidArgumentError("need at least one probe")
-    if not radius > 0:
-        raise InvalidArgumentError(f"probe radius must be positive, got {radius}")
+    raise_diagnostics(_probe_diagnostics(radius, probes, mask.dim))
     hole = mask.flags == HOLE
     n = mask.dim
     cell_vol = mask.dx ** n
@@ -788,9 +795,7 @@ def sample_family(family, eps, seed, domain):
     The obstacle set is the eps-homothety of the unscaled construction, with
     ball radii adjusted to r0 * eps**radius_exponent in final coordinates.
     """
-    eps = float(eps)
-    if eps <= 0:
-        raise InvalidArgumentError("eps must be positive")
+    eps = _positive(eps, "eps")
     big_box = domain.scaled(1.0 / eps)
     if family.kind == "lattice":
         spacing = family.lattice_spacing

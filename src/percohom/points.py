@@ -20,6 +20,15 @@ from .rng import substream
 MAX_CELLS = 10 ** 8
 
 
+def _positive(value, name):
+    """`value` as a float, refused unless finite and positive: the rule for
+    a grid spacing and for every homothety factor, a family's eps among them."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidArgumentError(f"{name} must be positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box with positive volume, dimension 2 or 3."""
@@ -61,8 +70,7 @@ class Box:
         """Cells per side of the grid of spacing dx on the box: dx must be
         positive and cut every side into a whole number of cells, at most
         MAX_CELLS in all."""
-        if not dx > 0:
-            raise InvalidArgumentError("dx must be positive")
+        _positive(dx, "dx")
         # counted in floats, so an infinite count a side is refused before it
         # is rounded; where dx divides every side (to 1e-9 relative), the
         # float count is within 0.5 of the whole one near MAX_CELLS
@@ -148,9 +156,7 @@ def sample_poisson(box, intensity, seed):
 
 def scale(config, factor):
     """Homothety by `factor` > 0; the stored intensity becomes lambda / factor^n."""
-    factor = float(factor)
-    if not np.isfinite(factor) or factor <= 0:
-        raise InvalidArgumentError(f"scale factor must be positive, got {factor}")
+    factor = _positive(factor, "scale factor")
     return PointConfiguration(points=config.points * factor,
                               box=config.box.scaled(factor),
                               intensity=config.intensity / factor ** config.dim,

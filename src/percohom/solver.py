@@ -68,7 +68,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SolverFailureError
+from .errors import InvalidArgumentError, SolverFailureError, diagnostics_of, raise_diagnostics
 from .expressions import evaluate_on_mask
 from .geometry import EXTERIOR, MATERIAL, PerforatedMask, _faces, hole_free_mask
 
@@ -162,6 +162,17 @@ def _subtract_neighbours(out, u, start=0, below=None):
 _SLAB_CELLS = 8 * 64 * 64
 
 
+def _solve_diagnostics(reaction=0.0, tol=1e-8, max_iter=None):
+    """Every rule for a solve's arguments, as diagnostics dicts at the keys of
+    a run's config: each `_FaceKernel` checks the reaction, `minimize` the rest."""
+    return diagnostics_of([
+        (not (math.isfinite(reaction) and reaction >= 0), "reaction",
+         f"reaction coefficient must be finite and >= 0, got {reaction}"),
+        (not tol > 0, "tol", "tol must be positive"),
+        (max_iter is not None and max_iter < 1, "max_iter", "max_iter must be positive or null"),
+    ])
+
+
 class _FaceKernel:
     """The energy of one problem (module docstring) and its linear system.
 
@@ -176,9 +187,7 @@ class _FaceKernel:
     """
 
     def __init__(self, roles, dx, reaction=0.0, data=None, target=None):
-        if not (math.isfinite(reaction) and reaction >= 0):
-            raise InvalidArgumentError(f"reaction coefficient must be finite and >= 0, "
-                                       f"got {reaction}")
+        raise_diagnostics(_solve_diagnostics(reaction=reaction))
         self.roles = np.pad(roles, 1, constant_values=EXTERIOR)
         self.inner = (slice(1, -1),) * roles.ndim
         self.unknown = roles == MATERIAL
@@ -250,6 +259,7 @@ class _FaceKernel:
         (`_vcycle`).  The apply output and the preconditioned residual, of
         which CG never holds both at once, share one array made once per
         solve.  Returns (solution, SolveReport)."""
+        raise_diagnostics(_solve_diagnostics(tol=tol, max_iter=max_iter))
         b = self.rhs() if b is None else b
         levels = self._coarse_levels  # built before CG's arrays exist: a lower peak
         out = np.empty(self.unknown.shape)
@@ -513,8 +523,6 @@ def solve_dirichlet_perforated(mask, reaction, f, tol=1e-8, max_iter=None):
     the domain boundary.  Returns (GridField, SolveReport)."""
     if mask.material_count == 0:
         raise InvalidArgumentError("mask has no material cells")
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
     kernel = _FaceKernel(mask.flags, mask.dx, reaction)
     x, report = kernel.minimize(np.where(kernel.unknown, -as_source(f, mask), 0.0),
                                 tol=tol, max_iter=max_iter)

@@ -21,57 +21,81 @@ from .errors import InvalidArgumentError, diagnostics_of, raise_diagnostics, ref
 from .expressions import source_diagnostics
 from .geometry import (Box, GeometryFamily, hole_free_mask, rasterize,
                        sample_family, volume_fraction)
-from .points import empty_cell_frequency
+from .points import _positive, empty_cell_frequency
 from .rng import substream_seed
-from .solver import (GridField, as_source, energy_gamma, gradient_energy,
-                     l2_distance, l2_norm, solve_dirichlet_perforated)
+from .solver import (GridField, _solve_diagnostics, as_source, energy_gamma,
+                     gradient_energy, l2_distance, l2_norm, solve_dirichlet_perforated)
 
 DEFAULT_SOURCE = "-1"
 DEFAULT_REACTION = 1.0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Everything needed to reproduce a sweep from its master seed."""
+@dataclass(frozen=True, kw_only=True)
+class _CubeGrid:
+    """A run on the cube [0, domain_side]^dim, grid_cells cells a side, of
+    the family's dimension unless the spec sets `dim`: the grid and solve
+    rules of the sweep's spec and of the command line's, written once."""
 
-    family: GeometryFamily
-    eps_list: tuple
-    h_list: tuple
     grid_cells: int               # cells per domain side for the PDE grid
     domain_side: float = 1.0      # the domain is the cube [0, domain_side]^dim
-    reaction: float = DEFAULT_REACTION
-    source: str = DEFAULT_SOURCE
-    capacity_cells_per_h: int = 32
-    replicas: int = 1
     master_seed: int = 0
-    tol: float = 1e-8
+    _min_cells = 1                # the fewest grid_cells allowed
+
+    @property
+    def dim(self):
+        return self.family.dim
 
     def domain(self):
-        return Box.cube(self.domain_side, self.family.dim)
+        return Box.cube(self.domain_side, self.dim)
 
     def dx(self):
         return self.domain_side / self.grid_cells
 
     def validate(self):
+        return self._grid_diagnostics()[1]
+
+    def _grid_diagnostics(self):
+        """(domain, diagnostics) of the run's grid: the domain is None where
+        `Box` refuses it, and the grid exists when the diagnostics are empty."""
+        diags = refusal("dim", Box.unit, self.dim) or refusal("domain_side", self.domain)
+        domain = None if diags else self.domain()
+        diags += diagnostics_of([(self.grid_cells < self._min_cells, "grid_cells",
+                                  f"grid_cells must be at least {self._min_cells}")])
+        return domain, diags or refusal("grid_cells", domain.grid_shape, self.dx())
+
+    def _run_diagnostics(self, max_iter=None):
+        """(domain, diagnostics) of the grid, the solve's arguments and the
+        source, evaluated on the run's grid as the run evaluates it."""
+        domain, grid = self._grid_diagnostics()
+        diags = grid + _solve_diagnostics(self.reaction, self.tol, max_iter)
+        if not grid:
+            diags += source_diagnostics(self.source, hole_free_mask(domain, self.dx()))
+        return domain, diags
+
+
+@dataclass(frozen=True)
+class SweepSpec(_CubeGrid):
+    """Everything needed to reproduce a sweep from its master seed."""
+
+    family: GeometryFamily
+    eps_list: tuple
+    h_list: tuple
+    reaction: float = DEFAULT_REACTION
+    source: str = DEFAULT_SOURCE
+    capacity_cells_per_h: int = 32
+    replicas: int = 1
+    tol: float = 1e-8
+    _min_cells = 4
+
+    def validate(self):
         """All violated invariants at once, as diagnostics dicts.  A 2D sweep
         runs no capacity table but keeps to the table's rules all the same."""
-        side_ok = self.domain_side > 0
-        diags = _table_diagnostics(self.family, self.eps_list, self.h_list, self.replicas,
-                                   self.capacity_cells_per_h,
-                                   self.domain() if side_ok else None,
-                                   cells_field="capacity_cells_per_h")
-        diags += diagnostics_of([
-            (any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])), "eps_list",
-             "eps list must be strictly decreasing"),
-            (self.reaction < 0, "reaction", "reaction must be >= 0"),
-            (self.grid_cells < 4, "grid_cells", "grid too coarse"),
-            (not self.tol > 0, "tol", "tol must be positive"),
-        ])
-        if side_ok and self.grid_cells >= 4:  # the run's grid, the source on it
-            diags += (refusal("grid_cells", self.domain().grid_shape, self.dx())
-                      or source_diagnostics(self.source,
-                                            hole_free_mask(self.domain(), self.dx())))
-        return diags
+        domain, diags = self._run_diagnostics()
+        return diags + _table_diagnostics(
+            self.family, self.eps_list, self.h_list, self.replicas, self.capacity_cells_per_h,
+            domain, cells_field="capacity_cells_per_h") + diagnostics_of([
+                (any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])), "eps_list",
+                 "eps list must be strictly decreasing")])
 
     def resolution_warnings(self):
         warns = []
@@ -269,6 +293,7 @@ class ErgodicSpec:
         dim = self.family.dim
         sizes_ok = all(math.isfinite(t) and t > 0 for t in self.t_list)
         largest = max(self.t_list, default=0.0) if sizes_ok else 0.0
+        spacing = refusal("dx", _positive, self.dx, "dx")
         diags = self.family.validate(largest, 1.0) + diagnostics_of([
             (self.functional not in ("local_capacity", "affine_energy"), "functional",
              "functional must be local_capacity or affine_energy"),
@@ -277,12 +302,11 @@ class ErgodicSpec:
             (len(set(self.t_list)) < len(self.t_list), "t_list",
              "cube sizes must be distinct"),
             (self.replicas < 2, "replicas", "spread needs at least two replicas"),
-            (not self.dx > 0, "dx", "dx must be positive"),
             (self.xi is not None
              and not (len(self.xi) == dim and all(map(math.isfinite, self.xi))), "xi",
              f"xi must be {dim} finite numbers, one per dimension"),
-        ])
-        for t in self.t_list if sizes_ok and self.dx > 0 else ():
+        ]) + spacing
+        for t in self.t_list if sizes_ok and not spacing else ():
             # the grid each cube is rasterized on, at least 4 cells a side
             diags += (refusal("dx", Box.cube(t, dim).grid_shape, self.dx, context=f"at t {t}: ")
                       or diagnostics_of([(round(t / self.dx) < 4, "dx",

@@ -8,6 +8,7 @@ from percohom.capacity import capacity_minimizer_on_window
 from percohom.errors import InvalidArgumentError
 from percohom.geometry import HOLE
 from percohom.rng import substream, substream_seed
+from percohom import solver
 from percohom.solver import _FaceKernel, cg_solve
 
 UNIT3 = ph.Box.unit(3)
@@ -67,6 +68,22 @@ def test_newton_rejects_unresolved_or_escaping_obstacles():
         ph.newton_capacity(ball_at((0.0,) * 3, 0.001, 0.5), 0.5, 1.0 / 16)
     with pytest.raises(InvalidArgumentError):
         ph.newton_capacity(ball_at((0.45, 0.0, 0.0), 0.2, 0.5), 0.5, 1.0 / 16)
+
+
+def test_capacities_refuse_a_tol_before_any_cg_iteration(monkeypatch):
+    # tol = 0 cannot be met: newton_capacity used to run 251 CG iterations
+    # and then fail with a CG breakdown
+    def no_cg(*args, **kwargs):
+        raise AssertionError("a CG iteration ran")
+
+    monkeypatch.setattr(solver, "cg_solve", no_cg)
+    ball = ball_at((0.0,) * 3, 0.25, 1.0)
+    mask = ph.rasterize(ball_at((0.5,) * 3, 0.2), UNIT3, 1.0 / 16)
+    for tol in (0.0, -1e-8, math.nan):
+        with pytest.raises(InvalidArgumentError, match="tol must be positive"):
+            ph.newton_capacity(ball, 1.0, 1.0 / 8, tol=tol)
+        with pytest.raises(InvalidArgumentError, match="tol must be positive"):
+            ph.local_capacity(mask, (0.5,) * 3, 0.75, tol=tol)
 
 
 # ------------------------------------------------------------ local capacity

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import percohom as ph
+from percohom import geometry
 from percohom.errors import InvalidArgumentError
 from percohom.geometry import HOLE, MATERIAL, PerforatedMask
 from percohom.rng import substream, substream_seed
@@ -475,10 +476,17 @@ def test_density_ratio_whole_domain_and_empty():
         ph.density_ratio_check(hole_free, radius=0.5, probes=10, seed=0)
 
 
-def test_density_ratio_needs_a_positive_radius():
+def test_density_ratio_needs_a_positive_radius(monkeypatch):
     obs = ph.build_balls(_config([[0.5, 0.5]]), 0.2)
     mask = ph.rasterize(obs, UNIT2, 1.0 / 64)
-    for r in (0.0, -0.1, math.nan):
+
+    def no_rasterize(*args):
+        raise AssertionError("a probe was rasterized")
+
+    # refused before any probe: the ratio divides by r^2, and 1e300 ** 2
+    # used to raise OverflowError after a probe's rasterization
+    monkeypatch.setattr(geometry, "rasterize", no_rasterize)
+    for r in (0.0, -0.1, math.nan, 1e300, 1e155):
         with pytest.raises(InvalidArgumentError):
             ph.density_ratio_check(mask, radius=r, probes=10, seed=0)
 

@@ -628,6 +628,23 @@ def test_reaction_must_be_finite_and_nonnegative():
                                       math.nan, "-1")
 
 
+def _no_cg(*args, **kwargs):
+    raise AssertionError("a CG iteration ran")
+
+
+def test_solve_refuses_tol_and_max_iter_before_any_cg_iteration(monkeypatch):
+    # max_iter = 0 used to end in SolverFailureError ("in 0 iterations"),
+    # and a NaN tol passed the old `tol <= 0` check
+    monkeypatch.setattr(solver, "cg_solve", _no_cg)
+    mask = ph.hole_free_mask(UNIT2, 1.0 / 16)
+    for kwargs, message in (({"max_iter": 0}, "max_iter must be positive"),
+                            ({"max_iter": -2}, "max_iter must be positive"),
+                            ({"tol": 0.0}, "tol must be positive"),
+                            ({"tol": math.nan}, "tol must be positive")):
+        with pytest.raises(InvalidArgumentError, match=message):
+            ph.solve_dirichlet_perforated(mask, 1.0, "-1", **kwargs)
+
+
 def test_cg_breaks_down_at_the_first_nan_step():
     with pytest.raises(SolverFailureError, match="breakdown at iteration 1") as err:
         cg_solve(lambda p: np.full_like(p, np.nan), np.ones(8))
