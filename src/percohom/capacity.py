@@ -40,7 +40,7 @@ from .errors import InvalidArgumentError, diagnostics_of, raise_diagnostics, ref
 from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, _boundary_connected,
                        rasterize, sample_family)
 from .rng import substream_seed
-from .solver import _INSULATING, GridField, SolveReport, _FaceKernel
+from .solver import _INSULATING, GridField, SolveReport, _FaceKernel, _solve_diagnostics
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,7 @@ def capacity_minimizer_on_window(mask, slices, tol=1e-8):
     faces (data imposed at half-cell distance), 0 on hole cells, and is
     discrete harmonic on the material cells in between.
     """
+    raise_diagnostics(_solve_diagnostics(tol=tol))  # before the shortcut, as in every solve
     sub = mask.flags[slices]
     dx = mask.dx
     if not np.any(sub != MATERIAL):

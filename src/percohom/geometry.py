@@ -599,13 +599,18 @@ def density_ratio_check(mask, radius, probes, seed):
     total = np.count_nonzero(hole) * cell_vol
     if total == 0.0:
         raise InvalidArgumentError("hole set has zero volume; ratio undefined")
+    with np.errstate(over="ignore"):  # r^n is finite (_probe_diagnostics), r^n |F| may not be
+        volume = radius ** n * total
+    if not np.isfinite(volume):
+        raise InvalidArgumentError(
+            f"r^{n} |F| overflows for probe radius r = {radius}: the ratio is undefined")
     rng = substream(seed, "density-probes")
     sides = np.asarray(mask.domain.sides)
     xs = np.asarray(mask.domain.lower) + rng.random((probes, n)) * sides
     counts = np.array([np.count_nonzero(hole & (rasterize(build_balls(
         PointConfiguration(points=x, box=mask.domain, intensity=0.0), radius),
         mask.domain, mask.dx).flags == HOLE)) for x in xs], dtype=float)
-    ratios = counts * cell_vol / (radius ** n * total)
+    ratios = counts * cell_vol / volume
     return DensityCheck(min_ratio=float(ratios.min()), max_ratio=float(ratios.max()),
                         failed=bool(ratios.min() == 0.0), probes=probes,
                         radius=float(radius))

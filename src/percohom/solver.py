@@ -47,14 +47,17 @@ touch neighbours (the apply, and each level's two residuals in the
 V-cycle) therefore walk axis 0 in slabs: of _SLAB_CELLS cells on the fine
 level, whose multiply, six neighbour shifts, masking and Jacobi update run
 in L2, a slab reading its two outer neighbour planes from the slabs beside
-it; a coarse level (an eighth of the cells and less) is one slab.  A CG
-iteration makes no temporary of the grid's size: CG keeps x, r, p and one
-scratch array for its products, and the apply output and the V-cycle's
-result share one array made per solve; beyond a slab buffer, only the
-coarse levels allocate per call.  Every reduction is np.sum over the
-scratch array, never BLAS (np.dot and friends sum in a thread-dependent
-order).  Each cell sees the same floating-point operations in the same
-order as on whole arrays, so the slabs change no bit of any result.
+it; a coarse level (an eighth of the cells and less) is one slab.  CG's
+vector passes walk axis 0 in chunks of the same _SLAB_CELLS cells, with one
+chunk of scratch for its products.  A CG iteration makes no temporary of
+the grid's size: CG keeps x, r, p and that chunk, and the apply output and
+the V-cycle's result share one array made per solve; beyond a slab buffer,
+only the coarse levels allocate per call.  Every reduction is np.sum over a
+chunk, the chunk sums added in chunk order, never BLAS (np.dot and friends
+sum in a thread-dependent order), so a sum depends on the grid and not on
+the thread count.  In the apply and the V-cycle each cell sees the same
+floating-point operations in the same order as on whole arrays, so their
+slabs change no bit of any result.
 
 The sign convention is  lap(u) - reaction*u = f  with reaction >= 0; the
 assembled SPD system is  (-lap_h + reaction) u = -f, and the Dirichlet
@@ -156,9 +159,10 @@ def _subtract_neighbours(out, u, start=0, below=None):
             out[far] = keep
 
 
-# Cells per slab of the blocked passes: 8 planes of 64^2, 256 KiB of
-# float64, so a slab's arrays (the field and its neighbour planes, the
-# diagonal, the output, the residual) stay in a core's L2 cache together.
+# Cells per slab of the blocked passes, and per chunk of CG's vector passes:
+# 8 planes of 64^2, 256 KiB of float64, so a slab's arrays (the field and
+# its neighbour planes, the diagonal, the output, the residual) stay in a
+# core's L2 cache together.
 _SLAB_CELLS = 8 * 64 * 64
 
 
@@ -449,26 +453,37 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None)
     division r / diag if `diag` is given, else none.  `apply_op` and
     `precondition` may return the same array on every call, even the same
     array as each other: the loop consumes each result before it calls
-    either again.  Every product of two vectors (p.Ap, alpha*p, r.r, r.z)
-    goes into one scratch array made once per solve, and every reduction is
-    np.sum over it (pairwise, single-threaded, never BLAS), so the iteration
-    path and result are bit-stable across thread counts.  Returns
-    (solution, SolveReport); raises SolverFailureError with the residual
-    history on non-convergence.  The iteration starts from zero, and at most
-    20 * max(b.shape) iterations are made unless `max_iter` says otherwise.
+    either again.  The vector passes (|b|, p.Ap, the x and r updates fused
+    with r.r, r.z, the p update) walk axis 0 in chunks of at most
+    _SLAB_CELLS cells (at least one plane), with one chunk-sized scratch
+    array for the products, so CG holds no grid-sized array beyond x, r
+    and p.  Every reduction is np.sum over a chunk (pairwise,
+    single-threaded, never BLAS), the chunk sums added in chunk order, so
+    the iteration path and result are bit-stable across thread counts.
+    `b` is left untouched.  Returns (solution, SolveReport);
+    raises SolverFailureError with the residual history on non-convergence.
+    The iteration starts from zero, and at most 20 * max(b.shape)
+    iterations are made unless `max_iter` says otherwise.
     """
     t0 = time.perf_counter()
-    scratch = np.multiply(b, b)
-    b_norm = np.sqrt(np.sum(scratch))
+    n, planes = len(b), max(1, _SLAB_CELLS // max(1, math.prod(b.shape[1:])))
+    scratch = np.empty_like(b[:planes])
+    chunks = [(slice(start, start + planes), scratch[:min(planes, n - start)])
+              for start in range(0, n, planes)]
+
+    def dot(u, v):
+        total = 0.0
+        for c, s in chunks:
+            total += np.sum(np.multiply(u[c], v[c], out=s))
+        return total
+
+    b_norm = np.sqrt(dot(b, b))
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, time.perf_counter() - t0)
     if max_iter is None:
         max_iter = 20 * max(b.shape)
     if precondition is None:
         precondition = (lambda r: r) if diag is None else (lambda r: r / diag)
-
-    def dot(u, v):
-        return np.sum(np.multiply(u, v, out=scratch))
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -486,18 +501,22 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None)
             raise SolverFailureError(f"CG breakdown at iteration {k}: <Ap, p> = {pAp}",
                                      history)
         alpha = rz / pAp
-        x += np.multiply(alpha, p, out=scratch)
-        Ap *= alpha
-        r -= Ap
+        rr = 0.0
+        for c, s in chunks:
+            x[c] += np.multiply(alpha, p[c], out=s)
+            r[c] -= np.multiply(alpha, Ap[c], out=s)
+            rr += np.sum(np.multiply(r[c], r[c], out=s))
         del Ap
-        rel = float(np.sqrt(dot(r, r)) / b_norm)
+        rel = float(np.sqrt(rr) / b_norm)
         history.append(rel)
         if rel <= tol:
             return x, SolveReport(k, rel, time.perf_counter() - t0)
         z = precondition(r)
         rz_new = dot(r, z)
-        p *= rz_new / rz
-        p += z
+        beta = rz_new / rz
+        for c, _ in chunks:
+            p[c] *= beta
+            p[c] += z[c]
         del z
         rz = rz_new
     raise SolverFailureError(

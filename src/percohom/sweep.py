@@ -10,7 +10,6 @@ L2 error column.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +148,8 @@ def _sweep_row(spec, eps, k, seed, obstacles, config, u_hom):
     dx = spec.dx()
     mask = rasterize(obstacles, spec.domain(), dx)
     vf = volume_fraction(mask)
-    f_arr = as_source(spec.source, mask)
-    u, report = solve_dirichlet_perforated(mask, spec.reaction, f_arr, tol=spec.tol)
+    u, report = solve_dirichlet_perforated(mask, spec.reaction, spec.source, tol=spec.tol)
+    f_arr = as_source(spec.source, mask)  # made after the solve: not alive beside CG's arrays
     f_norm = float(np.sqrt(np.sum(f_arr * f_arr) * dx ** mask.dim))
     l2, grad = l2_norm(u), gradient_energy(u)
     energy_lhs = grad + spec.reaction * l2 ** 2
@@ -203,6 +202,7 @@ def _sweep_job(args):
 def _map(fn, args, threads):
     """fn over args in order, in a pool of `threads` processes when > 1."""
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a single process never loads it
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, args))
     return [fn(a) for a in args]

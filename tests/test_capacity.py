@@ -95,6 +95,13 @@ def test_local_capacity_hole_free_is_zero():
     assert est.report.iterations == 0
 
 
+def test_local_capacity_hole_free_window_refuses_a_tol_like_every_solve():
+    # the window holds no obstacle cell, so no CG runs; the tol rule holds anyway
+    mask = ph.hole_free_mask(UNIT3, 1.0 / 16)
+    with pytest.raises(InvalidArgumentError, match="tol must be positive"):
+        ph.local_capacity(mask, (0.5,) * 3, 0.5, tol=0.0)
+
+
 def test_local_capacity_complementary_to_newton():
     # newton_capacity is the local capacity (boundary 1, obstacle 0) of its
     # box; the oracle solves the condenser itself (obstacle 1, boundary 0),

@@ -469,9 +469,25 @@ def test_boolean_runs_do_not_import_scipy(tmp_path):
             with open(path) as fh:
                 assert json.load(fh)["partial"] is False, path
     """)
+    _run_python(code)
+
+
+def _run_python(code):
+    """Run `code` in a fresh interpreter that imports percohom from src/."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process and multiprocessing cost about 2 MB of RSS
+    # and 12-20 ms of start-up; only a run with threads > 1 needs them
+    _run_python(textwrap.dedent("""
+        import sys
+        import percohom.cli
+        assert "concurrent.futures.process" not in sys.modules
+        assert "multiprocessing" not in sys.modules
+    """))

@@ -491,6 +491,22 @@ def test_density_ratio_needs_a_positive_radius(monkeypatch):
             ph.density_ratio_check(mask, radius=r, probes=10, seed=0)
 
 
+def test_density_ratio_refuses_an_overflowing_hole_volume():
+    # r^2 is finite, r^2 |F| is not: the ratios used to read 0, failed = True
+    box = ph.Box((0.0, 0.0), (4.0, 4.0))
+    cfg = ph.PointConfiguration(points=np.array([[2.0, 2.0]]), box=box, intensity=0.0)
+    mask = ph.rasterize(ph.build_balls(cfg, 1.0), box, 1.0 / 16)
+    with np.errstate(over="raise"):
+        with pytest.raises(InvalidArgumentError, match="overflows"):
+            ph.density_ratio_check(mask, radius=1.3e154, probes=3, seed=0)
+        # the largest radii that do not overflow keep the ratio's formula
+        total = mask.hole_count * mask.dx ** 2
+        for r in (1e150, 5e153):
+            check = ph.density_ratio_check(mask, radius=r, probes=3, seed=0)
+            assert check.min_ratio == check.max_ratio == total / (r ** 2 * total)
+            assert not check.failed
+
+
 def test_density_ratio_flags_concentration():
     cfg = _config([[0.05, 0.05]])
     obs = ph.build_balls(cfg, 0.04)

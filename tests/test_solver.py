@@ -445,6 +445,53 @@ def test_warm_minimize_holds_no_more_than_six_grid_arrays():
     assert peak <= 6 * b.nbytes, peak / b.nbytes
 
 
+def test_warm_64_cube_minimize_holds_no_more_than_five_grid_arrays():
+    # x, r, p and the shared apply/preconditioner output: CG's scratch is one
+    # slab, and the V-cycle's slab and coarse-level arrays fill the rest
+    mask = ph.hole_free_mask(ph.Box.unit(3), 1.0 / 64)
+    kernel = solver._FaceKernel(mask.flags, mask.dx, 1.0)
+    b = np.where(kernel.unknown, 1.0, 0.0)
+    kernel.minimize(b, tol=1e-8)
+    tracemalloc.start()
+    try:
+        kernel.minimize(b, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * b.nbytes, peak / b.nbytes
+
+
+def test_cg_over_several_chunks_matches_a_dense_oracle(monkeypatch):
+    # 36 cells per chunk on planes of 4 x 3 cells: 3 planes per chunk, so the
+    # 7 planes of the grid are chunks of 3, 3 and 1
+    monkeypatch.setattr(solver, "_SLAB_CELLS", 36)
+    shape = (7, 4, 3)
+    planes = solver._SLAB_CELLS // (shape[1] * shape[2])
+    assert shape[0] // planes >= 2 and shape[0] % planes
+    roles = np.full(shape, MATERIAL, dtype=np.uint8)
+    roles[3, 1, 1] = roles[6, 2, 0] = HOLE
+    kernel = solver._FaceKernel(roles, 0.25, 1.5)
+    unknown = kernel.unknown.ravel()
+    columns = []
+    for i in np.flatnonzero(unknown):
+        e = np.zeros(roles.size)
+        e[i] = 1.0
+        columns.append(kernel.apply(e.reshape(shape)).ravel()[unknown])
+    A = np.array(columns).T
+    b = np.where(kernel.unknown, substream(5, "chunks").random(shape), 0.0)
+    b_before = b.copy()
+    for x, rep in (cg_solve(kernel.apply, b, tol=1e-9, diag=kernel.diag),
+                   kernel.minimize(b, tol=1e-9)):
+        assert np.array_equal(b, b_before)
+        direct = np.linalg.solve(A, b.ravel()[unknown])
+        assert np.abs(x.ravel()[unknown] - direct).max() <= 1e-8 * np.abs(direct).max()
+        assert np.all(x[~kernel.unknown] == 0.0)
+        # the residual CG updates chunk by chunk is the one a recomputation gives
+        true = np.linalg.norm(b.ravel()[unknown] - A @ x.ravel()[unknown]) / np.linalg.norm(b)
+        assert rep.final_rel_residual <= 1e-9
+        assert abs(rep.final_rel_residual - true) <= 1e-3 * true, (rep.final_rel_residual, true)
+
+
 def test_cg_identity_one_iteration():
     b = np.arange(1.0, 10.0)
     x, rep = cg_solve(lambda v: v, b, tol=1e-12, max_iter=10)
