@@ -21,6 +21,5 @@ from .capacity import (CapacityEstimate, ConductivityTensor,
                        penalized_functional, strange_term)
 from .sweep import (AuditResult, ErgodicSpec, HomogenizationReport, SweepSpec,
                     build_corrector, build_partition_of_unity,
-                    ergodic_average_experiment, local_minimizers_for_partition,
-                    run_sweep, uniform_bound_audit)
+                    ergodic_average_experiment, run_sweep, uniform_bound_audit)
 from .rng import substream, substream_seed

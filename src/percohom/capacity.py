@@ -11,7 +11,7 @@ Two quadratic minimizations, kept strictly separate:
   call it on whole cube masks and partition windows.  The table runs on
   given obstacle realizations, so a sweep measures the capacity of the very
   realizations it solves on.  The rules for its inputs are written once,
-  in `_table_diagnostics` (dimension 3 in `_strange_term_diagnostics`).
+  in `_table_diagnostics`, and the table is one construction in 2D and 3D.
   `newton_capacity`, the condenser energy of an
   obstacle held at potential 1 inside a grounded outer cube (3D only; the
   truncation of the whole-space problem), is the same problem: u -> 1 - u
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, diagnostics_of, raise_diagnostics, refusal
 from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, _boundary_connected,
-                       rasterize, sample_family)
+                       _check_dimension, rasterize, sample_family)
 from .rng import substream_seed
 from .solver import _INSULATING, GridField, SolveReport, _FaceKernel, _solve_diagnostics
 
@@ -264,15 +264,15 @@ class StrangeTermResult:
     spread: float
     eps_then_h: tuple   # (h, mean cap/h^n at the smallest eps) per h, h decreasing
     h_then_eps: tuple   # (eps, mean cap/h^n at the smallest h) per eps, eps decreasing
-    limsup_bound: float = None
     limsup_flagged: bool = False
 
 
 def _table_diagnostics(family, eps_list, h_list, replicas, cells_per_h, domain,
-                       center=None, cells_field="cells_per_h"):
+                       cells_field="cells_per_h"):
     """Every rule for an absorption-constant table's inputs, as diagnostics
     dicts at the keys of a run's config, `cells_per_h` at `cells_field`.
-    `domain` is None for a config whose domain `Box` refuses, and is reported."""
+    `domain` is None for a config whose domain `Box` refuses, and is reported.
+    The capacity cube of each h sits at the domain's center."""
     hmin = min(h_list, default=math.inf)
     side = 0.0 if domain is None else max(domain.sides)
     diags = family.validate(side, min(eps_list, default=0.0)) + diagnostics_of([
@@ -290,36 +290,27 @@ def _table_diagnostics(family, eps_list, h_list, replicas, cells_per_h, domain,
     if cells_per_h >= 1:
         diags += refusal(cells_field, Box.cube(1.0, family.dim).grid_shape, 1.0 / cells_per_h)
     if domain is not None:
-        center = domain.center if center is None else center
-        diags += diagnostics_of([
+        diags += refusal("family.dim", _check_dimension, family, domain) + diagnostics_of([
             (any(c - h / 2.0 < lo - 1e-12 or c + h / 2.0 > hi + 1e-12
-                 for c, lo, hi in zip(center, domain.lower, domain.upper)),
+                 for c, lo, hi in zip(domain.center, domain.lower, domain.upper)),
              "h_list", f"capacity cube of side {h} escapes the domain")
             for h in h_list])
     return diags
 
 
-def _strange_term_diagnostics(family, eps_list, h_list, replicas, cells_per_h, domain,
-                              center=None):
-    """`_table_diagnostics` where the table runs: in dimension 3 only."""
-    return diagnostics_of([
-        (family.dim != 3 or (domain is not None and domain.dim != 3), "family.dim",
-         "the absorption-constant pipeline requires dimension 3"),
-    ]) + _table_diagnostics(family, eps_list, h_list, replicas, cells_per_h, domain, center)
-
-
 def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
-                 cells_per_h=32, center=None, limsup_bound=None):
+                 cells_per_h=32, limsup_bound=None):
     """Table of local capacity densities cap(x, h, eps) / h^n and the
-    iterated-limit estimate of the effective absorption constant.
+    iterated-limit estimate of the effective absorption constant, in 2D or
+    3D.
 
     Samples one realization per (eps, replica) and shares it across all h
-    (common random numbers).  Refuses the inputs `_strange_term_diagnostics`
+    (common random numbers).  Refuses the inputs `_table_diagnostics`
     refuses, among them an eps not < h/4, a cube outside the domain and a
-    dimension other than 3.
+    family whose dimension is not the domain's.
     """
-    raise_diagnostics(_strange_term_diagnostics(family, eps_list, h_list, replicas,
-                                                cells_per_h, domain, center))
+    raise_diagnostics(_table_diagnostics(family, eps_list, h_list, replicas,
+                                         cells_per_h, domain))
     realizations = []
     # the seeds are indexed in decreasing eps
     for ie, eps in enumerate(sorted(map(float, eps_list), reverse=True)):
@@ -328,29 +319,28 @@ def strange_term(family, h_list, eps_list, replicas, master_seed, domain,
             obstacles, _ = sample_family(family, eps, seed, domain)
             realizations.append((eps, k, seed, obstacles))
     return _strange_table(realizations, h_list, eps_list, domain, cells_per_h,
-                          center=center, limsup_bound=limsup_bound)
+                          limsup_bound=limsup_bound)
 
 
 def _mean(values):
     return float(np.mean(values)) if values else math.nan
 
 
-def _strange_table(realizations, h_list, eps_list, domain, cells_per_h, center=None,
+def _strange_table(realizations, h_list, eps_list, domain, cells_per_h,
                    limsup_bound=None, tol=1e-8):
     """The capacity table of `strange_term` over given (eps, replica, seed,
-    obstacles) realizations, whose inputs `_table_diagnostics` accepts.
-    `c` and its spread are NaN, undefined, when no realization at the
-    smallest eps is given."""
+    obstacles) realizations, whose inputs `_table_diagnostics` accepts: the
+    cube of side h at the domain's center.  `c` and its spread are NaN,
+    undefined, when no realization at the smallest eps is given."""
     h_list = sorted(map(float, h_list), reverse=True)
     eps_list = sorted(map(float, eps_list), reverse=True)
-    center = domain.center if center is None else center
     rows = []
     n = domain.dim
     for eps, k, seed, obstacles in realizations:
         for h in h_list:
             dx_local = h / cells_per_h
-            cube = Box(tuple(c - h / 2 for c in center),
-                       tuple(c + h / 2 for c in center))
+            cube = Box(tuple(c - h / 2 for c in domain.center),
+                       tuple(c + h / 2 for c in domain.center))
             cube_mask = rasterize(obstacles, cube, dx_local)
             est, _ = capacity_minimizer_on_window(
                 cube_mask, tuple(slice(0, m) for m in cube_mask.shape), tol=tol)
@@ -376,7 +366,7 @@ def _strange_table(realizations, h_list, eps_list, domain, cells_per_h, center=N
         flagged = any(r.cap_per_hn >= limsup_bound for r in rows if r.eps == eps_min)
     return StrangeTermResult(rows=tuple(rows), c=c, spread=spread,
                              eps_then_h=eps_then_h, h_then_eps=h_then_eps,
-                             limsup_bound=limsup_bound, limsup_flagged=flagged)
+                             limsup_flagged=flagged)
 
 
 def boolean_capacity_constant(obstacles, domain):

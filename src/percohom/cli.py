@@ -27,7 +27,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import presets
-from .capacity import (_check_gamma, _electrode, _strange_term_diagnostics, _window,
+from .capacity import (_check_gamma, _electrode, _table_diagnostics, _window,
                        conductivity_tensor, newton_capacity, strange_term)
 from .errors import (ConfigError, InvalidArgumentError, SolverFailureError,
                      diagnostics_of, refusal)
@@ -277,7 +277,7 @@ class NewtonLadderSpec:
 @dataclass(frozen=True, kw_only=True)
 class StrangeTermSpec:
     """capacity, mode strange-term: the absorption-constant table of the
-    family on the cube [0, domain_side]^3."""
+    family on the cube [0, domain_side]^dim, dim the family's."""
 
     mode: str
     family: GeometryFamily
@@ -292,7 +292,7 @@ class StrangeTermSpec:
     def validate(self):
         cube = (self.domain_side, self.family.dim)
         side = refusal("domain_side", Box.cube, *cube)
-        return side + _strange_term_diagnostics(
+        return side + _table_diagnostics(
             self.family, self.eps_list, self.h_list, self.replicas, self.cells_per_h,
             None if side else Box.cube(*cube))
 
@@ -306,7 +306,7 @@ class StrangeTermSpec:
             "spread": res.spread,
             "eps_then_h": [list(t) for t in res.eps_then_h],
             "h_then_eps": [list(t) for t in res.h_then_eps],
-            "limsup_bound": res.limsup_bound,
+            "limsup_bound": self.limsup_bound,
             "limsup_flagged": res.limsup_flagged,
         })
 

@@ -699,10 +699,11 @@ def _read_mask(fh):
         raise InvalidArgumentError(f"unsupported mask format version {version}")
     dim = _expect(fh, "dim", int)
     shape = _expect(fh, "shape", lambda rest: tuple(int(s) for s in rest.split()))
-    if len(shape) != dim:
-        raise InvalidArgumentError("shape rank does not match dim")
     dx = _expect(fh, "dx", float)
     domain = _expect(fh, "domain", _box)
+    if dim != domain.dim or shape != domain.grid_shape(dx):
+        raise InvalidArgumentError(f"mask header: dim {dim} and shape {shape} are not the "
+                                   f"grid of spacing {dx} on the domain {domain}")
     epsilon = _expect(fh, "epsilon", float)
     provenance = _expect(fh, "provenance")
     n_warn = _expect(fh, "warnings", int)
@@ -792,6 +793,13 @@ class GeometryFamily:
         return self.c1 / 2.0 if self.tube_radius is None else self.tube_radius
 
 
+def _check_dimension(family, domain):
+    """Refuses a family whose dimension is not its domain's."""
+    if family.dim != domain.dim:
+        raise InvalidArgumentError(f"a family of dimension {family.dim} on a domain of "
+                                   f"dimension {domain.dim}: the two must agree")
+
+
 def sample_family(family, eps, seed, domain):
     """One realization of the family at scale eps inside `domain`.
 
@@ -799,8 +807,11 @@ def sample_family(family, eps, seed, domain):
     geometry, intensity as given) is kept for distributional diagnostics.
     The obstacle set is the eps-homothety of the unscaled construction, with
     ball radii adjusted to r0 * eps**radius_exponent in final coordinates.
+    Refuses an eps that is not positive and a family whose dimension is not
+    the domain's before sampling.
     """
     eps = _positive(eps, "eps")
+    _check_dimension(family, domain)
     big_box = domain.scaled(1.0 / eps)
     if family.kind == "lattice":
         spacing = family.lattice_spacing

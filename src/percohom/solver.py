@@ -73,7 +73,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SolverFailureError, diagnostics_of, raise_diagnostics
 from .expressions import evaluate_on_mask
-from .geometry import EXTERIOR, MATERIAL, PerforatedMask, _faces, hole_free_mask
+from .geometry import EXTERIOR, MATERIAL, PerforatedMask, _faces
 
 
 @dataclass(frozen=True)
@@ -585,8 +585,8 @@ def friedrichs_constant(domain, dx):
     boundary: 1/sqrt of the smallest eigenvalue of the operator on the
     hole-free grid, sum_d 4/dx^2 sin^2(pi/(2 n_d)) for n_d cells along axis d
     (the eigenvector is a product of sines vanishing at the boundary faces)."""
-    shape = hole_free_mask(domain, dx).shape
-    lam = sum(4.0 / dx ** 2 * math.sin(math.pi / (2 * n)) ** 2 for n in shape)
+    lam = sum(4.0 / dx ** 2 * math.sin(math.pi / (2 * n)) ** 2
+              for n in domain.grid_shape(dx))
     return 1.0 / math.sqrt(lam)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (StrangeTermResult, _strange_table, _table_diagnostics,
-                       boolean_capacity_constant, capacity_minimizer_on_window)
+from .capacity import (_strange_table, _table_diagnostics, boolean_capacity_constant,
+                       capacity_minimizer_on_window)
 from .errors import InvalidArgumentError, diagnostics_of, raise_diagnostics, refusal
 from .expressions import source_diagnostics
 from .geometry import (Box, GeometryFamily, hole_free_mask, rasterize,
@@ -87,8 +87,7 @@ class SweepSpec(_CubeGrid):
     _min_cells = 4
 
     def validate(self):
-        """All violated invariants at once, as diagnostics dicts.  A 2D sweep
-        runs no capacity table but keeps to the table's rules all the same."""
+        """All violated invariants at once, as diagnostics dicts."""
         domain, diags = self._run_diagnostics()
         return diags + _table_diagnostics(
             self.family, self.eps_list, self.h_list, self.replicas, self.capacity_cells_per_h,
@@ -97,6 +96,9 @@ class SweepSpec(_CubeGrid):
                  "eps list must be strictly decreasing")])
 
     def resolution_warnings(self):
+        """Each grid on which an obstacle feature (a ball's radius, a tube's)
+        spans fewer than 2 cells: the PDE grid at each eps, and the capacity
+        grid of each h at each eps."""
         warns = []
         dx = self.dx()
         for e in self.eps_list:
@@ -107,9 +109,11 @@ class SweepSpec(_CubeGrid):
             if feature < 2 * dx:
                 warns.append(f"eps={e}: obstacle feature {feature:.3g} spans fewer "
                              f"than 2 cells at dx={dx:.3g}")
-        for h in self.h_list:
-            if h / dx < 32:
-                warns.append(f"h={h}: cube spans fewer than 32 PDE cells at dx={dx:.3g}")
+            for h in self.h_list:
+                dx_cap = h / self.capacity_cells_per_h
+                if feature < 2 * dx_cap:
+                    warns.append(f"eps={e}, h={h}: obstacle feature {feature:.3g} spans "
+                                 f"fewer than 2 cells of the capacity grid at dx={dx_cap:.3g}")
         return warns
 
 
@@ -218,16 +222,10 @@ def run_sweep(spec, threads=1):
     raise_diagnostics(spec.validate())
     samples = [_sample(spec, ie, k) for ie in range(len(spec.eps_list))
                for k in range(spec.replicas)]
-    if spec.family.dim == 3:
-        st = _strange_table([(eps, k, seed, obstacles)
-                             for eps, k, seed, obstacles, _, failure in samples if not failure],
-                            spec.h_list, spec.eps_list, spec.domain(),
-                            spec.capacity_cells_per_h, tol=spec.tol)
-    else:
-        # the absorption-constant pipeline is a dimension-3 construction; 2D
-        # sweeps exercise the solver and energies only
-        st = StrangeTermResult(rows=(), c=0.0, spread=0.0,
-                               eps_then_h=(), h_then_eps=())
+    st = _strange_table([(eps, k, seed, obstacles)
+                         for eps, k, seed, obstacles, _, failure in samples if not failure],
+                        spec.h_list, spec.eps_list, spec.domain(),
+                        spec.capacity_cells_per_h, tol=spec.tol)
     u_hom = None if math.isnan(st.c) else solve_dirichlet_perforated(
         hole_free_mask(spec.domain(), spec.dx()), spec.reaction + st.c, spec.source,
         tol=spec.tol)[0]
@@ -256,9 +254,7 @@ def _summarize(spec, rows, st):
     bc_vals = [r.boolean_constant for r in ok if not math.isnan(r.boolean_constant)]
     return {
         "format_version": 1,
-        "c_note": ("absorption pipeline requires dimension 3; c fixed to 0"
-                   if spec.family.dim != 3 else
-                   "no realization at the smallest eps was sampled; c undefined"
+        "c_note": ("no realization at the smallest eps was sampled; c undefined"
                    if math.isnan(st.c) else ""),
         "c": st.c,
         "c_spread": st.spread,
@@ -434,28 +430,20 @@ def build_partition_of_unity(domain, h, r, dx):
     return weights
 
 
-def local_minimizers_for_partition(mask, partition, tol=1e-10):
-    """Capacity-minimizer field on each partition cube (1 on the cube faces,
-    0 on holes), on the mask's own grid and the cubes' own windows."""
-    out = []
-    for w in partition:
-        _, vals = capacity_minimizer_on_window(mask, w.slices, tol=tol)
-        out.append(vals)
-    return out
-
-
-def build_corrector(w_field, partition, minimizers, mask, reaction, strange_c, f):
-    """Glue the local capacity minimizers under a smooth field:
-    corrector = sum_a w * v_a * phi_a.  Vanishes on every hole cell by
-    construction.  Returns (GridField, energy gap against the unperforated
-    energy of w with reaction + c)."""
-    w_vals = w_field.values if isinstance(w_field, GridField) else np.asarray(w_field)
+def build_corrector(w, partition, mask, reaction, strange_c, f):
+    """Glue the local capacity minimizers under a smooth field w (an array
+    on the mask's grid): corrector = sum_a w * v_a * phi_a, where v_a is the
+    capacity minimizer of partition cube a (1 on the cube faces, 0 on holes,
+    solved to tol 1e-10 on the mask's own grid and the cube's own window).
+    Vanishes on every hole cell by construction.  Returns (GridField, energy
+    gap against the unperforated energy of w with reaction + c)."""
     acc = np.zeros(mask.shape)
-    for part, vals in zip(partition, minimizers):
-        acc[part.slices] += w_vals[part.slices] * vals * part.weights
+    for part in partition:
+        _, vals = capacity_minimizer_on_window(mask, part.slices, tol=1e-10)
+        acc[part.slices] += w[part.slices] * vals * part.weights
     corrector = GridField(mask, np.where(mask.material, acc, 0.0))
     gamma_eps = energy_gamma(corrector, reaction, f)
-    w_flat = GridField(hole_free_mask(mask.domain, mask.dx), np.asarray(w_vals))
+    w_flat = GridField(hole_free_mask(mask.domain, mask.dx), w)
     return corrector, gamma_eps - energy_gamma(w_flat, reaction + strange_c, f)
 
 

@@ -22,8 +22,7 @@ from percohom.expressions import evaluate_on_mask
 from percohom.geometry import HOLE
 from percohom.reporting import write_csv
 from percohom.rng import substream_seed
-from percohom.sweep import (build_partition_of_unity,
-                            local_minimizers_for_partition)
+from percohom.sweep import build_partition_of_unity
 
 UNIT2 = ph.Box.unit(2)
 UNIT3 = ph.Box.unit(3)
@@ -309,10 +308,9 @@ def test_criterion_10_corrector_admissibility():
         h = 0.2 if domain.dim == 2 else 0.25
         r = 0.9 * h ** 1.5
         part = build_partition_of_unity(domain, h, r, mask.dx)
-        mins = local_minimizers_for_partition(mask, part, tol=1e-10)
         flat = ph.hole_free_mask(domain, mask.dx)
         w = ph.GridField(flat, evaluate_on_mask(w_expr, flat))
-        corr, _ = ph.build_corrector(w.values, part, mins, mask, 1.0, 0.0, "-1")
+        corr, _ = ph.build_corrector(w.values, part, mask, 1.0, 0.0, "-1")
         holes = mask.flags == HOLE
         vanish = bool(np.all(corr.values[holes] == 0.0)) if holes.any() else True
         u, _ = ph.solve_dirichlet_perforated(mask, 1.0, "-1", tol=1e-10)

@@ -295,14 +295,13 @@ def test_strange_term_ordering_enforced():
     with pytest.raises(InvalidArgumentError):
         ph.strange_term(fam, [0.75, 0.55], [0.12, 0.11], 1, 0, UNIT3)
     # the rules the CLI's strange-term mode and the sweep check, kept by the
-    # library too: a window grid, a 3D family on a 3D domain, a valid family
+    # library too: a window grid, a family of the domain's dimension, a valid
+    # family
     with pytest.raises(InvalidArgumentError, match="cells_per_h must be >= 1"):
         ph.strange_term(fam, [0.75, 0.55], [0.12, 0.11, 0.1], 1, 0, UNIT3, cells_per_h=0)
-    flat = _critical_family(dim=2)
-    for domain in (ph.Box.unit(2), UNIT3):
-        with pytest.raises(InvalidArgumentError, match="requires dimension 3"):
-            ph.strange_term(flat, [0.75, 0.55], [0.12, 0.11, 0.1], 1, 0, domain,
-                            cells_per_h=8)
+    with pytest.raises(InvalidArgumentError, match="dimension 2 on a domain of dimension 3"):
+        ph.strange_term(_critical_family(dim=2), [0.75, 0.55], [0.12, 0.11, 0.1], 1, 0,
+                        UNIT3, cells_per_h=8)
     with pytest.raises(InvalidArgumentError, match="points"):
         ph.strange_term(_critical_family(intensity=1e12), [0.75, 0.55], [0.12, 0.11, 0.1],
                         1, 0, UNIT3, cells_per_h=8)
@@ -331,36 +330,66 @@ def test_strange_term_rows_carry_the_requested_h():
     assert all(math.isfinite(m) and m > 0 for _, m in res.eps_then_h)
 
 
-def test_strange_term_lattice_bracketed_by_single_cell_oracle():
-    # deterministic lattice: the per-cell capacity density is a rigorous
-    # upper bound (glue the cell minimizers), one center ball a lower bound,
-    # and the h sequence must climb toward the cell oracle as h shrinks
+def _lattice_bracket(dim):
+    """(lone-ball lower bound, table c, single-cell upper bound, the table's
+    mean cap/h^n by h at the smallest eps) of a lattice table in `dim`."""
     r0 = 25.0
-    fam = ph.GeometryFamily(kind="lattice", dim=3, lattice_spacing=1.0, r0=r0,
+    fam = ph.GeometryFamily(kind="lattice", dim=dim, lattice_spacing=1.0, r0=r0,
                             radius_exponent=3.0)
-    # cube faces placed midway between lattice planes at the (h, eps) corner
-    res = ph.strange_term(fam, [0.5, 0.7], [0.12, 0.11, 0.1], 1, 0, UNIT3,
-                          cells_per_h=40, center=(0.45, 0.45, 0.45))
+    # on [0, 0.9]^dim the cube at the domain's center has its faces midway
+    # between lattice planes at the (h, eps) corner
+    res = ph.strange_term(fam, [0.5, 0.7], [0.12, 0.11, 0.1], 1, 0, ph.Box.cube(0.9, dim),
+                          cells_per_h=40)
     eps = 0.1
     spacing, radius = eps, r0 * eps**3
     dx = 0.5 / 40
     cells = int(round(spacing / dx))
-    cell_box = ph.Box.cube(cells * dx, 3)
-    single = ph.rasterize(ball_at((cells * dx / 2,) * 3, radius,
-                                  halfside=cells * dx / 2), cell_box, dx)
+    cell_box = ph.Box.cube(cells * dx, dim)
+    single = ph.rasterize(ball_at((cells * dx / 2,) * dim, radius,
+                                  halfside=cells * dx / 2, dim=dim), cell_box, dx)
     cap_single = capacity_minimizer_on_window(
-        single, tuple(slice(0, cells) for _ in range(3)), tol=1e-11)[0].value
-    oracle_c = cap_single / spacing**3
-    cube = ph.Box.cube(0.5, 3)
-    lone = ph.rasterize(ball_at((0.25,) * 3, radius, halfside=0.25), cube, dx)
+        single, tuple(slice(0, cells) for _ in range(dim)), tol=1e-11)[0].value
+    cube = ph.Box.cube(0.5, dim)
+    lone = ph.rasterize(ball_at((0.25,) * dim, radius, halfside=0.25, dim=dim), cube, dx)
     lower = capacity_minimizer_on_window(
-        lone, tuple(slice(0, 40) for _ in range(3)), tol=1e-11)[0].value / 0.5**3
-    assert lower <= res.c <= oracle_c * (1 + 1e-10)
+        lone, tuple(slice(0, 40) for _ in range(dim)), tol=1e-11)[0].value / 0.5**dim
+    return lower, res.c, cap_single / spacing**dim, dict(res.eps_then_h)
+
+
+def test_strange_term_lattice_bracketed_by_single_cell_oracle():
+    # deterministic lattice: the per-cell capacity density is a rigorous
+    # upper bound (glue the cell minimizers), one center ball a lower bound,
+    # and the h sequence must climb toward the cell oracle as h shrinks
+    lower, c, oracle_c, by_h = _lattice_bracket(3)
+    assert lower <= c <= oracle_c * (1 + 1e-10)
     # finite positive value of the expected order
-    assert 0.2 < res.c / (4 * math.pi * r0) < 4.0
-    # cube-size sequence at the smallest eps increases toward the cell oracle
-    by_h = dict(res.eps_then_h)
+    assert 0.2 < c / (4 * math.pi * 25.0) < 4.0
     assert by_h[0.5] > by_h[0.7]
+
+
+def test_strange_term_lattice_bracket_holds_in_2d():
+    # the same table, bounds and climb in 2D, where the table is the same
+    # construction
+    lower, c, oracle_c, by_h = _lattice_bracket(2)
+    assert 0 < lower <= c <= oracle_c * (1 + 1e-10)
+    assert by_h[0.5] > by_h[0.7]
+
+
+@pytest.mark.parametrize("family_dim, domain_dim", [(2, 3), (3, 2)])
+def test_a_family_on_a_domain_of_another_dimension_is_refused(family_dim, domain_dim,
+                                                              monkeypatch):
+    # refused before any point is drawn, by the sampler and by the table
+    def no_sampling(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(ph.geometry, "sample_poisson", no_sampling)
+    fam = _critical_family(dim=family_dim)
+    domain = ph.Box.unit(domain_dim)
+    message = f"dimension {family_dim} on a domain of dimension {domain_dim}"
+    with pytest.raises(InvalidArgumentError, match=message):
+        ph.sample_family(fam, 0.1, 0, domain)
+    with pytest.raises(InvalidArgumentError, match=message):
+        ph.strange_term(fam, [0.75, 0.55], [0.12, 0.11, 0.1], 1, 0, domain, cells_per_h=8)
 
 
 def test_capacity_spread_shrinks_with_cube_size():

@@ -1,3 +1,4 @@
+import csv
 import glob
 import json
 import os
@@ -334,6 +335,26 @@ def test_capacity_strange_term_csv_columns(tmp_path):
     assert header == "h,eps,seed,cap,cap_per_hn,iterations,dx"
     summary = json.load(open(os.path.join(d, "summary.json")))
     assert {"c", "spread", "eps_then_h", "h_then_eps"} <= set(summary)
+
+
+def test_capacity_strange_term_runs_a_2d_table(tmp_path):
+    # the strange-term table is one construction in 2D and 3D: cap / h^2 on
+    # the unit square, cubes of 8 cells a side
+    out = str(tmp_path / "runs")
+    code = run_cli("capacity", "--preset", "strange-3d", "--out", out, "--set", "family.dim=2",
+                   "--set", "cells_per_h=8", "--set", "family.radius_exponent=1")
+    assert code == 0
+    d = only_dir(out, "capacity")
+    with open(os.path.join(d, "capacity.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 2 * 3
+    h = [float(r["h"]) for r in rows]
+    assert [float(r["dx"]) for r in rows] == [x / 8 for x in h]
+    assert [float(r["cap_per_hn"]) for r in rows] == [
+        float(r["cap"]) / x ** 2 for r, x in zip(rows, h)]
+    assert any(float(r["cap"]) > 0 for r in rows)
+    summary = json.load(open(os.path.join(d, "summary.json")))
+    assert summary["c"] > 0 and summary["limsup_bound"] is None
 
 
 def test_ergodic_periodic_preset_zero_column(tmp_path):

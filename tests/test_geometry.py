@@ -579,6 +579,25 @@ def test_mask_file_refuses_a_malformed_rle_stream(rle, tmp_path):
         ph.load_mask(path)
 
 
+@pytest.mark.parametrize("header", [
+    {"dim": "3", "shape": "2 2 2", "rle": "m8"},      # a 3D grid on the unit square
+    {"dx": "0.5"},                                  # 4 x 4 cells of side 0.5
+    {"dx": "-0.5"},
+    {"dx": "nan"},
+    {"dim": "4", "shape": "2 2 2 2"},
+    {"shape": "-1 -1", "rle": "m1"},
+], ids=["dim3-on-square", "dx-too-large", "dx-negative", "dx-nan", "dim4", "shape-negative"])
+def test_mask_file_refuses_a_header_that_is_not_its_domains_grid(header, tmp_path):
+    # dim, shape and dx must give the grid Box.grid_shape makes on the domain
+    path = tmp_path / "m.txt"
+    ph.save_mask(ph.hole_free_mask(ph.Box.unit(2), 0.25), path)
+    lines = [f"{key} {header[key]}" if key in header else line
+             for line in path.read_text().splitlines() for key in [line.split(" ")[0]]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgumentError):
+        ph.load_mask(path)
+
+
 def _segment_segment_dist2(p1, q1, p2, q2):
     # scalar reference: closest distance between two segments by Ericson's
     # clamped parameters, one pair at a time

@@ -9,8 +9,7 @@ from percohom.errors import InvalidArgumentError
 from percohom.expressions import evaluate_on_mask
 from percohom.geometry import HOLE
 from percohom.rng import substream_seed
-from percohom.sweep import (ErgodicSpec, build_partition_of_unity,
-                            local_minimizers_for_partition)
+from percohom.sweep import ErgodicSpec, build_partition_of_unity
 
 UNIT2 = ph.Box.unit(2)
 
@@ -38,6 +37,19 @@ def test_resolution_warnings_attached():
     spec = _rcm_spec(grid_cells=16)
     warns = spec.resolution_warnings()
     assert any("fewer than 2 cells" in w for w in warns)
+
+
+def test_resolution_warnings_check_the_capacity_grid():
+    # the PDE grid resolves every ball by at least 2 cells, but the capacity
+    # grid of h / 32 does not at every (eps, h)
+    fam = ph.GeometryFamily(kind="boolean", dim=3, intensity=1.0, r0=0.35,
+                            radius_exponent=1.0)
+    spec = ph.SweepSpec(family=fam, eps_list=(0.125, 0.1, 0.0625), h_list=(0.75, 0.55),
+                        grid_cells=128, capacity_cells_per_h=32)
+    warns = spec.resolution_warnings()
+    assert [w.split(":")[0] for w in warns] == [
+        "eps=0.125, h=0.75", "eps=0.1, h=0.75", "eps=0.0625, h=0.75", "eps=0.0625, h=0.55"]
+    assert all("capacity grid" in w for w in warns)
 
 
 def test_ergodic_spec_validation_collects_all_diagnostics():
@@ -99,11 +111,24 @@ def test_sweep_is_deterministic_and_thread_invariant():
     assert a.summary["l2_error_by_eps"] == c.summary["l2_error_by_eps"]
 
 
-def test_sweep_2d_skips_absorption_pipeline():
-    rep = ph.run_sweep(_rcm_spec(grid_cells=64))
-    assert rep.c == 0.0
-    assert rep.cap_rows == ()
-    assert "dimension 3" in rep.summary["c_note"]
+def test_sweep_2d_runs_the_capacity_table():
+    # a 2D sweep measures c with the same table as a 3D one, on its own
+    # realizations, and compares each row with the hole-free solve at
+    # reaction + c
+    spec = _rcm_spec(grid_cells=64)
+    rep = ph.run_sweep(spec)
+    assert len(rep.cap_rows) == len(spec.eps_list) * len(spec.h_list) * spec.replicas
+    corner = [r.cap / r.h ** 2 for r in rep.cap_rows
+              if r.h == min(spec.h_list) and r.eps == min(spec.eps_list)]
+    assert rep.c == float(np.mean(corner)) and rep.c > 0
+    assert rep.summary["c"] == rep.c and rep.summary["c_note"] == ""
+    u_hom, _ = ph.solve_dirichlet_perforated(ph.hole_free_mask(UNIT2, spec.dx()),
+                                             spec.reaction + rep.c, spec.source, tol=spec.tol)
+    row = rep.rows[-1]
+    obs, _ = ph.sample_family(spec.family, row.eps, row.seed, UNIT2)
+    u, _ = ph.solve_dirichlet_perforated(ph.rasterize(obs, UNIT2, spec.dx()), spec.reaction,
+                                         spec.source, tol=spec.tol)
+    assert row.l2_error == ph.l2_distance(u, u_hom)
 
 
 def test_sweep_rejects_invalid_spec():
@@ -273,9 +298,8 @@ def test_corrector_hole_free_reproduces_the_field():
     h = 0.2
     r = 0.9 * h ** 1.5
     part = build_partition_of_unity(UNIT2, h, r, dx)
-    mins = local_minimizers_for_partition(mask, part)
     w = ph.GridField(mask, evaluate_on_mask("sin(pi*x)*sin(pi*y)", mask))
-    corr, gap = ph.build_corrector(w.values, part, mins, mask, 1.0, 0.0, "-1")
+    corr, gap = ph.build_corrector(w.values, part, mask, 1.0, 0.0, "-1")
     assert np.abs(corr.values - w.values).max() <= 1e-12
     assert abs(gap) <= 1e-10
 
@@ -286,10 +310,9 @@ def test_corrector_vanishes_on_holes_and_bounds_the_minimizer():
     h = 0.2
     r = 0.9 * h ** 1.5
     part = build_partition_of_unity(UNIT2, h, r, dx)
-    mins = local_minimizers_for_partition(mask, part)
     flat = ph.hole_free_mask(UNIT2, dx)
     w = ph.GridField(flat, evaluate_on_mask("sin(pi*x)*sin(pi*y)", flat))
-    corr, gap = ph.build_corrector(w.values, part, mins, mask, 1.0, 0.0, "-1")
+    corr, gap = ph.build_corrector(w.values, part, mask, 1.0, 0.0, "-1")
     assert np.all(corr.values[mask.flags == HOLE] == 0.0)
     u, _ = ph.solve_dirichlet_perforated(mask, 1.0, "-1", tol=1e-10)
     g_u = ph.energy_gamma(u, 1.0, "-1")
