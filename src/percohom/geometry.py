@@ -353,6 +353,14 @@ def scale_obstacles(obstacles, eps):
                        scale_applied=obstacles.scale_applied * eps)
 
 
+def _check_grid(dim, shape, dx, domain):
+    """The rule of a mask's flags: dim and shape are the grid of spacing dx
+    on the domain."""
+    if dim != domain.dim or shape != domain.grid_shape(dx):
+        raise InvalidArgumentError(f"mask: dim {dim} and shape {shape} are not the "
+                                   f"grid of spacing {dx} on the domain {domain}")
+
+
 @dataclass(frozen=True)
 class PerforatedMask:
     """Cell flags (material / hole / exterior) on a uniform grid over a box.
@@ -370,8 +378,10 @@ class PerforatedMask:
 
     def __post_init__(self):
         f = np.ascontiguousarray(np.asarray(self.flags, dtype=np.uint8))
+        _check_grid(f.ndim, f.shape, self.dx, self.domain)
         f.setflags(write=False)
         object.__setattr__(self, "flags", f)
+        object.__setattr__(self, "epsilon", _positive(self.epsilon, "epsilon"))
 
     @property
     def shape(self):
@@ -701,9 +711,7 @@ def _read_mask(fh):
     shape = _expect(fh, "shape", lambda rest: tuple(int(s) for s in rest.split()))
     dx = _expect(fh, "dx", float)
     domain = _expect(fh, "domain", _box)
-    if dim != domain.dim or shape != domain.grid_shape(dx):
-        raise InvalidArgumentError(f"mask header: dim {dim} and shape {shape} are not the "
-                                   f"grid of spacing {dx} on the domain {domain}")
+    _check_grid(dim, shape, dx, domain)  # before the stream is expanded to `shape`
     epsilon = _expect(fh, "epsilon", float)
     provenance = _expect(fh, "provenance")
     n_warn = _expect(fh, "warnings", int)

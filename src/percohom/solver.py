@@ -50,7 +50,8 @@ in L2, a slab reading its two outer neighbour planes from the slabs beside
 it; a coarse level (an eighth of the cells and less) is one slab.  CG's
 vector passes walk axis 0 in chunks of the same _SLAB_CELLS cells, with one
 chunk of scratch for its products.  A CG iteration makes no temporary of
-the grid's size: CG keeps x, r, p and that chunk, and the apply output and
+the grid's size: CG keeps x, r, p and that chunk, r being the array of the
+right-hand side itself (`minimize` hands it over), and the apply output and
 the V-cycle's result share one array made per solve; beyond a slab buffer,
 only the coarse levels allocate per call.  Every reduction is np.sum over a
 chunk, the chunk sums added in chunk order, never BLAS (np.dot and friends
@@ -260,15 +261,18 @@ class _FaceKernel:
         """The minimizer of the energy over the unknown cells: CG on this
         system with right-hand side `b`, by default `rhs()`, preconditioned
         by one multigrid V-cycle on the kernel's aggregation hierarchy
-        (`_vcycle`).  The apply output and the preconditioned residual, of
-        which CG never holds both at once, share one array made once per
-        solve.  Returns (solution, SolveReport)."""
+        (`_vcycle`).  `b` is consumed: CG builds its residual in it
+        (`cg_solve`'s overwrite_b) and leaves the final residual there.  The
+        apply output and the preconditioned residual, of which CG never holds
+        both at once, share one array made once per solve.  Returns
+        (solution, SolveReport)."""
         raise_diagnostics(_solve_diagnostics(tol=tol, max_iter=max_iter))
         b = self.rhs() if b is None else b
         levels = self._coarse_levels  # built before CG's arrays exist: a lower peak
         out = np.empty(self.unknown.shape)
         return cg_solve(partial(self.apply, out=out), b, tol=tol, max_iter=max_iter,
-                        precondition=partial(_vcycle, [self, *levels], out=out))
+                        precondition=partial(_vcycle, [self, *levels], out=out),
+                        overwrite_b=True)
 
     def energy(self, u, other=None, v=None):
         """Symmetric bilinear energy of u, with this kernel's data, against v,
@@ -446,7 +450,8 @@ def operator_diagonal(mask, reaction):
     return _FaceKernel(mask.flags, mask.dx, reaction).diag
 
 
-def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None):
+def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None,
+             overwrite_b=False):
     """Preconditioned conjugate gradients with a fixed summation order.
 
     The preconditioner is `precondition(r)` if given, else the Jacobi
@@ -460,7 +465,9 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None)
     and p.  Every reduction is np.sum over a chunk (pairwise,
     single-threaded, never BLAS), the chunk sums added in chunk order, so
     the iteration path and result are bit-stable across thread counts.
-    `b` is left untouched.  Returns (solution, SolveReport);
+    `b` is left untouched, unless `overwrite_b` (scipy's keyword) hands it
+    over: then CG builds its residual in `b` itself, with no copy, and on
+    return `b` holds the final residual.  Returns (solution, SolveReport);
     raises SolverFailureError with the residual history on non-convergence.
     The iteration starts from zero, and at most 20 * max(b.shape)
     iterations are made unless `max_iter` says otherwise.
@@ -486,7 +493,7 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None)
         precondition = (lambda r: r) if diag is None else (lambda r: r / diag)
 
     x = np.zeros_like(b)
-    r = b.copy()
+    r = b if overwrite_b else b.copy()
     z = precondition(r)
     p = z.copy()
     rz = dot(r, z)

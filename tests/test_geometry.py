@@ -586,9 +586,13 @@ def test_mask_file_refuses_a_malformed_rle_stream(rle, tmp_path):
     {"dx": "nan"},
     {"dim": "4", "shape": "2 2 2 2"},
     {"shape": "-1 -1", "rle": "m1"},
-], ids=["dim3-on-square", "dx-too-large", "dx-negative", "dx-nan", "dim4", "shape-negative"])
+    {"epsilon": "-1"},
+    {"epsilon": "nan"},
+], ids=["dim3-on-square", "dx-too-large", "dx-negative", "dx-nan", "dim4", "shape-negative",
+        "epsilon-negative", "epsilon-nan"])
 def test_mask_file_refuses_a_header_that_is_not_its_domains_grid(header, tmp_path):
-    # dim, shape and dx must give the grid Box.grid_shape makes on the domain
+    # dim, shape and dx must give the grid Box.grid_shape makes on the domain,
+    # and epsilon must be positive
     path = tmp_path / "m.txt"
     ph.save_mask(ph.hole_free_mask(ph.Box.unit(2), 0.25), path)
     lines = [f"{key} {header[key]}" if key in header else line
@@ -596,6 +600,12 @@ def test_mask_file_refuses_a_header_that_is_not_its_domains_grid(header, tmp_pat
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvalidArgumentError):
         ph.load_mask(path)
+
+
+def test_mask_refuses_flags_that_are_not_its_domains_grid():
+    # such a mask used to construct and save a file that load_mask refuses
+    with pytest.raises(InvalidArgumentError, match="not the grid of spacing 0.5"):
+        PerforatedMask(flags=np.zeros((4, 4), np.uint8), dx=0.5, domain=ph.Box.unit(2))
 
 
 def _segment_segment_dist2(p1, q1, p2, q2):

@@ -429,36 +429,71 @@ def test_cg_accepts_one_reused_result_array():
     assert np.array_equal(x_min, x)
 
 
-def test_warm_minimize_holds_no_more_than_six_grid_arrays():
-    # x, r, p, CG's scratch and the shared apply/preconditioner output, plus
-    # the slab and coarse-level arrays of the V-cycle
-    mask = ph.hole_free_mask(ph.Box.unit(3), 1.0 / 48)
-    kernel = solver._FaceKernel(mask.flags, mask.dx, 1.0)
-    b = np.where(kernel.unknown, 1.0, 0.0)
-    kernel.minimize(b, tol=1e-8)
+def _traced_peak(fn):
+    """The peak of the memory traced while fn() runs."""
     tracemalloc.start()
     try:
-        kernel.minimize(b, tol=1e-8)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * b.nbytes, peak / b.nbytes
 
 
-def test_warm_64_cube_minimize_holds_no_more_than_five_grid_arrays():
-    # x, r, p and the shared apply/preconditioner output: CG's scratch is one
-    # slab, and the V-cycle's slab and coarse-level arrays fill the rest
+def _warm_minimize_peak(cells):
+    """The traced peak of a second `minimize` on a hole-free cube, in grid
+    arrays; the right-hand side it consumes is copied before tracing."""
+    mask = ph.hole_free_mask(ph.Box.unit(3), 1.0 / cells)
+    kernel = solver._FaceKernel(mask.flags, mask.dx, 1.0)
+    b = np.where(kernel.unknown, 1.0, 0.0)
+    kernel.minimize(b.copy(), tol=1e-8)
+    fresh = b.copy()
+    return _traced_peak(partial(kernel.minimize, fresh, tol=1e-8)) / b.nbytes
+
+
+def test_warm_minimize_holds_no_more_than_five_grid_arrays():
+    # x, p, CG's scratch and the shared apply/preconditioner output, r being
+    # the consumed right-hand side, plus the slab and coarse-level arrays of
+    # the V-cycle
+    peak = _warm_minimize_peak(48)
+    assert peak <= 5, peak
+
+
+def test_warm_64_cube_minimize_holds_no_more_than_four_grid_arrays():
+    # x, p and the shared apply/preconditioner output, r being the consumed
+    # right-hand side: CG's scratch is one slab, and the V-cycle's slab and
+    # coarse-level arrays fill the rest
+    peak = _warm_minimize_peak(64)
+    assert peak <= 4, peak
+
+
+def test_cold_64_cube_dirichlet_solve_holds_no_more_than_seven_grid_arrays():
+    # the kernel's diagonal and hierarchy, the source and its right-hand
+    # side, and the solve, which builds its residual in that right-hand side
     mask = ph.hole_free_mask(ph.Box.unit(3), 1.0 / 64)
-    kernel = solver._FaceKernel(mask.flags, mask.dx, 1.0)
-    b = np.where(kernel.unknown, 1.0, 0.0)
-    kernel.minimize(b, tol=1e-8)
-    tracemalloc.start()
-    try:
-        kernel.minimize(b, tol=1e-8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * b.nbytes, peak / b.nbytes
+    peak = _traced_peak(partial(ph.solve_dirichlet_perforated, mask, 1.0, "-1"))
+    assert peak <= 7 * 8 * mask.flags.size, peak / (8 * mask.flags.size)
+
+
+def test_dirichlet_solve_leaves_a_source_array_unchanged():
+    # as_source returns a float64 source array itself; the solve consumes
+    # only the right-hand side it builds from it
+    mask = _random_mask(3, cells=16)
+    f = substream(7, "source").standard_normal(mask.shape)
+    before = f.copy()
+    assert as_source(f, mask) is f
+    ph.solve_dirichlet_perforated(mask, 1.0, f)
+    assert np.array_equal(f, before)
+
+
+def test_cg_overwriting_b_solves_bitwise_as_the_default():
+    kernel, b = _kernel_and_rhs(_absorbing_holes)
+    x, rep = cg_solve(kernel.apply, b, tol=1e-12, precondition=partial(_vcycle, kernel))
+    consumed = b.copy()
+    x_over, rep_over = cg_solve(kernel.apply, consumed, tol=1e-12,
+                                precondition=partial(_vcycle, kernel), overwrite_b=True)
+    assert rep_over.iterations == rep.iterations > 1
+    assert np.array_equal(x_over, x)
+    assert not np.array_equal(consumed, b)
 
 
 def test_cg_over_several_chunks_matches_a_dense_oracle(monkeypatch):
@@ -480,8 +515,9 @@ def test_cg_over_several_chunks_matches_a_dense_oracle(monkeypatch):
     A = np.array(columns).T
     b = np.where(kernel.unknown, substream(5, "chunks").random(shape), 0.0)
     b_before = b.copy()
+    consumed = b.copy()
     for x, rep in (cg_solve(kernel.apply, b, tol=1e-9, diag=kernel.diag),
-                   kernel.minimize(b, tol=1e-9)):
+                   kernel.minimize(consumed, tol=1e-9)):
         assert np.array_equal(b, b_before)
         direct = np.linalg.solve(A, b.ravel()[unknown])
         assert np.abs(x.ravel()[unknown] - direct).max() <= 1e-8 * np.abs(direct).max()
@@ -490,6 +526,9 @@ def test_cg_over_several_chunks_matches_a_dense_oracle(monkeypatch):
         true = np.linalg.norm(b.ravel()[unknown] - A @ x.ravel()[unknown]) / np.linalg.norm(b)
         assert rep.final_rel_residual <= 1e-9
         assert abs(rep.final_rel_residual - true) <= 1e-3 * true, (rep.final_rel_residual, true)
+    # minimize consumes its right-hand side: the array ends as CG's final residual
+    ratio = np.linalg.norm(consumed) / np.linalg.norm(b)
+    assert abs(ratio - rep.final_rel_residual) <= 1e-12 * rep.final_rel_residual
 
 
 def test_cg_identity_one_iteration():
@@ -649,7 +688,7 @@ def test_multigrid_matches_jacobi(case):
     # of the exact solution, relative to its norm
     kernel, b = _kernel_and_rhs(case)
     tol = 1e-10
-    x_mg, mg = kernel.minimize(b, tol=tol)
+    x_mg, mg = kernel.minimize(b.copy(), tol=tol)
     x_jac, jac = cg_solve(kernel.apply, b, tol=tol, diag=kernel.diag)
     assert mg.final_rel_residual <= tol and jac.final_rel_residual <= tol
     assert mg.iterations < jac.iterations
