@@ -24,8 +24,15 @@ and the operator, its Jacobi diagonal and the right-hand side are exactly
 its Euler-Lagrange system, so every computed solution is the minimizer of E
 over the unknown cells, up to the CG tolerance.  `_FaceKernel` holds this
 form; every apply, diagonal, right-hand side and energy goes through it, and
-`_FaceKernel.minimize` is the one solve path: every Dirichlet solve here and
+`_FaceKernel.minimize` is the one CG path: every Dirichlet solve here and
 every capacity and conduction problem in `capacity` calls it.
+
+The one problem with a closed form is the homogenized one: a mask with no
+hole, whose operator is the sum over the axes of one tridiagonal term
+diagonal in the DST-II basis (`_hole_free_eigenvalues`).  `_solve_hole_free`
+solves it exactly, up to rounding, with one forward DST-II along each axis,
+a division by the eigenvalues and the inverse transforms (Makhoul 1980: a
+real FFT of length n per line); a sweep takes its comparison field from it.
 
 `minimize` runs conjugate gradients preconditioned by one multigrid V-cycle
 (aggregation multigrid: Vanek, Mandel & Brezina 1996; Notay 2010).  The
@@ -590,11 +597,107 @@ def h1_norm(u):
 def friedrichs_constant(domain, dx):
     """C such that ||u||_L2 <= C ||grad u||_L2 for fields vanishing on the
     boundary: 1/sqrt of the smallest eigenvalue of the operator on the
-    hole-free grid, sum_d 4/dx^2 sin^2(pi/(2 n_d)) for n_d cells along axis d
-    (the eigenvector is a product of sines vanishing at the boundary faces)."""
-    lam = sum(4.0 / dx ** 2 * math.sin(math.pi / (2 * n)) ** 2
-              for n in domain.grid_shape(dx))
+    hole-free grid, the sum over the axes of each axis's smallest
+    (_hole_free_eigenvalues)."""
+    lam = sum(float(_hole_free_eigenvalues(n, dx)[0]) for n in domain.grid_shape(dx))
     return 1.0 / math.sqrt(lam)
+
+
+def _hole_free_eigenvalues(n, dx):
+    """The eigenvalues 4/dx^2 sin^2(pi k/(2n)), k = 1..n, of the operator
+    along one axis of n cells with no hole: weight 1 between two cells, 2
+    against the boundary.  Its eigenvector k is sin(pi k (i + 1/2)/n) over
+    the cells i, row k - 1 of the DST-II, and vanishes at the boundary
+    faces; on the grid the operator is the sum of one such term per axis."""
+    return 4.0 / dx ** 2 * np.sin(np.pi * np.arange(1, n + 1) / (2 * n)) ** 2
+
+
+def _dst_twiddles(n, inverse=False):
+    """The factors 2 exp(-i pi j/(2n)), j = 0..n//2, that turn the real FFT
+    of Makhoul's reordering into the DST-II; 0.5 exp(+i pi j/(2n)) undo them."""
+    j = np.arange(n // 2 + 1)
+    return 0.5 * np.exp(1j * np.pi * j / (2 * n)) if inverse else \
+        2.0 * np.exp(-1j * np.pi * j / (2 * n))
+
+
+def _along(axis, index):
+    return (slice(None),) * axis + (index,)
+
+
+def _dst2(x, axis, twiddles):
+    """x := its DST-II along `axis`, y_k = 2 sum_i x_i sin(pi (k+1)(2i+1)/(2n))
+    (scipy's unnormalized type 2), in place, by one real FFT of length n
+    (Makhoul 1980): v = the even entries, then minus the odd ones reversed;
+    then W = twiddles * rfft(v) gives y_(n-1-j) = Re W_j, y_(j-1) = -Im W_j."""
+    n, half = x.shape[axis], (x.shape[axis] + 1) // 2
+    v = np.empty(x.shape)
+    v[_along(axis, slice(None, half))] = x[_along(axis, slice(None, None, 2))]
+    np.negative(x[_along(axis, slice(1, None, 2))][_along(axis, slice(None, None, -1))],
+                out=v[_along(axis, slice(half, None))])
+    w = np.fft.rfft(v, axis=axis)
+    del v
+    w *= twiddles.reshape((-1,) + (1,) * (x.ndim - axis - 1))
+    x[_along(axis, slice(None, None, -1))][_along(axis, slice(None, n // 2 + 1))] = w.real
+    np.negative(w.imag[_along(axis, slice(1, half))], out=x[_along(axis, slice(None, half - 1))])
+
+
+def _idst2(y, axis, twiddles):
+    """The inverse of _dst2 (with its inverse twiddles), in place: W from the
+    coefficients as _dst2 laid them out, v = irfft(W / forward twiddles),
+    and the even and odd entries back from v."""
+    n, half = y.shape[axis], (y.shape[axis] + 1) // 2
+    w = np.empty(y.shape[:axis] + (n // 2 + 1,) + y.shape[axis + 1:], complex)
+    w.real = y[_along(axis, slice(None, None, -1))][_along(axis, slice(None, n // 2 + 1))]
+    w.imag[_along(axis, 0)] = 0.0
+    np.negative(y[_along(axis, slice(None, n // 2))], out=w.imag[_along(axis, slice(1, None))])
+    w *= twiddles.reshape((-1,) + (1,) * (y.ndim - axis - 1))
+    v = np.fft.irfft(w, n, axis=axis)
+    del w
+    y[_along(axis, slice(None, None, 2))] = v[_along(axis, slice(None, half))]
+    np.negative(v[_along(axis, slice(half, None))][_along(axis, slice(None, None, -1))],
+                out=y[_along(axis, slice(1, None, 2))])
+
+
+def _solve_hole_free(mask, reaction, f):
+    """The solution values of lap(u) - reaction*u = f on a mask whose every
+    cell is material, u = 0 on the boundary: the system solve_dirichlet_perforated
+    hands to CG, solved in closed form.  The operator is diagonal in the
+    DST-II basis along every axis (_hole_free_eigenvalues), so u is -f
+    transformed along each axis, divided by the sum of the axes' eigenvalues
+    plus the reaction, and transformed back: exact up to rounding, with no
+    tolerance.  The transforms run in place in one array, the source's when
+    it is not the caller's own: along axes 1.. on slabs of planes of axis 0,
+    along axis 0 on blocks of axis 1, each of at most _SLAB_CELLS cells (at
+    least one plane or column), so every temporary is of a block's size."""
+    raise_diagnostics(_solve_diagnostics(reaction=reaction))
+    if mask.material_count != mask.flags.size:
+        raise InvalidArgumentError("the closed-form solve needs a mask of material cells only")
+    source = as_source(f, mask)
+    u = source.copy() if source is f else source
+    shape, dx = u.shape, mask.dx
+    forward = [_dst_twiddles(n) for n in shape]
+    inverse = [_dst_twiddles(n, inverse=True) for n in shape]
+    planes = max(1, _SLAB_CELLS // math.prod(shape[1:]))
+    slabs = [slice(start, start + planes) for start in range(0, shape[0], planes)]
+    columns = max(1, _SLAB_CELLS // (shape[0] * math.prod(shape[2:])))
+    blocks = [slice(start, start + columns) for start in range(0, shape[1], columns)]
+    # minus the eigenvalues: of axis 0, and of the other axes plus the reaction
+    low = -_hole_free_eigenvalues(shape[0], dx).reshape((-1,) + (1,) * (u.ndim - 1))
+    rest = -reaction
+    for axis, n in enumerate(shape[1:], 1):
+        rest = rest - _hole_free_eigenvalues(n, dx).reshape((-1,) + (1,) * (u.ndim - 1 - axis))
+    for slab in slabs:
+        for axis in range(1, u.ndim):
+            _dst2(u[slab], axis, forward[axis])
+    for block in blocks:
+        x = u[:, block]
+        _dst2(x, 0, forward[0])
+        x /= low + rest[block]
+        _idst2(x, 0, inverse[0])
+    for slab in slabs:
+        for axis in range(1, u.ndim):
+            _idst2(u[slab], axis, inverse[axis])
+    return u
 
 
 FIELD_FORMAT_VERSION = 1

@@ -512,3 +512,18 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         assert "concurrent.futures.process" not in sys.modules
         assert "multiprocessing" not in sys.modules
     """))
+
+
+def test_cli_import_and_a_geometry_run_leave_the_fft_unloaded(tmp_path):
+    # numpy.fft maps about 1 MB of RSS on first use; only a sweep's
+    # homogenized field needs it.  numpy 1.x imports it with numpy itself.
+    _run_python(textwrap.dedent(f"""
+        import sys
+        import numpy
+        preloaded = "numpy.fft" in sys.modules
+        from percohom.cli import main
+        assert preloaded or "numpy.fft" not in sys.modules
+        assert main(["geometry", "--preset", "rcm-2d-demo", "--set", "grid_cells=32",
+                     "--out", {str(tmp_path)!r}]) == 0
+        assert preloaded or "numpy.fft" not in sys.modules
+    """))

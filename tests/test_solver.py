@@ -531,6 +531,84 @@ def test_cg_over_several_chunks_matches_a_dense_oracle(monkeypatch):
     assert abs(ratio - rep.final_rel_residual) <= 1e-12 * rep.final_rel_residual
 
 
+_CLOSED_FORM_GRIDS = [(UNIT2, 1 / 9), (UNIT2, 1 / 16), (ph.Box.unit(3), 1 / 9),
+                      (ph.Box.unit(3), 1 / 12)] + [
+    (ph.Box((0.0, -1.0, 0.5)[:dim], (1.0, 0.5, 2.0)[:dim]), 1 / 8) for dim in (2, 3)]
+
+
+@pytest.mark.parametrize("reaction", [0.0, 476.5])
+@pytest.mark.parametrize("box, dx", _CLOSED_FORM_GRIDS)
+def test_hole_free_closed_form_matches_multigrid_cg(box, dx, reaction):
+    # odd, even and non-cubic grids, with and without a reaction: the DST
+    # solve is the CG solve of the same system, to CG's tolerance
+    mask = ph.hole_free_mask(box, dx)
+    f = substream(11, "closed-form", mask.flags.size).standard_normal(mask.shape)
+    u = solver._solve_hole_free(mask, reaction, f)
+    x, rep = solver._FaceKernel(mask.flags, dx, reaction).minimize(-f, tol=1e-12)
+    assert rep.iterations > 1
+    assert np.max(np.abs(u - x)) <= 1e-10 * np.max(np.abs(x))
+    residual = solver.make_operator(mask, reaction)(u) + f
+    assert np.sqrt(np.sum(residual ** 2)) <= 1e-13 * np.sqrt(np.sum(f * f))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (5, 6), (9, 4, 7), (1, 3, 2)])
+def test_dst_matches_scipy_and_inverts(shape):
+    from scipy.fft import dstn
+    x = substream(12, "dst", len(shape)).standard_normal(shape)
+    y = x.copy()
+    for axis, n in enumerate(shape):
+        solver._dst2(y, axis, solver._dst_twiddles(n))
+    reference = dstn(x, type=2)
+    assert np.max(np.abs(y - reference)) <= 1e-12 * np.max(np.abs(reference))
+    for axis, n in enumerate(shape):
+        solver._idst2(y, axis, solver._dst_twiddles(n, inverse=True))
+    assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_closed_form_over_several_slabs_and_blocks(monkeypatch):
+    # 36 cells per block on a 7 x 4 x 3 grid: slabs of 3, 3 and 1 planes and
+    # blocks of 1 column of axis 1 (7 x 3 cells), against a dense solve
+    monkeypatch.setattr(solver, "_SLAB_CELLS", 36)
+    mask = ph.hole_free_mask(ph.Box((0.0,) * 3, (1.75, 1.0, 0.75)), 0.25)
+    assert mask.shape == (7, 4, 3)
+    f = substream(13, "closed-form-chunks").standard_normal(mask.shape)
+    apply = solver.make_operator(mask, 1.5)
+    columns = [apply(e.reshape(mask.shape)).ravel() for e in np.eye(f.size)]
+    dense = np.linalg.solve(np.array(columns).T, -f.ravel()).reshape(mask.shape)
+    u = solver._solve_hole_free(mask, 1.5, f)
+    assert np.max(np.abs(u - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_closed_form_holds_no_more_than_two_grid_arrays():
+    # the solution, made in the evaluated source itself or in one copy of a
+    # source array, and blocks of at most _SLAB_CELLS cells beside it
+    mask = ph.hole_free_mask(ph.Box.unit(3), 1.0 / 64)
+    f = np.full(mask.shape, -1.0)
+    for source in ("-1", f):
+        peak = _traced_peak(partial(solver._solve_hole_free, mask, 1.0, source))
+        assert peak <= 2 * f.nbytes, peak / f.nbytes
+
+
+def test_closed_form_refuses_holes_and_leaves_its_source_unchanged():
+    mask = _random_mask(3, cells=16)
+    assert mask.hole_count > 0
+    with pytest.raises(InvalidArgumentError, match="material cells only"):
+        solver._solve_hole_free(mask, 1.0, "-1")
+    for role in (EXTERIOR, solver._INSULATING):
+        flags = np.zeros((8, 8), np.uint8)
+        flags[3, 4] = role
+        roles = ph.PerforatedMask(flags=flags, dx=1 / 8, domain=UNIT2)
+        with pytest.raises(InvalidArgumentError, match="material cells only"):
+            solver._solve_hole_free(roles, 1.0, "-1")
+    flat = ph.hole_free_mask(UNIT2, 1.0 / 16)
+    with pytest.raises(InvalidArgumentError, match="reaction"):
+        solver._solve_hole_free(flat, -1.0, "-1")
+    f = substream(14, "closed-form-source").standard_normal(flat.shape)
+    before = f.copy()
+    solver._solve_hole_free(flat, 1.0, f)
+    assert np.array_equal(f, before)
+
+
 def test_cg_identity_one_iteration():
     b = np.arange(1.0, 10.0)
     x, rep = cg_solve(lambda v: v, b, tol=1e-12, max_iter=10)
