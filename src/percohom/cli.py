@@ -226,7 +226,9 @@ class FamilySolveSpec(_FamilyRun, _Solve):
 class NewtonLadderSpec:
     """capacity, mode newton-ladder: the Newton capacity of a ball of
     `radius` at the origin in the grounded cube [-outer_radius,
-    outer_radius]^3, at each grid spacing of `dx_list`."""
+    outer_radius]^3 at each dx of `dx_list`, against the shell value
+    S = 4 pi / (1/radius - 1/outer_radius): an upper bound, not the exact
+    value, since the cube holds the shell's grounded ball."""
 
     mode: str
     radius: float
@@ -258,17 +260,18 @@ class NewtonLadderSpec:
 
     def run(self, outdir, threads):
         ball = self.ball()
+        shell = 4 * math.pi / (1 / self.radius - 1 / self.outer_radius)
         caps = []
         rows = []
         for dx in self.dx_list:
             cap, rep = newton_capacity(ball, self.outer_radius, dx, tol=self.tol)
             caps.append(cap)
             change = abs(caps[-1] - caps[-2]) if len(caps) > 1 else float("nan")
-            rows.append((dx, cap, rep.iterations, change))
-        extrapolated = (2 * caps[-1] - caps[-2]) if len(caps) > 1 else caps[-1]
-        return _capacity_outputs(outdir, ["dx", "value", "iterations", "abs_change"], rows, {
+            rows.append((dx, cap, rep.iterations, change, (cap - shell) / shell))
+        columns = ["dx", "value", "iterations", "abs_change", "rel_to_shell"]
+        return _capacity_outputs(outdir, columns, rows, {
             "values": caps,
-            "extrapolated": extrapolated,
+            "shell_reference": shell,
             "radius": self.radius,
             "outer_radius": self.outer_radius,
         })

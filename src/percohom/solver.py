@@ -739,6 +739,8 @@ def load_field(path):
                 vals.extend(float(t) for t in line.split())
             except ValueError as exc:
                 raise InvalidArgumentError(f"malformed line in {path}: {line!r}") from exc
+        if len(vals) > count or fh.readline():
+            raise InvalidArgumentError(f"field file goes on past its {count} values")
     full = np.zeros(mask.shape)
-    full[mask.material] = np.asarray(vals[:count])
+    full[mask.material] = np.asarray(vals)
     return GridField(mask, full)

@@ -209,10 +209,12 @@ def _sweep_job(args):
 
 
 def _map(fn, args, threads):
-    """fn over args in order, in a pool of `threads` processes when > 1."""
-    if threads > 1:
+    """fn over args in order, in a pool of `threads` processes but never more
+    than there are args (fork starts them all at once), when that is > 1."""
+    workers = min(threads, len(args))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a single process never loads it
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args))
     return [fn(a) for a in args]
 

@@ -313,16 +313,31 @@ def test_solver_failure_exit_code(tmp_path):
     assert code == 3
 
 
-def test_capacity_ball_oracle_extrapolation(tmp_path):
+@pytest.mark.parametrize("radius, dx_list", [
+    (0.1, "[0.08333333333333333,0.041666666666666664]"),
+    (0.2, "[0.16666666666666666,0.08333333333333333]"),  # S = 4 pi / (5 - 1) = pi
+], ids=["radius-0.1", "radius-0.2"])
+def test_capacity_ball_oracle_reports_the_shell_bound(tmp_path, radius, dx_list):
+    # the cube [-1, 1]^3 holds the shell's grounded ball, so the shell value S
+    # bounds the capacity from above: each rung reports its distance to S
     import math
     out = str(tmp_path / "runs")
     code = run_cli("capacity", "--preset", "ball-oracle", "--out", out,
-                   "--set", "dx_list=[0.08333333333333333,0.041666666666666664]")
+                   "--set", f"radius={radius}", "--set", f"dx_list={dx_list}")
     assert code == 0
     d = only_dir(out, "capacity")
     summary = json.load(open(os.path.join(d, "summary.json")))
-    exact = 4 * math.pi / (1 / 0.1 - 1 / 1.0)
-    assert abs(summary["extrapolated"] - exact) / exact < 0.10
+    shell = summary["shell_reference"]
+    assert shell == 4 * math.pi / (1 / radius - 1 / 1.0)
+    assert "extrapolated" not in summary
+    with open(os.path.join(d, "capacity.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["dx", "value", "iterations", "abs_change", "rel_to_shell"]
+    values = [float(row["value"]) for row in rows]
+    assert values == summary["values"]
+    for row, value in zip(rows, values):
+        assert abs(float(row["rel_to_shell"]) - (value - shell) / shell) <= 1e-15
+    assert values[0] < values[1] < shell
 
 
 def test_capacity_strange_term_csv_columns(tmp_path):

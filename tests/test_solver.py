@@ -872,6 +872,13 @@ def test_truncated_or_miscounted_field_file_is_refused(tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(InvalidArgumentError, match="material cells"):
         ph.load_field(path)
+    # a values line with more numbers than the count leaves, and a line after
+    # the values, are refused rather than cut off
+    lines[values_line] = f"values {mask.material_count}\n"
+    for tail in (lines[-1].rstrip("\n") + " 0.5 0.5\n", lines[-1] + "values 3\n1 2 3\n"):
+        path.write_text("".join(lines[:-1] + [tail]))
+        with pytest.raises(InvalidArgumentError, match="goes on past"):
+            ph.load_field(path)
     # a header without its number, a values line without its count, and a
     # value that is not a number, each refused naming its line
     ph.save_field(u, path)

@@ -128,6 +128,34 @@ def test_sweep_is_deterministic_and_thread_invariant():
     assert a.summary["l2_error_by_eps"] == c.summary["l2_error_by_eps"]
 
 
+def test_pool_is_never_larger_than_the_jobs(monkeypatch):
+    # a fork pool starts all its workers at its first submit; a recorder
+    # stands in for the pool, so no process is started
+    import concurrent.futures
+    from percohom.sweep import _map
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    assert _map(abs, [-3, 2, -1], 64) == [3, 2, 1]
+    assert _map(abs, [-3], 64) == [3]  # one job runs in-process
+    assert sizes == [3]
+    rep = ph.run_sweep(_rcm_spec(grid_cells=32), threads=8)
+    assert len(rep.rows) == 3 and sizes == [3, 3]
+
+
 def test_sweep_2d_runs_the_capacity_table():
     # a 2D sweep measures c with the same table as a 3D one, on its own
     # realizations, and compares each row with the hole-free problem at
