@@ -697,6 +697,15 @@ def _expect(fh, name, convert=str):
         raise InvalidArgumentError(f"malformed line in {fh.name}: {line!r} ({exc})") from exc
 
 
+def _format_version(text):
+    """The version of a file's first line, `format_version <int>`; any other
+    key in its place is refused."""
+    key, _, version = text.partition(" ")
+    if key != "format_version":
+        raise ValueError("expected 'format_version <int>'")
+    return int(version)
+
+
 def _box(text):
     """The Box of a mask file's `domain` value, lo,lo..hi,hi."""
     lo, hi = text.split("..")
@@ -704,7 +713,7 @@ def _box(text):
 
 
 def _read_mask(fh):
-    version = _expect(fh, "percohom-mask", lambda rest: int(rest.split()[-1]))
+    version = _expect(fh, "percohom-mask", _format_version)
     if version != MASK_FORMAT_VERSION:
         raise InvalidArgumentError(f"unsupported mask format version {version}")
     dim = _expect(fh, "dim", int)

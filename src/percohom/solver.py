@@ -50,22 +50,28 @@ grows slowly with the grid (21/30/44 on 32^2/64^2/128^2, against Jacobi's
 
 Cost model.  On a 64^3 grid one float64 array is 2 MiB, as large as a
 core's L2 cache, so a pass over whole arrays runs from L3.  The passes that
-touch neighbours (the apply, and each level's two residuals in the
-V-cycle) therefore walk axis 0 in slabs: of _SLAB_CELLS cells on the fine
-level, whose multiply, six neighbour shifts, masking and Jacobi update run
-in L2, a slab reading its two outer neighbour planes from the slabs beside
-it; a coarse level (an eighth of the cells and less) is one slab.  CG's
-vector passes walk axis 0 in chunks of the same _SLAB_CELLS cells, with one
-chunk of scratch for its products.  A CG iteration makes no temporary of
-the grid's size: CG keeps x, r, p and that chunk, r being the array of the
-right-hand side itself (`minimize` hands it over), and the apply output and
-the V-cycle's result share one array made per solve; beyond a slab buffer,
-only the coarse levels allocate per call.  Every reduction is np.sum over a
-chunk, the chunk sums added in chunk order, never BLAS (np.dot and friends
-sum in a thread-dependent order), so a sum depends on the grid and not on
-the thread count.  In the apply and the V-cycle each cell sees the same
-floating-point operations in the same order as on whole arrays, so their
-slabs change no bit of any result.
+touch neighbours (the apply, and each level's two passes in the V-cycle)
+therefore walk axis 0 in slabs: of _SLAB_CELLS cells on the fine level,
+whose diagonal, multiply, six neighbour shifts, masking and Jacobi update
+run in L2, a slab reading its two outer neighbour planes from the slabs
+beside it; a coarse level (an eighth of the cells and less) is one slab.
+The fine level's Jacobi diagonal is never stored: each slab builds it,
+times dx^2, from the kernel's one-byte face counts, as count +
+reaction*dx^2, and the apply's 1/dx^2 and the sweep's weight take that
+factor back, so building it adds no pass over the slab.  CG's vector passes
+walk axis 0 in chunks of the same _SLAB_CELLS cells, with one chunk of
+scratch for its products.  A solve holds x, r and p, the one array that the
+apply output and the V-cycle's result share, the uint8 face counts, roles
+and unknown flags (an eighth of a float array each) and the multigrid
+hierarchy (0.57 float arrays at 64^3): r is the array of the right-hand
+side itself (`minimize` hands it over), and a CG iteration makes no
+temporary of the grid's size; beyond slab buffers, only the coarse levels
+allocate per call.  Every reduction is np.sum over a chunk, the chunk sums
+added in chunk order, never BLAS (np.dot and friends sum in a
+thread-dependent order), so a sum depends on the grid and not on the thread
+count.  In the apply and the V-cycle each cell sees the same floating-point
+operations in the same order as on whole arrays, so their slabs change no
+bit of any result.
 
 The sign convention is  lap(u) - reaction*u = f  with reaction >= 0; the
 assembled SPD system is  (-lap_h + reaction) u = -f, and the Dirichlet
@@ -128,11 +134,12 @@ _FACE_WEIGHT = np.array([[1, 1, 2, 0],    # MATERIAL
 
 def _neighbour_sum(v, weights):
     """Sum over the faces of every cell of w * (the value across the face),
-    w = weights[axis] along each axis, nothing past the array edge."""
+    w the weights of each axis in turn (a list, or a generator that makes
+    them one axis at a time), nothing past the array edge."""
     out = np.zeros_like(v)
-    for axis, (lo, hi) in enumerate(_faces(v.ndim)):
-        out[lo] += weights[axis] * v[hi]
-        out[hi] += weights[axis] * v[lo]
+    for w, (lo, hi) in zip(weights, _faces(v.ndim)):
+        out[lo] += w * v[hi]
+        out[hi] += w * v[lo]
     return out
 
 
@@ -193,9 +200,11 @@ class _FaceKernel:
     EXTERIOR cell per side, so its edge is boundary too.  `data`, on the
     padded grid or None for zeros, holds the fixed values and the boundary
     data.  `reaction` (a reaction or a penalty) pulls the unknowns toward
-    `target`, or toward 0 when it is None.  The face weights are derived
-    from the roles once, on first use; `apply` uses only `diag` and
-    `unknown`.
+    `target`, or toward 0 when it is None.  Beside `data`, the kernel keeps
+    no float array of the grid's size: of its Jacobi diagonal it keeps the
+    one-byte `counts`, from which every pass that needs the diagonal builds
+    it for its own slab (`diagonal`), and the face weights are made from the
+    roles one axis at a time, wherever a pass needs them.
     """
 
     def __init__(self, roles, dx, reaction=0.0, data=None, target=None):
@@ -205,19 +214,32 @@ class _FaceKernel:
         self.unknown = roles == MATERIAL
         self.dx, self.reaction, self.target = dx, reaction, target
         self.data = None if data is None else np.where(self.roles == MATERIAL, 0.0, data)
+        self.scale = dx ** 2  # `diagonal` gives the Jacobi diagonal times this
+
+    def _weights(self):
+        """Per axis, the weight of every face between two padded cells, made
+        when the caller reaches that axis."""
+        for lo, hi in _faces(self.roles.ndim):
+            yield np.take(_FACE_WEIGHT, 4 * self.roles[lo] + self.roles[hi])
 
     @cached_property
-    def weights(self):
-        """Per axis, the weight of every face between two padded cells."""
-        return [np.take(_FACE_WEIGHT, 4 * self.roles[lo] + self.roles[hi])
-                for lo, hi in _faces(self.roles.ndim)]
+    def counts(self):
+        """The face weights of each unknown cell summed (uint8, 0 to 4 per
+        axis); 1 off the unknown cells, where the V-cycle divides a zero
+        residual by the diagonal."""
+        faces = _neighbour_sum(np.ones(self.roles.shape, np.uint8), self._weights())
+        return np.where(self.unknown, faces[self.inner], 1)
 
-    @cached_property
+    def diagonal(self, out, slab):
+        """The Jacobi diagonal times dx^2 on the planes `slab`, into `out`:
+        count + reaction*dx^2."""
+        return np.add(self.counts[slab], self.reaction * self.scale, out=out)
+
+    @property
     def diag(self):
         """Jacobi diagonal: the face weights of each unknown cell / dx^2 plus
-        the reaction; 1 off the unknown cells."""
-        faces = _neighbour_sum(np.ones(self.roles.shape, np.uint8), self.weights)[self.inner]
-        return np.where(self.unknown, faces / self.dx ** 2 + self.reaction, 1.0)
+        the reaction; 1 off the unknown cells.  Made on each call."""
+        return np.where(self.unknown, self.counts / self.dx ** 2 + self.reaction, 1.0)
 
     @cached_property
     def _slabs(self):
@@ -229,11 +251,14 @@ class _FaceKernel:
         planes = max(2, _SLAB_CELLS // plane // 2 * 2)
         return [slice(start, min(start + planes, n)) for start in range(0, n, planes)]
 
-    def _apply_slab(self, out, u, slab, below=None):
+    def _apply_slab(self, out, u, slab, below=None, diag=None):
         """The apply of u on the planes `slab`, into `out`, in place as
-        (diag*u*dx^2 - neighbours)/dx^2; `below` as in _subtract_neighbours."""
-        np.multiply(self.diag[slab], u[slab], out=out)
-        out *= self.dx ** 2
+        ((count + reaction*dx^2)*u - neighbours)/dx^2; `diag`, that slab's
+        `diagonal`, is built in `out` unless given; `below` as in
+        _subtract_neighbours."""
+        if diag is None:
+            diag = self.diagonal(out, slab)
+        np.multiply(diag, u[slab], out=out)
         _subtract_neighbours(out, u, slab.start, below)
         out *= 1.0 / self.dx ** 2
         out *= self.unknown[slab]
@@ -252,16 +277,16 @@ class _FaceKernel:
             self._apply_slab(out[slab], u, slab)
         return out
 
-    def residual(self, out, r, x, slab, below=None):
-        """r - apply(x) on the planes `slab`, into `out`; `below` as in
-        _subtract_neighbours."""
-        return np.subtract(r[slab], self._apply_slab(out, x, slab, below), out=out)
+    def residual(self, out, r, x, slab, below=None, diag=None):
+        """r - apply(x) on the planes `slab`, into `out`; `diag` as in
+        _apply_slab, `below` as in _subtract_neighbours."""
+        return np.subtract(r[slab], self._apply_slab(out, x, slab, below, diag), out=out)
 
     def rhs(self):
         """The data and target terms of the right-hand side."""
         b = self.reaction * self.target if self.target is not None else 0.0
         if self.data is not None:
-            b = b + _neighbour_sum(self.data, self.weights)[self.inner] / self.dx ** 2
+            b = b + _neighbour_sum(self.data, self._weights())[self.inner] / self.dx ** 2
         return np.where(self.unknown, b, 0.0)
 
     def minimize(self, b=None, *, tol, max_iter=None):
@@ -285,27 +310,32 @@ class _FaceKernel:
         """Symmetric bilinear energy of u, with this kernel's data, against v,
         with the data of `other` (same roles and reaction); energy(u) is the
         form the solve minimizes: sum_faces w da db dx^(n-2) plus the
-        reaction term."""
+        reaction term.  Beside the padded field, energy(u) makes one array
+        of the grid's size at a time, the jumps of one axis."""
         a = self._values(u)
         if other is None:
             other, v, b = self, u, a
         else:
             b = other._values(v)
         energy = 0
-        for w, (lo, hi) in zip(self.weights, _faces(a.ndim)):
-            da = a[hi] - a[lo]
-            energy += np.sum(w * da * (da if b is a else b[hi] - b[lo]))
+        for w, (lo, hi) in zip(self._weights(), _faces(a.ndim)):
+            jumps = np.subtract(a[hi], a[lo])
+            jumps *= jumps if b is a else b[hi] - b[lo]
+            jumps *= w  # by 0, 1 or 2: rounded as w * da * db is
+            energy += np.sum(jumps)
         energy *= self.dx ** (u.ndim - 2)
         if self.reaction:
             ra = u if self.target is None else u - self.target
             rb = v if other.target is None else v - other.target
-            energy += self.reaction * np.sum(np.where(self.unknown, ra * rb, 0.0)) \
-                * self.dx ** u.ndim
+            products = np.zeros(u.shape)
+            np.multiply(ra, rb, out=products, where=self.unknown)
+            energy += self.reaction * np.sum(products) * self.dx ** u.ndim
         return float(energy)
 
     def _values(self, u):
         """The padded field: u on the unknown cells, the data elsewhere."""
-        values = np.pad(np.where(self.unknown, u, 0.0), 1)
+        values = np.zeros(self.roles.shape)
+        np.copyto(values[self.inner], u, where=self.unknown)
         if self.data is not None:
             values += self.data
         return values
@@ -320,8 +350,9 @@ class _FaceKernel:
         # unknown-unknown faces as 0/1 counts, summed into coarse faces
         # before they are scaled, so no float weight array of this size is made
         weights = [(u[lo] & u[hi]).view(np.uint8) for lo, hi in _faces(u.ndim)]
-        unknown_faces = _neighbour_sum(np.ones(u.shape, np.uint8), weights)
-        sink = np.where(u, self.diag - unknown_faces / self.dx ** 2, 0.0)
+        sink = (self.counts - _neighbour_sum(np.ones(u.shape, np.uint8), weights)) / self.dx ** 2
+        sink += self.reaction
+        sink *= u
         levels = []
         while sink.size > 1:
             weights, sink = _coarsen(weights, sink)
@@ -378,8 +409,16 @@ class _Level:
         self.diag = np.where(self.unknown, diag, 1.0)
         self._slabs = [slice(0, len(sink))]
 
-    def residual(self, out, r, x, slab, below=None):
-        """r - A x on the whole level (its one slab), into `out`."""
+    scale = 1.0  # `diagonal` gives the Jacobi diagonal itself
+
+    def diagonal(self, out, slab):
+        """The stored diagonal on the planes `slab`; `out` is not used."""
+        return self.diag[slab]
+
+    def residual(self, out, r, x, slab, below=None, diag=None):
+        """r - A x on the whole level (its one slab), into `out`; the other
+        arguments are those of the kernel's residual, moot on one slab with
+        a stored diagonal."""
         np.multiply(self.diag, x, out=out)
         for w, (lo, hi) in zip(self.weights, _faces(x.ndim)):
             out[lo] -= w * x[hi]
@@ -415,35 +454,46 @@ def _vcycle(levels, r, k=0, out=None):
     a damped-Jacobi sweep, the coarse correction of the aggregated
     residual, and the same sweep again; exact on the single-cell coarsest
     level.  Symmetric, with the same sweep on both sides, and positive
-    definite (_JACOBI_WEIGHT).  Restricts and smooths every level: each
-    pass walks the level's slabs through a slab buffer of its own, so none
-    is held through the coarse correction, and the in-place sweep hands
-    each slab the plane below as it was before the sweep moved it."""
+    definite (_JACOBI_WEIGHT).  Each level walks its slabs twice, through
+    slab buffers of its own, so none is held through the coarse correction:
+    sweep, residual and restriction, then residual and sweep.  A slab's
+    sweep and residual share its `diagonal`, which the fine level builds
+    per slab, times dx^2 (the sweep's weight takes that back).  The first
+    walk sweeps each slab and the plane above it, which its residual reads;
+    the second sweeps in place and hands each slab the plane below as it
+    was before the sweep moved it."""
     level = levels[k]
-    x = np.divide(r, level.diag, out=out)
     if k == len(levels) - 1:
-        return x
-    x *= _JACOBI_WEIGHT
-    axes = _coarse_axes(r.shape)
+        return np.divide(r, level.diag, out=out)
+    x = np.empty(r.shape) if out is None else out
+    weight = _JACOBI_WEIGHT * level.scale
+    n, axes = len(r), _coarse_axes(r.shape)
     slab_shape = (level._slabs[0].stop,) + r.shape[1:]
-    buffer = np.empty(slab_shape)
-    coarse = np.empty([(n + 1) // 2 if axis in axes else n for axis, n in enumerate(r.shape)])
+    buffer = np.empty((min(slab_shape[0] + 1, n),) + r.shape[1:])
+    coarse = np.empty([(m + 1) // 2 if axis in axes else m for axis, m in enumerate(r.shape)])
     for slab in level._slabs:
-        res = level.residual(buffer[:slab.stop - slab.start], r, x, slab)
+        swept, size = slice(slab.start, min(slab.stop + 1, n)), slab.stop - slab.start
+        diag = level.diagonal(buffer[:swept.stop - swept.start], swept)
+        np.divide(r[swept], diag, out=x[swept])
+        x[swept] *= weight
+        res = level.residual(buffer[:size], r, x, slab, diag=diag[:size])
         coarse[slab.start // 2:(slab.stop + 1) // 2] = _pair_sum(res, axes)
-    del buffer, res  # a coarse level's buffer is the whole level
+    del buffer, diag, res  # a coarse level's buffer is the whole level
     e = _vcycle(levels, coarse, k + 1)
     del coarse
     _prolong_add(x, e, axes)
     del e
     x *= level.unknown  # x was 0 off the unknowns
     buffer = np.empty(slab_shape)
+    diags = np.empty(slab_shape) if k == 0 else buffer  # a coarse level's is stored
     below = None
     for slab in level._slabs:
-        res = level.residual(buffer[:slab.stop - slab.start], r, x, slab, below)
+        size = slab.stop - slab.start
+        diag = level.diagonal(diags[:size], slab)
+        res = level.residual(buffer[:size], r, x, slab, below, diag)
         below = x[slab.stop - 1].copy()
-        res /= level.diag[slab]
-        res *= _JACOBI_WEIGHT
+        res /= diag
+        res *= weight
         x[slab] += res
     return x
 
@@ -557,8 +607,13 @@ def solve_dirichlet_perforated(mask, reaction, f, tol=1e-8, max_iter=None):
     if mask.material_count == 0:
         raise InvalidArgumentError("mask has no material cells")
     kernel = _FaceKernel(mask.flags, mask.dx, reaction)
-    x, report = kernel.minimize(np.where(kernel.unknown, -as_source(f, mask), 0.0),
-                                tol=tol, max_iter=max_iter)
+    b = as_source(f, mask)
+    # in place only in an array made from an expression or a number: an
+    # array-like source may hold the caller's memory, even when it is not b
+    b = np.negative(b, out=b if isinstance(f, (str, int, float)) else None)
+    b[~kernel.unknown] = 0.0
+    x, report = kernel.minimize(b, tol=tol, max_iter=max_iter)
+    del b  # the final residual: gone before the field is made
     return GridField(mask, x), report
 
 
@@ -570,8 +625,9 @@ def l2_distance(u, v):
     """L2 distance over the domain; holes contribute through the zero extension."""
     if not u.mask.same_grid(v.mask):
         raise InvalidArgumentError("fields live on different grids")
-    d = u.values - v.values
-    return float(np.sqrt(np.sum(d * d) * u.mask.dx ** u.mask.dim))
+    d = np.subtract(u.values, v.values)
+    d *= d
+    return float(np.sqrt(np.sum(d) * u.mask.dx ** u.mask.dim))
 
 
 def gradient_energy(u):
@@ -718,10 +774,9 @@ def save_field(field, path):
 
 
 def load_field(path):
-    from .geometry import _expect, _read_mask
+    from .geometry import _expect, _format_version, _read_mask
     with open(path) as fh:
-        version = _expect(fh, "percohom-field",
-                          lambda rest: int(rest.removeprefix("format_version ")))
+        version = _expect(fh, "percohom-field", _format_version)
         if version != FIELD_FORMAT_VERSION:
             raise InvalidArgumentError("unsupported field format version")
         mask = _read_mask(fh)

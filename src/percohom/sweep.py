@@ -158,11 +158,14 @@ def _sweep_row(spec, eps, k, seed, obstacles, config, u_hom):
     mask = rasterize(obstacles, spec.domain(), dx)
     vf = volume_fraction(mask)
     u, report = solve_dirichlet_perforated(mask, spec.reaction, spec.source, tol=spec.tol)
-    f_arr = as_source(spec.source, mask)  # made after the solve: not alive beside CG's arrays
+    # the source is made after the solve and freed before the energies, so
+    # past the solve the row holds u and at most two more grid arrays
+    f_arr = as_source(spec.source, mask)
     f_norm = float(np.sqrt(np.sum(f_arr * f_arr) * dx ** mask.dim))
+    fu = float(np.sum(f_arr * u.values) * dx ** mask.dim)
+    del f_arr
     l2, grad = l2_norm(u), gradient_energy(u)
     energy_lhs = grad + spec.reaction * l2 ** 2
-    fu = float(np.sum(f_arr * u.values) * dx ** mask.dim)
     ecf = math.nan
     if spec.family.kind == "rcm" and config is not None:
         sides = config.box.sides

@@ -559,7 +559,8 @@ def test_mask_file_round_trip_is_byte_identical(shape, tmp_path):
                                  "m16x", "m 16", "m16 ", " m16", "m8  m8", "m", "16", "m17", "m15", "",
                                  "m8 h4 m99999999999999999999999",
                                  # header lines, each in place of its own line
-                                 "dim two", "dx abc", "domain 0,0", "warnings x"])
+                                 "dim two", "dx abc", "domain 0,0", "warnings x",
+                                 "percohom-mask 1", "percohom-mask garbage words 1"])
 def test_mask_file_refuses_a_malformed_rle_stream(rle, tmp_path):
     # a 4 x 4 mask: counts must be integers >= 1 with flags m, h or x, one
     # space apart, summing to 16; a header value that does not parse is

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from percohom.expressions import evaluate_on_mask
 from percohom.geometry import HOLE
 from percohom.rng import substream_seed
 from percohom.solver import _solve_hole_free
-from percohom.sweep import ErgodicSpec, build_partition_of_unity
+from percohom.sweep import ErgodicSpec, _sample, _sweep_row, build_partition_of_unity
 
 UNIT2 = ph.Box.unit(2)
 
@@ -247,6 +248,29 @@ def test_sweep_tol_reaches_the_capacity_table():
     loose, tight = cap_iterations(1e-3), cap_iterations(1e-10)
     assert all(a <= b for a, b in zip(loose, tight))
     assert sum(loose) < sum(tight)
+
+
+def test_sweep_row_at_64_cubed_peaks_at_its_solve():
+    # a row of perfbench's sweep3d config (seed 0) at its smallest eps, with
+    # u_hom made before it as run_sweep makes it: after the solve the row
+    # holds u and one grid array more at a time, so its traced peak is its
+    # solve's (under six grid arrays, plus the mask and the obstacles)
+    fam = ph.GeometryFamily(kind="boolean", dim=3, intensity=1.0, r0=0.35,
+                            radius_exponent=1.0)
+    spec = ph.SweepSpec(family=fam, eps_list=(0.125, 0.1, 0.0625), h_list=(0.75, 0.55),
+                        grid_cells=64, capacity_cells_per_h=32, master_seed=0)
+    flat = ph.hole_free_mask(spec.domain(), spec.dx())
+    u_hom = ph.GridField(flat, _solve_hole_free(flat, spec.reaction, spec.source))
+    eps, k, seed, obstacles, config, failure = _sample(spec, 2, 0)
+    assert not failure
+    tracemalloc.start()
+    try:
+        row = _sweep_row(spec, eps, k, seed, obstacles, config, u_hom)
+        peak = tracemalloc.get_traced_memory()[1] / u_hom.values.nbytes
+    finally:
+        tracemalloc.stop()
+    assert row.hole_cells > 0 and row.iterations > 0 and row.l2_error > 0
+    assert peak <= 6.25, peak
 
 
 # -------------------------------------------------------------- ergodic runs
