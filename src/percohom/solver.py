@@ -35,7 +35,15 @@ a division by the eigenvalues and the inverse transforms (Makhoul 1980: a
 real FFT of length n per line); a sweep takes its comparison field from it.
 
 `minimize` runs conjugate gradients preconditioned by one multigrid V-cycle
-(aggregation multigrid: Vanek, Mandel & Brezina 1996; Notay 2010).  The
+(aggregation multigrid: Vanek, Mandel & Brezina 1996; Notay 2010), in
+float32, under a float64 iterative refinement (Carson & Higham 2018; for
+multigrid, Goddeke, Strzodka & Turek 2007): each float32 solve reduces the
+residual by at least _INNER_REDUCTION, and its correction is added to the
+float64 solution and taken off the float64 residual, until that residual
+meets the tolerance.  The solves are bound by memory bandwidth and by the
+cost of each numpy call, so a float32 pass over a slab runs about twice as
+fast as a float64 one, and the returned solution meets the same float64
+tolerance as a float64 solve.  The
 hierarchy is built from the kernel's own face weights, matrix-free: each
 coarse cell aggregates a 2^d block of cells (an odd axis gets a decoupled
 cell), and the Galerkin operator P^T A P of this piecewise-constant P is
@@ -44,12 +52,16 @@ boundary, plus a sink, the sum of the rest of the diagonal.  Coarsening runs
 down to a single cell, whose solve is a division.  One damped-Jacobi sweep
 before and after the coarse correction keeps the preconditioner symmetric
 positive definite.  There is no BLAS call and every reduction is np.sum, so
-solutions are byte-identical at any thread count.  The iteration count
-grows slowly with the grid (21/30/44 on 32^2/64^2/128^2, against Jacobi's
-95/193/392).
+solutions are byte-identical at any thread count.  The iteration count,
+summed over the refinement steps, grows slowly with the grid (23/34/53 on
+32^2/64^2/128^2 at tol 1e-8, against float64 Jacobi-CG's 95/193/392); each
+refinement step restarts CG, which costs a few iterations against one
+float64 MG-PCG run (21/30/44), and a float32 iteration costs about 40%
+less at 64^3.
 
 Cost model.  On a 64^3 grid one float64 array is 2 MiB, as large as a
-core's L2 cache, so a pass over whole arrays runs from L3.  The passes that
+core's L2 cache, so a pass over whole arrays runs from L3, and a float32
+array is half that.  The passes that
 touch neighbours (the apply, and each level's two passes in the V-cycle)
 therefore walk axis 0 in slabs: of _SLAB_CELLS cells on the fine level,
 whose diagonal, multiply, six neighbour shifts, masking and Jacobi update
@@ -60,12 +72,15 @@ times dx^2, from the kernel's one-byte face counts, as count +
 reaction*dx^2, and the apply's 1/dx^2 and the sweep's weight take that
 factor back, so building it adds no pass over the slab.  CG's vector passes
 walk axis 0 in chunks of the same _SLAB_CELLS cells, with one chunk of
-scratch for its products.  A solve holds x, r and p, the one array that the
-apply output and the V-cycle's result share, the uint8 face counts, roles
-and unknown flags (an eighth of a float array each) and the multigrid
-hierarchy (0.57 float arrays at 64^3): r is the array of the right-hand
-side itself (`minimize` hands it over), and a CG iteration makes no
-temporary of the grid's size; beyond slab buffers, only the coarse levels
+scratch for its products.  A solve holds the float64 solution and residual
+(the residual is the array of the right-hand side itself, which `minimize`
+consumes), the float32 CG's r, x and p and the one float32 array that the
+apply output and the V-cycle's result share (half a float64 array each),
+the uint8 face counts, roles and unknown flags (an eighth of a float64
+array each) and the float32 multigrid hierarchy (0.30 float64 arrays at
+64^3).  Neither a CG iteration nor a refinement step makes a temporary of
+the grid's size: a step's float64 update runs slab by slab through one
+float64 slab buffer, and beyond slab buffers only the coarse levels
 allocate per call.  Every reduction is np.sum over a chunk, the chunk sums
 added in chunk order, never BLAS (np.dot and friends sum in a
 thread-dependent order), so a sum depends on the grid and not on the thread
@@ -231,9 +246,9 @@ class _FaceKernel:
         return np.where(self.unknown, faces[self.inner], 1)
 
     def diagonal(self, out, slab):
-        """The Jacobi diagonal times dx^2 on the planes `slab`, into `out`:
-        count + reaction*dx^2."""
-        return np.add(self.counts[slab], self.reaction * self.scale, out=out)
+        """The Jacobi diagonal times dx^2 on the planes `slab`, into `out`, in
+        its dtype: count + reaction*dx^2."""
+        return np.add(self.counts[slab], self.reaction * self.scale, out=out, dtype=out.dtype)
 
     @property
     def diag(self):
@@ -269,10 +284,10 @@ class _FaceKernel:
         `out` if given.  Every face between two unknown cells has weight 1,
         and u vanishes off the unknown cells (as every CG iterate does), so
         zero-filled neighbours serve absorbing and insulating holes alike.
-        Computed slab by slab (_slabs), with no temporary of the grid's
-        size."""
+        Computed slab by slab (_slabs), in the dtype of u, with no temporary
+        of the grid's size."""
         if out is None:
-            out = np.empty(u.shape)
+            out = np.empty(u.shape, u.dtype)
         for slab in self._slabs:
             self._apply_slab(out[slab], u, slab)
         return out
@@ -290,21 +305,70 @@ class _FaceKernel:
         return np.where(self.unknown, b, 0.0)
 
     def minimize(self, b=None, *, tol, max_iter=None):
-        """The minimizer of the energy over the unknown cells: CG on this
-        system with right-hand side `b`, by default `rhs()`, preconditioned
-        by one multigrid V-cycle on the kernel's aggregation hierarchy
-        (`_vcycle`).  `b` is consumed: CG builds its residual in it
-        (`cg_solve`'s overwrite_b) and leaves the final residual there.  The
-        apply output and the preconditioned residual, of which CG never holds
-        both at once, share one array made once per solve.  Returns
-        (solution, SolveReport)."""
+        """The minimizer of the energy over the unknown cells, for the
+        right-hand side `b` (float64), by default `rhs()`: mixed-precision
+        iterative refinement (Carson & Higham 2018).  Each step solves for
+        the correction in float32, by CG preconditioned with one multigrid
+        V-cycle on the kernel's aggregation hierarchy (`_vcycle`), on the
+        residual scaled to unit norm, so no scale of the problem under- or
+        overflows float32, down to _INNER_REDUCTION or to half the reduction
+        the tolerance still asks for, whichever is larger; the correction is
+        added to x, and the residual
+        is updated by its apply, both in float64.  The steps stop when the
+        float64 residual is at most tol relative to |b|.  `b` is consumed:
+        it holds the residual throughout and the final one on return.
+        `max_iter` (default 20 * max(shape)) caps the CG iterations of all
+        steps together, and the report gives their sum and the final float64
+        relative residual.  A step that does not halve the residual raises
+        SolverFailureError with the residual history of the steps.  The
+        float32 apply output and the preconditioned residual, of which CG
+        never holds both at once, share one array made once per solve.
+        Returns (solution, SolveReport)."""
         raise_diagnostics(_solve_diagnostics(tol=tol, max_iter=max_iter))
-        b = self.rhs() if b is None else b
+        t0 = time.perf_counter()
+        r = self.rhs() if b is None else b
         levels = self._coarse_levels  # built before CG's arrays exist: a lower peak
-        out = np.empty(self.unknown.shape)
-        return cg_solve(partial(self.apply, out=out), b, tol=tol, max_iter=max_iter,
-                        precondition=partial(_vcycle, [self, *levels], out=out),
-                        overwrite_b=True)
+        buffer = np.empty((self._slabs[0].stop,) + r.shape[1:])  # a float64 slab
+
+        def squares(v):
+            return sum(np.sum(np.multiply(v[s], v[s], out=buffer[:s.stop - s.start]))
+                       for s in self._slabs)
+
+        b_norm = math.sqrt(squares(r))
+        if b_norm == 0.0:
+            return np.zeros(r.shape), SolveReport(0, 0.0, time.perf_counter() - t0)
+        max_iter = 20 * max(r.shape) if max_iter is None else max_iter
+        x = np.zeros(r.shape)
+        step = np.empty(r.shape, np.float32)
+        out = np.empty(r.shape, np.float32)
+        r_norm, history, iterations = b_norm, [1.0], 0
+        while not history[-1] <= tol:  # NaN included: CG raises on it
+            np.multiply(r, 1.0 / r_norm, out=step, casting="same_kind")
+            try:
+                e, inner = cg_solve(partial(self.apply, out=out), step,
+                                    tol=max(_INNER_REDUCTION, tol / history[-1] / 2),
+                                    max_iter=max_iter - iterations, overwrite_b=True,
+                                    precondition=partial(_vcycle, [self, *levels], out=out))
+            except SolverFailureError as err:
+                raise SolverFailureError(
+                    f"refinement step {len(history)}: {err}",
+                    history + [history[-1] * h for h in err.residual_history[1:]]) from None
+            iterations += inner.iterations
+            rr = 0.0
+            for s in self._slabs:
+                d = self._apply_slab(buffer[:s.stop - s.start], e, s)
+                d *= r_norm
+                r[s] -= d
+                rr += np.sum(np.multiply(r[s], r[s], out=d))
+                x[s] += np.multiply(e[s], r_norm, out=d, dtype=d.dtype)
+            del e
+            r_norm = math.sqrt(rr)
+            history.append(r_norm / b_norm)
+            if not history[-1] <= history[-2] / 2:  # NaN included
+                raise SolverFailureError(
+                    f"refinement step {len(history) - 1} did not halve the residual "
+                    f"({history[-2]:.3e} -> {history[-1]:.3e})", history)
+        return x, SolveReport(iterations, history[-1], time.perf_counter() - t0)
 
     def energy(self, u, other=None, v=None):
         """Symmetric bilinear energy of u, with this kernel's data, against v,
@@ -350,16 +414,27 @@ class _FaceKernel:
         # unknown-unknown faces as 0/1 counts, summed into coarse faces
         # before they are scaled, so no float weight array of this size is made
         weights = [(u[lo] & u[hi]).view(np.uint8) for lo, hi in _faces(u.ndim)]
-        sink = (self.counts - _neighbour_sum(np.ones(u.shape, np.uint8), weights)) / self.dx ** 2
+        sink = np.subtract(self.counts, _neighbour_sum(np.ones(u.shape, np.uint8), weights),
+                           dtype=np.float32)
+        sink /= self.dx ** 2
         sink += self.reaction
         sink *= u
         levels = []
         while sink.size > 1:
             weights, sink = _coarsen(weights, sink)
             if not levels:
-                weights = [w / self.dx ** 2 for w in weights]
+                weights = [np.divide(w, self.dx ** 2, dtype=np.float32) for w in weights]
             levels.append(_Level(weights, sink))
         return levels
+
+
+# The residual reduction each float32 CG solve of `minimize` asks for at
+# least.  float32's unit roundoff (6e-8) times the condition of the grid
+# (about 4 n^2 / pi^2, 1.7e3 to 6.6e3 on 64^3 to 128^3 cells) bounds how far
+# a float32 solve can reduce its true residual, so a smaller value buys no
+# float64 accuracy per step; a larger one makes more steps, each of which
+# restarts CG.
+_INNER_REDUCTION = 1e-4
 
 
 # Damping of the multigrid's Jacobi sweeps.  D^-1 A has its spectrum in
@@ -400,13 +475,14 @@ def _coarsen(weights, sink):
 class _Level:
     """A coarse level: the operator diag*u - sum_faces w*(neighbour), on
     cells that aggregate unknowns; every other cell is decoupled, with
-    diagonal 1 and values that stay 0.  Small enough to be one slab."""
+    diagonal 1 and values that stay 0.  Small enough to be one slab.  Its
+    weights and diagonal are float32, the precision the solve runs in."""
 
     def __init__(self, weights, sink):
         self.weights = weights
-        diag = _neighbour_sum(np.ones(sink.shape), weights) + sink
+        diag = _neighbour_sum(np.ones(sink.shape, np.float32), weights) + sink
         self.unknown = diag > 0
-        self.diag = np.where(self.unknown, diag, 1.0)
+        self.diag = np.where(self.unknown, diag, np.float32(1.0))
         self._slabs = [slice(0, len(sink))]
 
     scale = 1.0  # `diagonal` gives the Jacobi diagonal itself
@@ -461,16 +537,17 @@ def _vcycle(levels, r, k=0, out=None):
     per slab, times dx^2 (the sweep's weight takes that back).  The first
     walk sweeps each slab and the plane above it, which its residual reads;
     the second sweeps in place and hands each slab the plane below as it
-    was before the sweep moved it."""
+    was before the sweep moved it.  Every array it makes has the dtype of r."""
     level = levels[k]
     if k == len(levels) - 1:
         return np.divide(r, level.diag, out=out)
-    x = np.empty(r.shape) if out is None else out
+    x = np.empty(r.shape, r.dtype) if out is None else out
     weight = _JACOBI_WEIGHT * level.scale
     n, axes = len(r), _coarse_axes(r.shape)
     slab_shape = (level._slabs[0].stop,) + r.shape[1:]
-    buffer = np.empty((min(slab_shape[0] + 1, n),) + r.shape[1:])
-    coarse = np.empty([(m + 1) // 2 if axis in axes else m for axis, m in enumerate(r.shape)])
+    buffer = np.empty((min(slab_shape[0] + 1, n),) + r.shape[1:], r.dtype)
+    coarse = np.empty([(m + 1) // 2 if axis in axes else m for axis, m in enumerate(r.shape)],
+                      r.dtype)
     for slab in level._slabs:
         swept, size = slice(slab.start, min(slab.stop + 1, n)), slab.stop - slab.start
         diag = level.diagonal(buffer[:swept.stop - swept.start], swept)
@@ -484,8 +561,8 @@ def _vcycle(levels, r, k=0, out=None):
     _prolong_add(x, e, axes)
     del e
     x *= level.unknown  # x was 0 off the unknowns
-    buffer = np.empty(slab_shape)
-    diags = np.empty(slab_shape) if k == 0 else buffer  # a coarse level's is stored
+    buffer = np.empty(slab_shape, r.dtype)
+    diags = np.empty(slab_shape, r.dtype) if k == 0 else buffer  # a coarse level's is stored
     below = None
     for slab in level._slabs:
         size = slab.stop - slab.start

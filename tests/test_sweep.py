@@ -254,7 +254,8 @@ def test_sweep_row_at_64_cubed_peaks_at_its_solve():
     # a row of perfbench's sweep3d config (seed 0) at its smallest eps, with
     # u_hom made before it as run_sweep makes it: after the solve the row
     # holds u and one grid array more at a time, so its traced peak is its
-    # solve's (under six grid arrays, plus the mask and the obstacles)
+    # solve's (under five and a half grid arrays, the float32 inner solve's
+    # arrays being half one each, plus the mask and the obstacles)
     fam = ph.GeometryFamily(kind="boolean", dim=3, intensity=1.0, r0=0.35,
                             radius_exponent=1.0)
     spec = ph.SweepSpec(family=fam, eps_list=(0.125, 0.1, 0.0625), h_list=(0.75, 0.55),
@@ -270,7 +271,7 @@ def test_sweep_row_at_64_cubed_peaks_at_its_solve():
     finally:
         tracemalloc.stop()
     assert row.hole_cells > 0 and row.iterations > 0 and row.l2_error > 0
-    assert peak <= 6.25, peak
+    assert peak <= 5.75, peak
 
 
 # -------------------------------------------------------------- ergodic runs
