@@ -6,9 +6,9 @@ Two quadratic minimizations, kept strictly separate:
   the boundary of a cube and 0 on the obstacle cells inside it.  This is the
   absorption-type functional whose volume density estimates the effective
   extra reaction coefficient.  `capacity_minimizer_on_window` is its one
-  solve, on an index window of a mask; `local_capacity` snaps a cube to such
-  a window, and `strange_term` (the absorption-constant table) and the sweeps
-  call it on whole cube masks and partition windows.  The table runs on
+  solve, on a window: a mask or a sub-mask of one (`PerforatedMask.window`).
+  `local_capacity` (a snapped cube), `strange_term` (the absorption-constant
+  table, on cube masks) and the sweeps (on partition windows) call it.  The table runs on
   given obstacle realizations, so a sweep measures the capacity of the very
   realizations it solves on.  The rules for its inputs are written once,
   in `_table_diagnostics`, and the table is one construction in 2D and 3D.
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, diagnostics_of, raise_diagnostics, refusal
-from .geometry import (HOLE, MATERIAL, Box, PerforatedMask, _boundary_connected,
-                       _check_dimension, rasterize, sample_family)
+from .geometry import (HOLE, MATERIAL, Box, _boundary_connected, _check_dimension,
+                       rasterize, sample_family)
 from .rng import substream_seed
 from .solver import _INSULATING, GridField, SolveReport, _FaceKernel, _solve_diagnostics
 
@@ -83,9 +83,7 @@ def newton_capacity(obstacles, outer_radius, dx, tol=1e-7):
         raise InvalidArgumentError(
             "Newton capacity requires dimension 3; the two-dimensional "
             "analogue is logarithmic and out of scope")
-    emask = _electrode(obstacles, outer_radius, dx)
-    est, _ = capacity_minimizer_on_window(
-        emask, tuple(slice(0, m) for m in emask.shape), tol=tol)
+    est, _ = capacity_minimizer_on_window(_electrode(obstacles, outer_radius, dx), tol=tol)
     return est.value, est.report
 
 
@@ -109,40 +107,37 @@ def _electrode(obstacles, outer_radius, dx):
 
 def _window(domain, dx, center, h):
     """Snap the cube of side h at `center` to whole cells of the grid of
-    spacing dx on `domain`; returns (slices, effective center, effective
-    side)."""
+    spacing dx on `domain`; returns its index slices."""
     m = int(round(h / dx))
     if m < 1:
         raise InvalidArgumentError(f"cube side {h} is below one cell")
     slices = []
-    eff_center = []
     for d, n in enumerate(domain.grid_shape(dx)):
         i0 = int(round((center[d] - h / 2.0 - domain.lower[d]) / dx))
         if i0 < 0 or i0 + m > n:
             raise InvalidArgumentError("cube must lie inside the mask domain")
         slices.append(slice(i0, i0 + m))
-        eff_center.append(domain.lower[d] + (i0 + m / 2.0) * dx)
-    return tuple(slices), tuple(eff_center), m * dx
+    return tuple(slices)
 
 
 def local_capacity(mask, center, h, tol=1e-8):
     """Capacity-type energy of the cube of side h at `center`, snapped to
     whole cells; zero iff no obstacle cells intersect the cube."""
-    slices, _, _ = _window(mask.domain, mask.dx, center, h)
-    return capacity_minimizer_on_window(mask, slices, tol=tol)[0]
+    window = mask.window(_window(mask.domain, mask.dx, center, h))
+    return capacity_minimizer_on_window(window, tol=tol)[0]
 
 
-def capacity_minimizer_on_window(mask, slices, tol=1e-8):
-    """Local capacity on an explicit index window of the mask.
+def capacity_minimizer_on_window(window, tol=1e-8):
+    """Local capacity on a window: a whole mask, or a sub-mask of one
+    (`PerforatedMask.window`).
 
-    The window must be a cube in cell counts; returns (CapacityEstimate,
-    minimizer values on the window).  The minimizer equals 1 at the window
-    faces (data imposed at half-cell distance), 0 on hole cells, and is
-    discrete harmonic on the material cells in between.
+    Returns (CapacityEstimate, minimizer values on the window).  The
+    minimizer equals 1 at the window faces (data imposed at half-cell
+    distance), 0 on hole cells, and is discrete harmonic on the material
+    cells in between.
     """
     raise_diagnostics(_solve_diagnostics(tol=tol))  # before the shortcut, as in every solve
-    sub = mask.flags[slices]
-    dx = mask.dx
+    sub, dx = window.flags, window.dx
     if not np.any(sub != MATERIAL):
         est = CapacityEstimate(value=0.0, report=SolveReport(0, 0.0, 0.0))
         return est, np.ones(sub.shape)
@@ -157,33 +152,31 @@ def capacity_minimizer_on_window(mask, slices, tol=1e-8):
 # ---------------------------------------------------------------------------
 # Conduction-type functional with affine data and penalty
 
-def _affine_cell_problem(mask, window, xi, penalty, tol=1e-10):
+def _affine_cell_problem(window, xi, penalty, tol=1e-10):
     """Minimize sum_MM (dv/dx)^2 + penalty*|v - l|^2 on the material cells of
-    the snapped cube `window` = (slices, center z, side), with
-    v = l := (x - z, xi) on the window boundary and no-flux (insulating)
-    obstacle cells.
+    the sub-mask `window`, with v = l := (x - z, xi) on its boundary, z its
+    center, and no-flux (insulating) obstacle cells.
 
     Returns (value, minimizer values, kernel); the kernel's `energy` gives
     the cross energies of the tensor.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (mask.dim,):
+    if xi.shape != (window.dim,):
         raise InvalidArgumentError("direction must match the dimension")
     if not np.all(np.isfinite(xi)):
         raise InvalidArgumentError("direction must be finite")
-    slices, eff_center, _ = window
-    sub = mask.flags[slices]
-    mat = sub == MATERIAL
-    dx = mask.dx
-    n = mask.dim
+    mat = window.material
+    dx = window.dx
+    n = window.dim
+    z = window.domain.center
     # absolute cell centers of the window, padded with the window faces,
     # where the boundary data l sits
     axes = []
     for d in range(n):
-        c = mask.axis_centers(d)[slices[d]]
+        c = window.axis_centers(d)
         axes.append(np.concatenate(([c[0] - 0.5 * dx], c, [c[-1] + 0.5 * dx])))
     grids = np.meshgrid(*axes, indexing="ij")
-    ell = sum((grids[d] - eff_center[d]) * xi[d] for d in range(n))
+    ell = sum((grids[d] - z[d]) * xi[d] for d in range(n))
 
     # material pockets sealed off from the border have nothing anchoring them
     # when penalty == 0; they contribute zero energy with any constant value
@@ -203,43 +196,39 @@ def _check_gamma(gamma):
 
 
 def _penalized_window(mask, z, h, gamma):
-    """The snapped cube window and its penalty h^(-2-gamma) (_check_gamma)."""
+    """The snapped cube window, its side and its penalty side^(-2-gamma) (_check_gamma)."""
     _check_gamma(gamma)
-    window = _window(mask.domain, mask.dx, z, h)
-    return window, window[2] ** (-2.0 - gamma)
+    window = mask.window(_window(mask.domain, mask.dx, z, h))
+    side = window.shape[0] * window.dx
+    return window, side, side ** (-2.0 - gamma)
 
 
 def penalized_functional(mask, z, h, gamma, xi, tol=1e-10):
     """The conduction characteristic P(xi) and its minimizer field."""
-    window, penalty = _penalized_window(mask, z, h, gamma)
-    value, u, _ = _affine_cell_problem(mask, window, xi, penalty, tol=tol)
-    slices, eff_center, eff_h = window
-    subdomain = Box(tuple(c - eff_h / 2 for c in eff_center),
-                    tuple(c + eff_h / 2 for c in eff_center))
-    submask = PerforatedMask(flags=mask.flags[slices], dx=mask.dx, domain=subdomain,
-                             epsilon=mask.epsilon)
-    return value, GridField(submask, np.where(submask.material, u, 0.0))
+    window, _, penalty = _penalized_window(mask, z, h, gamma)
+    value, u, _ = _affine_cell_problem(window, xi, penalty, tol=tol)
+    return value, GridField(window, np.where(window.material, u, 0.0))
 
 
 def conductivity_tensor(mask, z, h, gamma, tol=1e-10):
     """Solve the n coordinate-direction problems and assemble the tensor by
     cross energies; symmetric positive semidefinite by construction."""
-    window, penalty = _penalized_window(mask, z, h, gamma)
+    window, side, penalty = _penalized_window(mask, z, h, gamma)
     n = mask.dim
-    sols = [_affine_cell_problem(mask, window, xi, penalty, tol=tol)[1:]
+    sols = [_affine_cell_problem(window, xi, penalty, tol=tol)[1:]
             for xi in np.eye(n)]
     a = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
             a[i, j] = a[j, i] = sols[i][1].energy(sols[i][0], sols[j][1], sols[j][0])
-    return ConductivityTensor(entries=0.5 * (a + a.T), gamma=float(gamma), h=window[2])
+    return ConductivityTensor(entries=0.5 * (a + a.T), gamma=float(gamma), h=side)
 
 
 def affine_dirichlet_energy(mask, z, h, xi, tol=1e-10):
     """Minimum Dirichlet energy with affine data (x - z, xi) on the cube
     boundary and insulating obstacles; the penalty-free conduction value."""
-    window = _window(mask.domain, mask.dx, z, h)
-    return _affine_cell_problem(mask, window, xi, 0.0, tol=tol)[0]
+    window = mask.window(_window(mask.domain, mask.dx, z, h))
+    return _affine_cell_problem(window, xi, 0.0, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +330,8 @@ def _strange_table(realizations, h_list, eps_list, domain, cells_per_h,
             dx_local = h / cells_per_h
             cube = Box(tuple(c - h / 2 for c in domain.center),
                        tuple(c + h / 2 for c in domain.center))
-            cube_mask = rasterize(obstacles, cube, dx_local)
-            est, _ = capacity_minimizer_on_window(
-                cube_mask, tuple(slice(0, m) for m in cube_mask.shape), tol=tol)
+            est, _ = capacity_minimizer_on_window(rasterize(obstacles, cube, dx_local),
+                                                  tol=tol)
             rows.append(StrangeTermRow(
                 h=h, eps=eps, replica=k, seed=seed, cap=est.value,
                 cap_per_hn=est.value / h ** n,

@@ -406,6 +406,18 @@ class PerforatedMask:
     def axis_centers(self, axis):
         return self.domain.axis_centers(axis, self.dx, np.arange(self.shape[axis]))
 
+    def window(self, slices):
+        """The sub-mask of the cells `slices`, a nonempty range of whole cells
+        per axis, on their own box, with this mask's epsilon and provenance."""
+        if len(slices) != self.dim or not all(
+                s.indices(n) == (s.start, s.stop, 1) and s.start < s.stop
+                for s, n in zip(slices, self.shape)):
+            raise InvalidArgumentError(f"window {slices} is not a box of cells of {self.shape}")
+        lo = self.domain.lower
+        box = Box(tuple(l + s.start * self.dx for l, s in zip(lo, slices)),
+                  tuple(l + s.stop * self.dx for l, s in zip(lo, slices)))
+        return PerforatedMask(self.flags[slices], self.dx, box, self.epsilon, self.provenance)
+
     def same_grid(self, other):
         return (self.shape == other.shape and self.dx == other.dx
                 and self.domain == other.domain)

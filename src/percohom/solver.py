@@ -596,8 +596,8 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None,
     with r.r, r.z, the p update) walk axis 0 in chunks of at most
     _SLAB_CELLS cells (at least one plane), with one chunk-sized scratch
     array for the products, so CG holds no grid-sized array beyond x, r
-    and p.  Every reduction is np.sum over a chunk (pairwise,
-    single-threaded, never BLAS), the chunk sums added in chunk order, so
+    and p.  Every reduction is np.sum over a chunk (pairwise, single-
+    threaded, never BLAS), the chunk sums added in order as float64, so
     the iteration path and result are bit-stable across thread counts.
     `b` is left untouched, unless `overwrite_b` (scipy's keyword) hands it
     over: then CG builds its residual in `b` itself, with no copy, and on
@@ -615,7 +615,7 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None,
     def dot(u, v):
         total = 0.0
         for c, s in chunks:
-            total += np.sum(np.multiply(u[c], v[c], out=s))
+            total += float(np.sum(np.multiply(u[c], v[c], out=s)))
         return total
 
     b_norm = np.sqrt(dot(b, b))
@@ -646,7 +646,7 @@ def cg_solve(apply_op, b, tol=1e-8, max_iter=None, diag=None, precondition=None,
         for c, s in chunks:
             x[c] += np.multiply(alpha, p[c], out=s)
             r[c] -= np.multiply(alpha, Ap[c], out=s)
-            rr += np.sum(np.multiply(r[c], r[c], out=s))
+            rr += float(np.sum(np.multiply(r[c], r[c], out=s)))
         del Ap
         rel = float(np.sqrt(rr) / b_norm)
         history.append(rel)

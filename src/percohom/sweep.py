@@ -369,9 +369,8 @@ def _ergodic_job(args):
     box = Box.cube(t, spec.family.dim)
     obstacles, _ = sample_family(spec.family, 1.0, seed, box)
     mask = rasterize(obstacles, box, spec.dx)
-    window = tuple(slice(0, n) for n in mask.shape)
     if spec.functional == "local_capacity":
-        est, _ = capacity_minimizer_on_window(mask, window)
+        est, _ = capacity_minimizer_on_window(mask)
         value = est.value
     else:
         from .capacity import affine_dirichlet_energy
@@ -462,7 +461,7 @@ def build_corrector(w, partition, mask, reaction, strange_c, f):
     gap against the unperforated energy of w with reaction + c)."""
     acc = np.zeros(mask.shape)
     for part in partition:
-        _, vals = capacity_minimizer_on_window(mask, part.slices, tol=1e-10)
+        _, vals = capacity_minimizer_on_window(mask.window(part.slices), tol=1e-10)
         acc[part.slices] += w[part.slices] * vals * part.weights
     corrector = GridField(mask, np.where(mask.material, acc, 0.0))
     gamma_eps = energy_gamma(corrector, reaction, f)

@@ -150,12 +150,11 @@ def test_local_capacity_subadditive_split():
     obs = balls_at([[0.3, 0.4, 0.5], [0.7, 0.6, 0.4], [0.5, 0.5, 0.6]], 0.06, UNIT3)
     mask = ph.rasterize(obs, UNIT3, 1.0 / 32)
     h = 1.0
-    parent = capacity_minimizer_on_window(mask, tuple(slice(0, 32) for _ in range(3)),
-                                          tol=1e-11)[0].value
+    parent = capacity_minimizer_on_window(mask, tol=1e-11)[0].value
     total = 0.0
     for corner in np.ndindex(2, 2, 2):
         sl = tuple(slice(c * 16, (c + 1) * 16) for c in corner)
-        total += capacity_minimizer_on_window(mask, sl, tol=1e-11)[0].value
+        total += capacity_minimizer_on_window(mask.window(sl), tol=1e-11)[0].value
     dx = 1.0 / 32
     assert total >= parent * (1 - 5 * dx / h)
     assert total >= parent * (1 - 1e-10)  # the glued field is admissible
@@ -347,12 +346,10 @@ def _lattice_bracket(dim):
     cell_box = ph.Box.cube(cells * dx, dim)
     single = ph.rasterize(ball_at((cells * dx / 2,) * dim, radius,
                                   halfside=cells * dx / 2, dim=dim), cell_box, dx)
-    cap_single = capacity_minimizer_on_window(
-        single, tuple(slice(0, cells) for _ in range(dim)), tol=1e-11)[0].value
+    cap_single = capacity_minimizer_on_window(single, tol=1e-11)[0].value
     cube = ph.Box.cube(0.5, dim)
     lone = ph.rasterize(ball_at((0.25,) * dim, radius, halfside=0.25, dim=dim), cube, dx)
-    lower = capacity_minimizer_on_window(
-        lone, tuple(slice(0, 40) for _ in range(dim)), tol=1e-11)[0].value / 0.5**dim
+    lower = capacity_minimizer_on_window(lone, tol=1e-11)[0].value / 0.5**dim
     return lower, res.c, cap_single / spacing**dim, dict(res.eps_then_h)
 
 

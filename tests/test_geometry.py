@@ -609,6 +609,55 @@ def test_mask_refuses_flags_that_are_not_its_domains_grid():
         PerforatedMask(flags=np.zeros((4, 4), np.uint8), dx=0.5, domain=ph.Box.unit(2))
 
 
+def _offset_mask():
+    # 12 x 10 x 8 random flags on a box off the origin, at a spacing that is
+    # not a power of two, so the window's corners are computed, not exact
+    box = ph.Box((-0.3, 0.2, 1.1), (0.9, 1.2, 1.9))
+    flags = np.random.default_rng(5).integers(0, 3, box.grid_shape(0.1)).astype(np.uint8)
+    return PerforatedMask(flags=flags, dx=0.1, domain=box, epsilon=0.25, provenance="kind=t")
+
+
+def test_window_is_the_sub_mask_of_its_cells():
+    mask = _offset_mask()
+    sl = (slice(2, 9), slice(0, 10), slice(7, 8))
+    win = mask.window(sl)
+    np.testing.assert_array_equal(win.flags, mask.flags[sl])
+    assert not win.flags.flags.writeable
+    assert (win.dx, win.epsilon, win.provenance) == (0.1, 0.25, "kind=t")
+    for d in range(3):
+        np.testing.assert_allclose(win.axis_centers(d), mask.axis_centers(d)[sl[d]],
+                                   rtol=0, atol=1e-14)
+
+
+def test_window_of_a_window_is_the_composed_window():
+    mask = _offset_mask()
+    inner = mask.window((slice(1, 11), slice(2, 9), slice(0, 8))).window(
+        (slice(3, 7), slice(0, 5), slice(2, 6)))
+    direct = mask.window((slice(4, 8), slice(2, 7), slice(2, 6)))
+    np.testing.assert_array_equal(inner.flags, direct.flags)
+    for corner in ("lower", "upper"):
+        np.testing.assert_allclose(getattr(inner.domain, corner),
+                                   getattr(direct.domain, corner), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("slices", [
+    (slice(None, 4), slice(0, 10), slice(0, 8)),
+    (slice(0, 4), slice(0, None), slice(0, 8)),
+    (slice(-2, 4), slice(0, 10), slice(0, 8)),
+    (slice(0, 4), slice(0, -1), slice(0, 8)),
+    (slice(0, 13), slice(0, 10), slice(0, 8)),
+    (slice(0, 4), slice(0, 10), slice(8, 9)),
+    (slice(3, 3), slice(0, 10), slice(0, 8)),
+    (slice(5, 3), slice(0, 10), slice(0, 8)),
+    (slice(0, 4, 2), slice(0, 10), slice(0, 8)),
+    (slice(0, 4), slice(0, 10)),
+], ids=["no-start", "no-stop", "negative-start", "negative-stop", "past-the-end",
+        "outside", "no-cells", "reversed", "stepped", "too-few-axes"])
+def test_window_refuses_slices_that_are_not_a_box_of_cells(slices):
+    with pytest.raises(InvalidArgumentError, match="not a box of cells"):
+        _offset_mask().window(slices)
+
+
 def _segment_segment_dist2(p1, q1, p2, q2):
     # scalar reference: closest distance between two segments by Ericson's
     # clamped parameters, one pair at a time

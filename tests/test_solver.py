@@ -146,7 +146,7 @@ def _window_with_exterior(monkeypatch):
     flags[:3, :4, :4] = EXTERIOR
     flags[6:8, 6:8, 6:8] = HOLE
     mask = ph.PerforatedMask(flags=flags, dx=mask.dx, domain=mask.domain)
-    est, _ = capacity.capacity_minimizer_on_window(mask, (slice(0, 12),) * 3, tol=1e-12)
+    est, _ = capacity.capacity_minimizer_on_window(mask, tol=1e-12)
     kernel, x = solves[-1]
     return est.value, x, mask.material, kernel.energy
 
@@ -734,6 +734,27 @@ def test_cg_matches_tridiagonal_oracle():
     x, _ = cg_solve(lambda v: A @ v, b, tol=1e-12, max_iter=100)
     direct = np.linalg.solve(A, b)
     assert np.abs(x - direct).max() <= 1e-10
+
+
+def test_cg_carries_its_scalars_in_float64_for_a_float32_system():
+    # the chunk sums of b*b span more than 2**24, so chunk sums added up in
+    # float32 would round away the small chunks' share of alpha and |r|
+    b = substream(31, "float32-scalars").uniform(0.5, 1.5, (6, 64, 128)).astype(np.float32)
+    b[0] *= 2.0 ** 14
+    d = np.linspace(1.0, 3.0, 6, dtype=np.float32)[:, None, None]
+    x, rep = cg_solve(lambda p: d * p, b, tol=0.5)
+    # the same first iteration by hand, its chunk sums added as float64 scalars
+    planes = max(1, solver._SLAB_CELLS // b[0].size)
+    chunks = [slice(k, k + planes) for k in range(0, len(b), planes)]
+
+    def dot(u, v):
+        return sum(float(np.sum(u[c] * v[c])) for c in chunks)
+
+    alpha = dot(b, b) / dot(b, d * b)
+    r = b - np.multiply(alpha, d * b)
+    assert rep.iterations == 1
+    assert np.array_equal(x, np.multiply(alpha, b))
+    assert rep.final_rel_residual == math.sqrt(dot(r, r)) / math.sqrt(dot(b, b))
 
 
 def _iterations_on_refined_squares(jacobi):

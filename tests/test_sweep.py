@@ -317,8 +317,8 @@ def test_disjoint_cubes_nearly_uncorrelated():
         obs, _ = ph.sample_family(fam, 1.0, substream_seed(40, k), box)
         mask = ph.rasterize(obs, box, 1.0 / 8)
         n = mask.shape[0]
-        a = capacity_minimizer_on_window(mask, (slice(0, n // 4), slice(0, n // 4)))[0]
-        b = capacity_minimizer_on_window(mask, (slice(3 * n // 4, n), slice(3 * n // 4, n)))[0]
+        a = capacity_minimizer_on_window(mask.window((slice(0, n // 4),) * 2))[0]
+        b = capacity_minimizer_on_window(mask.window((slice(3 * n // 4, n),) * 2))[0]
         lo_vals.append(a.value)
         hi_vals.append(b.value)
     rho = np.corrcoef(lo_vals, hi_vals)[0, 1]
